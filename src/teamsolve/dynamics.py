@@ -22,6 +22,7 @@ from .games import (
     MixedProfile,
     adversary_best_response,
     analytic_bounds,
+    contract_game,
     team_gradients,
     uniform_profile,
 )
@@ -89,7 +90,8 @@ class RunTrace:
     is present on every ``check_every``-th record.  Duality statistics
     aggregate over all extension calls of the run; monotonicity fields
     summarize the recorded potential decreases against the allowance
-    ``2 * max_prox_tolerance + 1e-9``.
+    ``2 * max_prox_tolerance + 1e-9``.  ``final_profile`` and
+    ``final_ne_gap`` are the returned profile and its certified gap.
     """
 
     epsilon: float
@@ -98,6 +100,7 @@ class RunTrace:
     iterations: list = field(default_factory=list)
     outcome: str = "budget_exhausted"
     final_profile: MixedProfile | None = None
+    final_ne_gap: float | None = None
     extend_calls: int = 0
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
@@ -124,6 +127,16 @@ class RunTrace:
     def median_decrease(self):
         drops = [ga - gb for (_, ga), (_, gb) in self.potential_pairs]
         return float(np.median(drops)) if drops else math.nan
+
+    def finish(self, outcome, profile, cert):
+        """Record the outcome and the returned profile with its certificate.
+
+        Returns ``(profile, cert, trace)``, the solvers' return value.
+        """
+        self.outcome = outcome
+        self.final_profile = profile
+        self.final_ne_gap = cert.gap
+        return profile, cert, self
 
     def to_csv(self):
         buf = io.StringIO()
@@ -152,8 +165,7 @@ class RunTrace:
                                    else self.min_duality_margin),
             "monotonicity_violations": self.monotonicity_violations(),
             "median_potential_decrease": _none_if_nan(self.median_decrease()),
-            "final_ne_gap": (self.iterations[-1].ne_gap
-                             if self.iterations else None),
+            "final_ne_gap": self.final_ne_gap,
         }
 
 
@@ -276,7 +288,7 @@ def gradient_descent_max(game, config):
                                                 config.epsilon, trace)
         step_norm = float(np.linalg.norm(
             np.concatenate(team) - np.concatenate(prev_team)))
-        br_action, _ = adversary_best_response(game, team)
+        br_action = int(np.argmax(contract_game(game, team, None, (game.n,))))
         trace.iterations.append(IterationRecord(
             t=t, potential_g=potential, ne_gap=cert.gap,
             step_norm=step_norm, br_action=br_action))
@@ -290,7 +302,8 @@ def gradient_descent_max(game, config):
             converged = True
             break
 
-        grads = team_gradients(game, team, br_action)
+        grads = [contract_game(game, team, br_action, (i,))
+                 for i in range(game.n)]
         while True:
             new_team = tuple(project_simplex(x - eta * g)
                              for x, g in zip(team, grads))
@@ -318,10 +331,6 @@ def gradient_descent_max(game, config):
 
     trace.final_eta = eta
     if converged:
-        trace.outcome = "converged"
-        trace.final_profile = profile
-        return profile, cert, trace
-    trace.outcome = "budget_exhausted"
+        return trace.finish("converged", profile, cert)
     _, profile, cert = best
-    trace.final_profile = profile
-    return profile, cert, trace
+    return trace.finish("budget_exhausted", profile, cert)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (
-    adversary_payoff_vector,
-    deviation_payoff_matrix,
-    expected_utility,
-    partial_gradient,
-)
+from .games import _validate_team, contract_game
 from .linprog import LinearProgram, solve_lp
 
 DUALITY_TOL = 1e-7
@@ -120,12 +115,13 @@ def ne_gap(game, profile, epsilon_claimed=math.nan):
     below are exact.
     """
     profile.validate(game)
-    value = expected_utility(game, profile)
+    team, y = profile.team, profile.adversary
+    adv = contract_game(game, team, None, (game.n,))
+    value = float(adv @ y)
     gap_team = -math.inf
     for i in range(game.n):
-        devs = partial_gradient(game, profile, i)
+        devs = contract_game(game, team, y, (i,))
         gap_team = max(gap_team, value - float(np.min(devs)))
-    adv = adversary_payoff_vector(game, profile.team)
     gap_adversary = float(np.max(adv)) - value
     return NeCertificate(gap_team, gap_adversary, epsilon_claimed)
 
@@ -139,12 +135,13 @@ def vi_residual(game, profile):
     is an epsilon-equilibrium.
     """
     profile.validate(game)
+    team, y = profile.team, profile.adversary
     team_part = 0.0
     for i in range(game.n):
-        g = partial_gradient(game, profile, i)
-        team_part += float(profile.team[i] @ g) - float(np.min(g))
-    adv = adversary_payoff_vector(game, profile.team)
-    adv_part = float(np.max(adv)) - float(adv @ profile.adversary)
+        g = contract_game(game, team, y, (i,))
+        team_part += float(team[i] @ g) - float(np.min(g))
+    adv = contract_game(game, team, None, (game.n,))
+    adv_part = float(np.max(adv)) - float(adv @ y)
     return max(team_part, adv_part)
 
 
@@ -250,7 +247,9 @@ def extend_ne(game, team, with_audit=False):
     near-equilibrium; quality should be read off :func:`ne_gap`, not
     assumed.
     """
-    coeffs = [deviation_payoff_matrix(game, team, i) for i in range(game.n)]
-    values = adversary_payoff_vector(game, team)
+    team = _validate_team(game, team)
+    coeffs = [contract_game(game, team, None, (i, game.n))
+              for i in range(game.n)]
+    values = contract_game(game, team, None, (game.n,))
     y, audit = solve_extension_pair(coeffs, [], values)
     return (y, audit) if with_audit else y

@@ -179,15 +179,8 @@ class TeamGame:
         """Materialize the full dense tensor (intended for small games)."""
         if self._tensor is not None:
             return self._tensor
-        out = np.zeros(self.action_sets + (self.adversary_actions,))
-        for blk in self._blocks:
-            shape = [1] * (self.n + 1)
-            for axis, p in enumerate(blk.players):
-                shape[p] = self.action_sets[p]
-            if blk.includes_adversary:
-                shape[-1] = self.adversary_actions
-            out += blk.table.reshape(shape)
-        return out
+        return contract_game(self, (None,) * self.n, None,
+                             tuple(range(self.n + 1)))
 
     def _default_v_max(self):
         if self._tensor is not None:
@@ -239,17 +232,17 @@ class MixedProfile:
                 f"profile has {len(self.team)} team vectors, game has "
                 f"{game.n} players")
         for i, x in enumerate(self.team):
-            if x.shape != (game.action_sets[i],):
-                raise DimensionMismatchError(
-                    f"player {i}: strategy length {x.shape} does not match "
-                    f"{game.action_sets[i]} actions", player=i)
-            _check_simplex(x, f"player {i}", player=i)
-        if self.adversary.shape != (game.adversary_actions,):
-            raise DimensionMismatchError(
-                f"adversary: strategy length {self.adversary.shape} does not "
-                f"match {game.adversary_actions} actions")
-        _check_simplex(self.adversary, "adversary")
+            _check_strategy(x, game.action_sets[i], f"player {i}", player=i)
+        _check_strategy(self.adversary, game.adversary_actions, "adversary")
         return self
+
+
+def _check_strategy(x, size, who, player=None):
+    if x.shape != (size,):
+        raise DimensionMismatchError(
+            f"{who}: strategy length {x.shape} does not match {size} "
+            f"actions", player)
+    _check_simplex(x, who, player)
 
 
 def _check_simplex(x, who, player=None):
@@ -289,29 +282,72 @@ def _validate_team(game, team):
 
 # -- expected utility and gradients ------------------------------------
 
-_AXES = "abcdefghijklmnop"
+
+def contract(table, vectors, keep=()):
+    """Contract ``table`` with one strategy per axis, except the kept axes.
+
+    ``vectors`` has one entry per axis of ``table``; entries on axes in
+    ``keep`` are ignored (``None`` will do).  A 1-D entry weights its
+    axis.  A 2-D entry stacks several strategies for its axis, one per
+    row, and its stacking axis leads the result.  The kept axes follow in
+    increasing order.  Axes are labelled by number, so no subscript
+    alphabet caps the rank below numpy's own limit of 52 labels.  This is
+    the only contraction of payoffs in the package.
+    """
+    ndim = table.ndim
+    operands = [table, list(range(ndim))]
+    stacked = []
+    for axis, vec in enumerate(vectors):
+        if axis in keep:
+            continue
+        if vec.ndim == 2:
+            stacked.append(ndim + axis)
+            operands += [vec, [ndim + axis, axis]]
+        else:
+            operands += [vec, [axis]]
+    operands.append(stacked + sorted(keep))
+    return np.einsum(*operands)
 
 
-def _dense_adversary_vector(tensor, team):
-    """Contract the team axes: returns ``b -> U(x, b)``."""
-    n = len(team)
-    sub = _AXES[:n] + "z," + ",".join(_AXES[i] for i in range(n)) + "->z"
-    return np.einsum(sub, tensor, *team)
+def contract_game(game, team, adversary, keep):
+    """Expected payoff with every axis except ``keep`` averaged out.
+
+    Axes ``0..n-1`` are the team players and axis ``n`` the adversary;
+    ``keep`` lists the open axes in increasing order.  ``adversary`` is a
+    mixed vector, a pure action index (which fixes the adversary axis), or
+    ``None`` when axis ``n`` is kept.  Nothing is validated: the public
+    kernels below check their inputs once, and internal callers pass
+    strategies they built themselves.
+    """
+    pure = isinstance(adversary, (int, np.integer))
+    if game._tensor is not None:
+        if pure:
+            return contract(game._tensor[..., adversary], team, keep)
+        return contract(game._tensor, (*team, adversary), keep)
+    sizes = game.action_sets + (game.adversary_actions,)
+    out = np.zeros([sizes[axis] for axis in keep])
+    for blk in game._blocks:
+        axes = blk.players
+        table = blk.table
+        vectors = [team[p] for p in blk.players]
+        if blk.includes_adversary and pure:
+            table = table[..., adversary]
+        elif blk.includes_adversary:
+            axes += (game.n,)
+            vectors.append(adversary)
+        local = tuple(k for k, axis in enumerate(axes) if axis in keep)
+        # Axes the block does not touch broadcast: the block is constant
+        # along them.
+        out += contract(table, vectors, local).reshape(
+            [sizes[axis] if axis in axes else 1 for axis in keep])
+    return out
 
 
-def _dense_gradient(tensor, team, i, adversary):
-    """Contract everything except team axis ``i``; adversary may be mixed."""
-    n = len(team)
-    operands = [tensor]
-    lhs = [_AXES[:n] + "z"]
-    for j in range(n):
-        if j != i:
-            lhs.append(_AXES[j])
-            operands.append(team[j])
-    lhs.append("z")
-    operands.append(adversary)
-    sub = ",".join(lhs) + "->" + _AXES[i]
-    return np.einsum(sub, *operands)
+def _check_player(game, player):
+    if not 0 <= player < game.n:
+        raise DimensionMismatchError(
+            f"player index {player} out of range for {game.n} players",
+            player=player)
 
 
 def adversary_payoff_vector(game, team):
@@ -320,29 +356,13 @@ def adversary_payoff_vector(game, team):
     Returns the length-``|B|`` vector ``b -> U(x, b)``; these are exactly
     the per-action coefficients the extension LP consumes.
     """
-    team = _validate_team(game, team)
-    if game._tensor is not None:
-        return _dense_adversary_vector(game._tensor, team)
-    out = np.zeros(game.adversary_actions)
-    for blk in game._blocks:
-        xs = [team[p] for p in blk.players]
-        n_loc = len(xs)
-        if blk.includes_adversary:
-            sub = (_AXES[:n_loc] + "z," +
-                   ",".join(_AXES[i] for i in range(n_loc)) + "->z")
-            sub = sub if n_loc else _AXES[:0] + "z->z"
-            out += np.einsum(sub, blk.table, *xs)
-        else:
-            sub = _AXES[:n_loc] + "," + ",".join(_AXES[i] for i in range(n_loc)) + "->"
-            val = np.einsum(sub, blk.table, *xs) if n_loc else blk.table
-            out += float(val)
-    return out
+    return contract_game(game, _validate_team(game, team), None, (game.n,))
 
 
 def expected_utility(game, profile):
     """``E_(a,b)~profile U(a, b)`` via per-factor marginalization."""
     profile.validate(game)
-    vec = adversary_payoff_vector(game, profile.team)
+    vec = contract_game(game, profile.team, None, (game.n,))
     return float(vec @ profile.adversary)
 
 
@@ -353,46 +373,9 @@ def partial_gradient(game, profile, player):
     the adversary drawn from ``profile``; by multilinearity this is also
     the gradient of the expected utility in ``x_i``.
     """
-    if not 0 <= player < game.n:
-        raise DimensionMismatchError(
-            f"player index {player} out of range for {game.n} players",
-            player=player)
+    _check_player(game, player)
     profile.validate(game)
-    return _partial_gradient_impl(game, profile.team, profile.adversary,
-                                  player)
-
-
-def _partial_gradient_impl(game, team, y, player):
-    if game._tensor is not None:
-        return _dense_gradient(game._tensor, team, player, y)
-    out = np.zeros(game.action_sets[player])
-    for blk in game._blocks:
-        if player in blk.players:
-            axis = blk.players.index(player)
-            operands = [blk.table]
-            lhs = [_AXES[:len(blk.players)] + ("z" if blk.includes_adversary else "")]
-            for k, p in enumerate(blk.players):
-                if k != axis:
-                    lhs.append(_AXES[k])
-                    operands.append(team[p])
-            if blk.includes_adversary:
-                lhs.append("z")
-                operands.append(y)
-            out += np.einsum(",".join(lhs) + "->" + _AXES[axis], *operands)
-        else:
-            # Constant in x_i: its expectation shifts every component alike.
-            xs = [team[p] for p in blk.players]
-            n_loc = len(xs)
-            lhs = [_AXES[:n_loc] + ("z" if blk.includes_adversary else "")]
-            operands = [blk.table]
-            for k in range(n_loc):
-                lhs.append(_AXES[k])
-                operands.append(xs[k])
-            if blk.includes_adversary:
-                lhs.append("z")
-                operands.append(y)
-            out += float(np.einsum(",".join(lhs) + "->", *operands))
-    return out
+    return contract_game(game, profile.team, profile.adversary, (player,))
 
 
 def deviation_payoff_matrix(game, team, player):
@@ -405,43 +388,8 @@ def deviation_payoff_matrix(game, team, player):
     these matrices are the extension LP's coefficients.
     """
     team = _validate_team(game, team)
-    if not 0 <= player < game.n:
-        raise DimensionMismatchError(
-            f"player index {player} out of range for {game.n} players",
-            player=player)
-    if game._tensor is not None:
-        n = game.n
-        operands = [game._tensor]
-        lhs = [_AXES[:n] + "z"]
-        for j in range(n):
-            if j != player:
-                lhs.append(_AXES[j])
-                operands.append(team[j])
-        sub = ",".join(lhs) + "->" + _AXES[player] + "z"
-        return np.einsum(sub, *operands)
-    out = np.zeros((game.action_sets[player], game.adversary_actions))
-    for blk in game._blocks:
-        xs = {p: team[p] for p in blk.players if p != player}
-        lhs = [_AXES[:len(blk.players)] + ("z" if blk.includes_adversary else "")]
-        operands = [blk.table]
-        keep = ""
-        for k, p in enumerate(blk.players):
-            if p == player:
-                keep = _AXES[k]
-            else:
-                lhs.append(_AXES[k])
-                operands.append(xs[p])
-        rhs = keep + ("z" if blk.includes_adversary else "")
-        val = np.einsum(",".join(lhs) + "->" + rhs, *operands)
-        if player in blk.players and blk.includes_adversary:
-            out += val
-        elif player in blk.players:
-            out += val[:, None]
-        elif blk.includes_adversary:
-            out += val[None, :]
-        else:
-            out += float(val)
-    return out
+    _check_player(game, player)
+    return contract_game(game, team, None, (player, game.n))
 
 
 def adversary_best_response(game, team):
@@ -465,45 +413,17 @@ def team_gradients(game, team, adversary):
     """
     team = _validate_team(game, team)
     if np.isscalar(adversary) or isinstance(adversary, (int, np.integer)):
-        b = int(adversary)
-        if not 0 <= b < game.adversary_actions:
-            raise DimensionMismatchError(f"adversary action {b} out of range")
-        y = None
-    else:
-        y = np.asarray(adversary, dtype=float)
-        if y.shape != (game.adversary_actions,):
+        adversary = int(adversary)
+        if not 0 <= adversary < game.adversary_actions:
             raise DimensionMismatchError(
-                f"adversary vector length {y.shape} does not match "
+                f"adversary action {adversary} out of range")
+    else:
+        adversary = np.asarray(adversary, dtype=float)
+        if adversary.shape != (game.adversary_actions,):
+            raise DimensionMismatchError(
+                f"adversary vector length {adversary.shape} does not match "
                 f"{game.adversary_actions} actions")
-    if game._tensor is not None:
-        tensor = game._tensor[..., b] if y is None else None
-        out = []
-        for i in range(game.n):
-            if y is None:
-                out.append(_dense_team_only_gradient(tensor, team, i))
-            else:
-                out.append(_dense_gradient(game._tensor, team, i, y))
-        return out
-    y_vec = y if y is not None else _one_hot(game.adversary_actions, b)
-    profile = MixedProfile(team, y_vec)
-    return [partial_gradient(game, profile, i) for i in range(game.n)]
-
-
-def _one_hot(size, index):
-    v = np.zeros(size)
-    v[index] = 1.0
-    return v
-
-
-def _dense_team_only_gradient(team_tensor, team, i):
-    n = len(team)
-    operands = [team_tensor]
-    lhs = [_AXES[:n]]
-    for j in range(n):
-        if j != i:
-            lhs.append(_AXES[j])
-            operands.append(team[j])
-    return np.einsum(",".join(lhs) + "->" + _AXES[i], *operands)
+    return [contract_game(game, team, adversary, (i,)) for i in range(game.n)]
 
 
 @dataclass(frozen=True)

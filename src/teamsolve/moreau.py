@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import project_simplex
-from .games import (
-    _partial_gradient_impl,
-    _validate_team,
-    adversary_payoff_vector,
-    analytic_bounds,
-    team_gradients,
-)
+from .games import _validate_team, analytic_bounds, contract_game
 
 DEFAULT_ITER_CAP = 100_000
 _INNER_SWEEPS = 120
@@ -142,7 +136,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
     cap = min(cap, DEFAULT_ITER_CAP)
 
     def objective(team):
-        vec = adversary_payoff_vector(game, team)
+        vec = contract_game(game, team, None, (game.n,))
         b = int(np.argmax(vec))
         return float(vec[b]) + ell * _dist2(team, center), b
 
@@ -177,7 +171,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         if val < best_val:
             best_val, best_x = val, x
         counts[b] += 1.0
-        grads = team_gradients(game, x, b)
+        grads = [contract_game(game, x, b, (i,)) for i in range(game.n)]
         step = 2.0 / (ell * (k + 1))
         x = tuple(project_simplex(xi - step * (gi + 2.0 * ell * (xi - ci)))
                   for xi, gi, ci in zip(x, grads, center))
@@ -235,7 +229,7 @@ class _DualCertifier:
     def probe(self, y_cand, inner_tol):
         self.z, _, lb = _inner_min(self.game, self.center, self.ell, y_cand,
                                    self.z, inner_tol)
-        vec_z = adversary_payoff_vector(self.game, self.z)
+        vec_z = contract_game(self.game, self.z, None, (self.game.n,))
         feas = float(np.max(vec_z)) + self.ell * _dist2(self.z, self.center)
         if feas < self.best_feasible[1]:
             self.best_feasible = (self.z, feas)
@@ -439,9 +433,9 @@ def _inner_min(game, center, ell, y, z0, inner_tol):
     f_z = math.inf
     for _ in range(_INNER_SWEEPS):
         for i in range(n):
-            g_i = _partial_gradient_impl(game, z, y, i)
+            g_i = contract_game(game, z, y, (i,))
             z[i] = project_simplex(center[i] - g_i / (2.0 * ell))
-        grads = team_gradients(game, z, y)
+        grads = [contract_game(game, z, y, (i,)) for i in range(n)]
         f_z = float(z[0] @ grads[0]) + ell * _dist2(z, center)
         quad = 0.0
         for zi, gi, ci in zip(z, grads, center):

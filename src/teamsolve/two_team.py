@@ -34,18 +34,19 @@ from .extension import (
     solve_extension_pair,
 )
 from .games import (
+    DimensionMismatchError,
     GameError,
-    MixedProfile,
     SchemaError,
     TeamGame,
     _as_fraction,
+    _check_strategy,
     _freeze,
     _parse_dense_entries,
     analytic_bounds,
+    contract,
 )
 from .moreau import stationarity
 
-_AXES = "abcdefghijklmnop"
 _GRID_POINT_CAP = 2_000_000
 
 
@@ -105,6 +106,23 @@ class TwoTeamProfile:
             tuple(np.asarray(x, dtype=float) for x in minimizers),
             tuple(np.asarray(y, dtype=float) for y in maximizers))
 
+    def validate(self, game):
+        """Check every strategy's length and that it is a distribution.
+
+        Raises :class:`~teamsolve.games.DimensionMismatchError`, whose
+        ``player`` is the offender's payoff axis (minimizers first).
+        """
+        if (len(self.minimizers), len(self.maximizers)) != (game.n, game.m):
+            raise DimensionMismatchError(
+                f"profile has {len(self.minimizers)} minimizer and "
+                f"{len(self.maximizers)} maximizer vectors, game has "
+                f"{game.n} and {game.m}")
+        for axis, x in enumerate((*self.minimizers, *self.maximizers)):
+            who = (f"minimizer {axis}" if axis < game.n
+                   else f"maximizer {axis - game.n}")
+            _check_strategy(x, game.tensor.shape[axis], who, player=axis)
+        return self
+
 
 @dataclass(frozen=True)
 class TwoTeamStationarity:
@@ -127,25 +145,8 @@ class TwoTeamStationarity:
 
 def expected_value(game, profile):
     """Expected payoff of mixed team profiles (full contraction)."""
-    total = game.n + game.m
-    sub = (_AXES[:total] + "," +
-           ",".join(_AXES[i] for i in range(total)) + "->")
-    vecs = list(profile.minimizers) + list(profile.maximizers)
-    return float(np.einsum(sub, game.tensor, *vecs))
-
-
-def _contract_except(game, profile, keep):
-    """Contract every axis except those in ``keep`` (sorted output)."""
-    total = game.n + game.m
-    vecs = list(profile.minimizers) + list(profile.maximizers)
-    operands = [game.tensor]
-    lhs = [_AXES[:total]]
-    for i in range(total):
-        if i not in keep:
-            lhs.append(_AXES[i])
-            operands.append(vecs[i])
-    out = "".join(_AXES[i] for i in sorted(keep))
-    return np.einsum(",".join(lhs) + "->" + out, *operands)
+    vectors = (*profile.minimizers, *profile.maximizers)
+    return float(contract(game.tensor, vectors, ()))
 
 
 def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
@@ -153,17 +154,19 @@ def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
 
     ``gap_team`` covers the minimizers (payoff reduction available),
     ``gap_adversary`` the maximizers including the last one (payoff
-    increase available).
+    increase available).  The profile is validated first.
     """
+    profile.validate(game)
+    return _deviation_gaps(game, profile, epsilon_claimed)
+
+
+def _deviation_gaps(game, profile, epsilon_claimed):
+    vectors = (*profile.minimizers, *profile.maximizers)
     value = expected_value(game, profile)
-    gap_min = -math.inf
-    for i in range(game.n):
-        devs = _contract_except(game, profile, {i})
-        gap_min = max(gap_min, value - float(np.min(devs)))
-    gap_max = -math.inf
-    for j in range(game.m):
-        devs = _contract_except(game, profile, {game.n + j})
-        gap_max = max(gap_max, float(np.max(devs)) - value)
+    gap_min = max(value - float(np.min(contract(game.tensor, vectors, (i,))))
+                  for i in range(game.n))
+    gap_max = max(float(np.max(contract(game.tensor, vectors, (axis,))))
+                  - value for axis in range(game.n, game.n + game.m))
     return NeCertificate(gap_team=gap_min, gap_adversary=gap_max,
                          epsilon_claimed=epsilon_claimed)
 
@@ -180,15 +183,12 @@ def induced_single_adversary_game(game, y_minus_m):
                         f"{len(y_minus_m)}")
     if game.m == 1:
         return TeamGame.dense(game.tensor, v_max=game.v_max)
-    total = game.n + game.m
-    operands = [game.tensor]
-    lhs = [_AXES[:total]]
-    for j, y in enumerate(y_minus_m):
-        lhs.append(_AXES[game.n + j])
-        operands.append(np.asarray(y, dtype=float))
-    out = _AXES[:game.n] + _AXES[total - 1]
-    induced = np.einsum(",".join(lhs) + "->" + out, *operands)
-    return TeamGame.dense(induced, v_max=game.v_max)
+    vectors = ((None,) * game.n
+               + tuple(np.asarray(y, dtype=float) for y in y_minus_m)
+               + (None,))
+    keep = tuple(range(game.n)) + (game.n + game.m - 1,)
+    return TeamGame.dense(contract(game.tensor, vectors, keep),
+                          v_max=game.v_max)
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,8 @@ class MinmaxResult:
     audit: ExtensionAudit
 
 
-def _simplex_grid(size, step):
+def _simplex_grid(size, q):
     """All probability vectors on a 1/q grid of the (size-1)-simplex."""
-    q = max(1, round(1.0 / step))
     points = []
     for combo in itertools.combinations_with_replacement(range(size), q):
         counts = np.bincount(np.asarray(combo), minlength=size)
@@ -242,46 +241,38 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     (one extension LP per call), not a pure best response.
     """
     induced = induced_single_adversary_game(game, y_minus_m)
+    tensor = induced.payoff_tensor()
     if method == "grid":
-        grids = [_simplex_grid(k, grid_step) for k in induced.action_sets]
-        combos = 1
-        for g in grids:
-            combos *= len(g)
+        q = max(1, round(1.0 / grid_step))
+        combos = math.prod(math.comb(q + k - 1, k - 1)
+                           for k in induced.action_sets)
         if combos > _GRID_POINT_CAP:
             raise GameError(
                 f"grid of {combos} points exceeds the cap "
                 f"{_GRID_POINT_CAP}; use method='nested'")
-        best_val, best_team = math.inf, None
-        for team in itertools.product(*grids):
-            vec = _induced_adversary_vector(induced, team)
-            val = float(np.max(vec))
-            if val < best_val:
-                best_val, best_team = val, team
+        grids = [_simplex_grid(k, q) for k in induced.action_sets]
+        # Worst case at every point of the product grid at once; the first
+        # minimum in C order is the first in itertools.product order.
+        worst = contract(tensor, (*grids, None), (induced.n,)).max(axis=-1)
+        point = np.unravel_index(int(np.argmin(worst)), worst.shape)
         lipschitz = analytic_bounds(induced).lipschitz
         radius = sum(grid_step * k / 2.0 for k in induced.action_sets)
+        best_val = float(worst[point])
         bracket = (best_val - lipschitz * radius, best_val)
-        team = tuple(np.array(v) for v in best_team)
+        team = tuple(g[i].copy() for g, i in zip(grids, point))
     elif method == "nested":
         config = inner_config or GdConfig(epsilon=0.025)
-        profile, cert, _ = gradient_descent_max(induced, config)
-        team = profile.team
-        vec = _induced_adversary_vector(induced, team)
-        best_val = float(np.max(vec))
-        bracket = (math.nan, best_val)
+        team = gradient_descent_max(induced, config)[0].team
     else:
         raise ValueError("method must be 'grid' or 'nested'")
-    vec = _induced_adversary_vector(induced, team)
+    vec = contract(tensor, (*team, None), (induced.n,))
     b = int(np.argmax(vec))
+    if method == "nested":
+        bracket = (math.nan, float(vec[b]))
     adversary, audit = extend_ne(induced, team, with_audit=True)
     return MinmaxResult(team=team, adversary=adversary, value=float(vec[b]),
                         bracket=bracket, method=method, best_response=b,
                         audit=audit)
-
-
-def _induced_adversary_vector(induced, team):
-    n = induced.n
-    sub = (_AXES[:n] + "z," + ",".join(_AXES[i] for i in range(n)) + "->z")
-    return np.einsum(sub, induced.payoff_tensor(), *team)
 
 
 def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
@@ -302,17 +293,15 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
     if game.m == 1:
         induced = induced_single_adversary_game(game, ())
         return extend_ne(induced, x_star, with_audit=with_audit)
-    y_minus = tuple(np.asarray(y, dtype=float) for y in y_minus_m)
-    profile = TwoTeamProfile(x_star,
-                             y_minus + (np.ones(game.maximizer_actions[-1]),))
-    # The dummy last-maximizer weights never enter: every contraction
-    # below keeps that axis.
+    # Every contraction below keeps the last maximizer's axis.
+    vectors = (x_star + tuple(np.asarray(y, dtype=float) for y in y_minus_m)
+               + (None,))
     last = game.n + game.m - 1
-    minimizer_coeffs = [_contract_except(game, profile, {i, last})
+    minimizer_coeffs = [contract(game.tensor, vectors, (i, last))
                         for i in range(game.n)]
-    maximizer_coeffs = [_contract_except(game, profile, {game.n + j, last})
+    maximizer_coeffs = [contract(game.tensor, vectors, (game.n + j, last))
                         for j in range(game.m - 1)]
-    response = _contract_except(game, profile, {last})
+    response = contract(game.tensor, vectors, (last,))
     y_m, audit = solve_extension_pair(minimizer_coeffs, maximizer_coeffs,
                                       response)
     return (y_m, audit) if with_audit else y_m
@@ -327,7 +316,9 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     extension mixture for the last maximizer, and the last maximizer is
     re-extended.  Each iteration thus solves two extension LPs, both
     counted in ``trace.extend_calls`` and both feeding its duality
-    statistics; ``br_action`` records the oracle's pure best response.
+    statistics; with ``m = 1`` the oracle's extension already completes
+    the profile and is the only one.  ``br_action`` records the oracle's
+    pure best response.
     Stops at the first certified ``epsilon``-equilibrium (checked after
     the update, so the first check sees a fully formed profile).  Returns
     ``(profile, certificate, trace)`` with the budget-exhausted best-seen
@@ -346,30 +337,30 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
     best = (math.inf, None, None)
     prev_stack = None
-    profile = None
-    cert = None
 
     for t in range(max_iters):
         oracle = minmax_oracle(game, y[:-1], method=oracle_method,
                                grid_step=grid_step,
                                inner_config=_inner_config(config))
         x = oracle.team
-        ascended = []
-        for j in range(game.m - 1):
-            grad = _maximizer_gradient(game, x, y, j, oracle.adversary)
-            ascended.append(project_simplex(y[j] + eta * grad))
-        y_m, audit = extend_ne_multi(game, x, tuple(ascended),
-                                     with_audit=True)
-        for checked in (oracle.audit, audit):
+        ascended = tuple(
+            project_simplex(y[j] + eta * _maximizer_gradient(
+                game, x, y, j, oracle.adversary))
+            for j in range(game.m - 1))
+        if ascended:
+            y_m, audit = extend_ne_multi(game, x, ascended, with_audit=True)
+            audits = (oracle.audit, audit)
+        else:
+            y_m, audits = oracle.adversary, (oracle.audit,)
+        for checked in audits:
             trace.extend_calls += 1
             trace.max_sd_residual = max(trace.max_sd_residual,
                                         checked.sd_residual)
             trace.min_duality_margin = min(trace.min_duality_margin,
                                            checked.margin)
-        y = tuple(ascended) + (y_m,)
+        y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
-        cert = ne_gap_two_team(game, profile,
-                               epsilon_claimed=config.epsilon)
+        cert = _deviation_gaps(game, profile, config.epsilon)
         stack = np.concatenate([np.concatenate(x), np.concatenate(y)])
         step_norm = (0.0 if prev_stack is None
                      else float(np.linalg.norm(stack - prev_stack)))
@@ -380,14 +371,10 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         if cert.gap < best[0]:
             best = (cert.gap, profile, cert)
         if cert.gap <= config.epsilon:
-            trace.outcome = "converged"
-            trace.final_profile = profile
-            return profile, cert, trace
+            return trace.finish("converged", profile, cert)
 
-    trace.outcome = "budget_exhausted"
     _, profile, cert = best
-    trace.final_profile = profile
-    return profile, cert, trace
+    return trace.finish("budget_exhausted", profile, cert)
 
 
 def _inner_config(config):
@@ -405,8 +392,7 @@ def _maximizer_gradient(game, x, y, j, y_m):
     function; a tie-broken pure reply would flip between the maximizer's
     indifferent actions and point elsewhere.
     """
-    profile = TwoTeamProfile(tuple(x), tuple(y[:-1]) + (y_m,))
-    return _contract_except(game, profile, {game.n + j})
+    return contract(game.tensor, (*x, *y[:-1], y_m), (game.n + j,))
 
 
 def _full_bounds(game):
@@ -461,10 +447,9 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
         if value > best_val:
             best_val, best_point = value, current
         grads = []
-        reply = TwoTeamProfile(oracle.team,
-                               tuple(current) + (oracle.adversary,))
+        reply = (*oracle.team, *current, oracle.adversary)
         for j in range(game.m - 1):
-            g = _contract_except(game, reply, {game.n + j})
+            g = contract(game.tensor, reply, (game.n + j,))
             grads.append(g - 2.0 * ell * (current[j] - anchor[j]))
         current = tuple(project_simplex(c + step * g)
                         for c, g in zip(current, grads))
@@ -528,4 +513,7 @@ def two_team_profile_from_dict(doc):
     if (not isinstance(doc, dict) or "minimizers" not in doc
             or "maximizers" not in doc):
         raise SchemaError("profile needs 'minimizers' and 'maximizers'")
-    return TwoTeamProfile.of(doc["minimizers"], doc["maximizers"])
+    try:
+        return TwoTeamProfile.of(doc["minimizers"], doc["maximizers"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed profile vectors: {exc}") from exc

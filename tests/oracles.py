@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately written with plain Python loops over
-pure-profile enumerations (no shared contraction code with the package),
-so an oracle failure and a library failure cannot have a common cause.
+pure-profile enumerations, or with ``numpy.tensordot`` one axis at a
+time (no shared contraction code with the package), so an oracle failure
+and a library failure cannot have a common cause.
 """
 
 import itertools
@@ -26,6 +27,19 @@ def exhaustive_expected_utility(tensor, team, adversary):
             if pb != 0.0:
                 total += pa * pb * float(tensor[a + (b,)])
     return total
+
+
+def tensordot_contract(tensor, vectors, keep=()):
+    """Contract every axis not in ``keep`` with its vector, one at a time.
+
+    Axes go highest first, so the axes still to go keep their positions;
+    the kept axes come out in increasing order.
+    """
+    out = np.asarray(tensor, dtype=float)
+    for axis in range(out.ndim - 1, -1, -1):
+        if axis not in keep:
+            out = np.tensordot(out, vectors[axis], axes=([axis], [0]))
+    return out
 
 
 def finite_difference_gradient(tensor, team, adversary, player, step=1e-5):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
 from teamsolve.dynamics import TRACE_VERSION, default_eta, default_max_iters
+from teamsolve.generators import random_game
 
 from conftest import random_team_game
 from oracles import deviation_gaps, simplex_grid_points
@@ -193,3 +194,20 @@ class TestRunTrace:
         assert summary["monotonicity_violations"] == 0
         assert summary["max_sd_residual"] <= 1e-7
         assert not math.isnan(summary["final_ne_gap"])
+
+
+class TestSummaryMatchesCertificate:
+    def test_prox_candidate_run_reports_certified_gap(self):
+        # Converges on the extended prox point, not on the raw iterate.
+        game = random_game(2, [2, 2], 3, 2)
+        _, cert, trace = gradient_descent_max(game, GdConfig(epsilon=0.05))
+        assert trace.outcome == "converged"
+        assert trace.iterations[-1].ne_gap > 0.05
+        assert trace.summary()["final_ne_gap"] == cert.gap <= 0.05
+
+    def test_budget_exhausted_run_reports_best_gap(self):
+        game = random_game(2, [2, 2], 3, 0)
+        _, cert, trace = gradient_descent_max(
+            game, GdConfig(epsilon=1e-6, max_iters=5))
+        assert trace.outcome == "budget_exhausted"
+        assert trace.summary()["final_ne_gap"] == cert.gap

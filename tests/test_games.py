@@ -16,12 +16,22 @@ from teamsolve import (
     expected_utility,
     game_from_dict,
     game_to_dict,
+    ne_gap,
     partial_gradient,
 )
-from teamsolve.games import LocalBlock, SchemaError, deviation_payoff_matrix
+from teamsolve.games import (
+    LocalBlock,
+    SchemaError,
+    contract,
+    deviation_payoff_matrix,
+)
 
 from conftest import random_profile, random_team_game
-from oracles import exhaustive_expected_utility, finite_difference_gradient
+from oracles import (
+    exhaustive_expected_utility,
+    finite_difference_gradient,
+    tensordot_contract,
+)
 
 
 def profile(team, adversary):
@@ -277,3 +287,74 @@ class TestJsonSchema:
         doc["v_max"] = [1, 2]
         with pytest.raises(GameError):
             game_from_dict(doc)
+
+
+class TestSeventeenPlayers:
+    """More team axes than a one-letter-per-axis subscript scheme covers."""
+
+    N = 17
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(17)
+        return TeamGame.dense(rng.uniform(-1, 1, size=(2,) * self.N + (2,)))
+
+    def test_one_hot_team_reads_tensor_slices(self, wide):
+        tensor = wide.payoff_tensor()
+        a = tuple(int(v) for v in np.random.default_rng(0).integers(
+            2, size=self.N))
+        team = [np.eye(2)[ai] for ai in a]
+        y = np.array([0.25, 0.75])
+        assert np.array_equal(adversary_payoff_vector(wide, team), tensor[a])
+        for p in (0, 8, self.N - 1):
+            rows = tensor[a[:p] + (slice(None),) + a[p + 1:]]
+            assert np.array_equal(deviation_payoff_matrix(wide, team, p),
+                                  rows)
+        value = float(tensor[a] @ y)
+        deviations = [float(tensor[a[:p] + (c,) + a[p + 1:]] @ y)
+                      for p in range(self.N) for c in range(2)]
+        cert = ne_gap(wide, profile(team, y))
+        assert cert.gap_team == pytest.approx(value - min(deviations),
+                                              abs=1e-12)
+        assert cert.gap_adversary == pytest.approx(
+            float(np.max(tensor[a])) - value, abs=1e-12)
+
+    def test_dirichlet_team_matches_tensordot(self, wide):
+        rng = np.random.default_rng(1)
+        tensor = wide.payoff_tensor()
+        team = [rng.dirichlet(np.ones(2)) for _ in range(self.N)]
+        y = rng.dirichlet(np.ones(2))
+        vectors = team + [y]
+        adv = tensordot_contract(tensor, vectors, (self.N,))
+        assert np.allclose(adversary_payoff_vector(wide, team), adv,
+                           rtol=0, atol=1e-12)
+        for p in (0, 8, self.N - 1):
+            assert np.allclose(deviation_payoff_matrix(wide, team, p),
+                               tensordot_contract(tensor, vectors,
+                                                  (p, self.N)),
+                               rtol=0, atol=1e-12)
+        value = float(adv @ y)
+        gap_team = max(
+            value - float(np.min(tensordot_contract(tensor, vectors, (p,))))
+            for p in range(self.N))
+        cert = ne_gap(wide, profile(team, y))
+        assert cert.gap_team == pytest.approx(gap_team, abs=1e-12)
+        assert cert.gap_adversary == pytest.approx(float(np.max(adv)) - value,
+                                                   abs=1e-12)
+
+
+class TestContract:
+    def test_stacked_operands_match_one_call_per_row(self):
+        rng = np.random.default_rng(3)
+        table = rng.uniform(-1, 1, size=(2, 3, 4, 2))
+        first = rng.dirichlet(np.ones(2), size=5)
+        third = rng.dirichlet(np.ones(4), size=6)
+        last = rng.dirichlet(np.ones(2))
+        stacked = contract(table, (first, None, third, last), (1,))
+        assert stacked.shape == (5, 6, 3)
+        for r in range(5):
+            for s in range(6):
+                single = contract(table, (first[r], None, third[s], last),
+                                  (1,))
+                assert np.allclose(stacked[r, s], single, rtol=0,
+                                   atol=1e-14)

@@ -17,7 +17,7 @@ from teamsolve import (
     two_team_from_dict,
     zero_sum_value,
 )
-from teamsolve.games import GameError, SchemaError
+from teamsolve.games import DimensionMismatchError, GameError, SchemaError
 from teamsolve.two_team import (
     expected_value,
     induced_single_adversary_game,
@@ -26,7 +26,7 @@ from teamsolve.two_team import (
     two_team_profile_to_dict,
 )
 
-from oracles import two_team_deviation_gaps
+from oracles import tensordot_contract, two_team_deviation_gaps
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -279,3 +279,52 @@ class TestSchema:
         game = TwoTeamGame(tensor, n=1, m=1)
         induced = induced_single_adversary_game(game, ())
         assert np.array_equal(induced.payoff_tensor(), tensor)
+
+
+class TestSeventeenPlayers:
+    def test_value_and_certificate_match_tensordot(self):
+        rng = np.random.default_rng(17)
+        n, m = 9, 8
+        game = TwoTeamGame(rng.uniform(-1, 1, size=(2,) * (n + m)), n=n, m=m)
+        vectors = [rng.dirichlet(np.ones(2)) for _ in range(n + m)]
+        profile = TwoTeamProfile.of(vectors[:n], vectors[n:])
+        value = float(tensordot_contract(game.tensor, vectors))
+        assert expected_value(game, profile) == pytest.approx(value,
+                                                              abs=1e-12)
+        devs = [tensordot_contract(game.tensor, vectors, (k,))
+                for k in range(n + m)]
+        cert = ne_gap_two_team(game, profile)
+        assert cert.gap_team == pytest.approx(
+            max(value - float(np.min(d)) for d in devs[:n]), abs=1e-12)
+        assert cert.gap_adversary == pytest.approx(
+            max(float(np.max(d)) - value for d in devs[n:]), abs=1e-12)
+
+
+class TestProfileValidation:
+    GAME = TwoTeamGame(np.arange(8.0).reshape(2, 2, 2), n=1, m=2)
+
+    def test_negative_probability_names_axis(self):
+        profile = TwoTeamProfile.of([[0.5, 0.5]], [[0.5, 0.5], [1.5, -0.5]])
+        with pytest.raises(DimensionMismatchError,
+                           match="maximizer 1: negative") as err:
+            ne_gap_two_team(self.GAME, profile)
+        assert err.value.player == 2
+
+    def test_wrong_length_and_count(self):
+        long = TwoTeamProfile.of([[0.5, 0.25, 0.25]], [[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatchError, match="minimizer 0"):
+            ne_gap_two_team(self.GAME, long)
+        short = TwoTeamProfile.of([[0.5, 0.5]], [[1, 0]])
+        with pytest.raises(DimensionMismatchError, match="maximizer vectors"):
+            ne_gap_two_team(self.GAME, short)
+
+
+class TestGdMmSingleMaximizer:
+    def test_one_extension_per_iteration(self):
+        # Minmax strategy (1/3, 2/3) lies off the 1/50 grid: never exact.
+        game = TwoTeamGame(np.array([[3.0, -1.0], [-1.0, 1.0]]), n=1, m=1)
+        _, cert, trace = gd_mm(
+            game, GdConfig(epsilon=1e-9, max_iters=3), oracle_method="grid")
+        assert trace.outcome == "budget_exhausted"
+        assert trace.extend_calls == len(trace.iterations) == 3
+        assert trace.summary()["final_ne_gap"] == cert.gap

@@ -87,8 +87,10 @@ class RunTrace:
     """Per-iteration audit trail of one solver run.
 
     ``iterations`` holds one record per equilibrium check; the potential
-    is present on every ``check_every``-th record.  Duality statistics
-    aggregate over all extension calls of the run; monotonicity fields
+    is present on every ``check_every``-th record.  ``extend_calls``
+    counts the run's extension LPs and ``lp_pivots`` sums their simplex
+    pivots; duality statistics aggregate over the same calls (see
+    :meth:`record_extension`).  Monotonicity fields
     summarize the recorded potential decreases against the allowance
     ``2 * max_prox_tolerance + 1e-9``.  ``final_profile`` and
     ``final_ne_gap`` are the returned profile and its certified gap.
@@ -102,6 +104,7 @@ class RunTrace:
     final_profile: MixedProfile | None = None
     final_ne_gap: float | None = None
     extend_calls: int = 0
+    lp_pivots: int = 0
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
     max_prox_tolerance: float = 0.0
@@ -127,6 +130,13 @@ class RunTrace:
     def median_decrease(self):
         drops = [ga - gb for (_, ga), (_, gb) in self.potential_pairs]
         return float(np.median(drops)) if drops else math.nan
+
+    def record_extension(self, audit):
+        """Count one checked extension call and fold in its audit."""
+        self.extend_calls += 1
+        self.lp_pivots += audit.pivots
+        self.max_sd_residual = max(self.max_sd_residual, audit.sd_residual)
+        self.min_duality_margin = min(self.min_duality_margin, audit.margin)
 
     def finish(self, outcome, profile, cert):
         """Record the outcome and the returned profile with its certificate.
@@ -160,6 +170,7 @@ class RunTrace:
             "prox_tol": self.prox_tol,
             "max_prox_tolerance": self.max_prox_tolerance,
             "extend_calls": self.extend_calls,
+            "lp_pivots": self.lp_pivots,
             "max_sd_residual": self.max_sd_residual,
             "min_duality_margin": (None if math.isinf(self.min_duality_margin)
                                    else self.min_duality_margin),
@@ -198,9 +209,7 @@ def default_max_iters(game, epsilon, bounds=None):
 def _certified_extension(game, team, epsilon, trace):
     """Extend a candidate team strategy and certify it; None if over eps."""
     y, audit = extend_ne(game, team, with_audit=True)
-    trace.extend_calls += 1
-    trace.max_sd_residual = max(trace.max_sd_residual, audit.sd_residual)
-    trace.min_duality_margin = min(trace.min_duality_margin, audit.margin)
+    trace.record_extension(audit)
     candidate = MixedProfile(team, y)
     cert = ne_gap(game, candidate, epsilon_claimed=epsilon)
     if cert.gap <= epsilon:
@@ -324,9 +333,7 @@ def gradient_descent_max(game, config):
         if new_prox is not None:
             prox_state = new_prox
         adversary, audit = extend_ne(game, team, with_audit=True)
-        trace.extend_calls += 1
-        trace.max_sd_residual = max(trace.max_sd_residual, audit.sd_residual)
-        trace.min_duality_margin = min(trace.min_duality_margin, audit.margin)
+        trace.record_extension(audit)
         t += 1
 
     trace.final_eta = eta

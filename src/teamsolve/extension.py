@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import _validate_team, contract_game
+from .games import _check_simplex, _validate_team, contract_game
 from .linprog import LinearProgram, solve_lp
 
 DUALITY_TOL = 1e-7
@@ -67,15 +67,19 @@ class ExtensionAudit:
 
     ``u_star = max_b r_b`` is the best-response value at the anchor,
     ``u_anchor = max_b scale * r_b`` the program's objective there,
-    ``u_joint`` its optimum and ``dual_total`` the dual optimum (sum of
-    the per-player multipliers).  ``margin = u_anchor - u_joint`` must be
-    nonnegative and ``sd_residual = |dual_total - u_joint|`` must vanish,
-    both up to ``1e-7``.  All of these are finite at every scale.  For
-    ``scale >= 1`` the program is ``min scale * u`` in disguise:
-    ``u_anchor = scale * u_star`` and ``u_opt = u_joint / scale`` is the
-    per-unit optimum, so ``margin = scale * (u_star - u_opt)``.  For
-    ``scale <= 0`` there is no per-unit reading and ``u_opt`` is NaN;
-    ``u_anchor`` is ``scale * min_b r_b`` (0 at scale 0).
+    ``u_joint`` its objective at the point read from the extension dual's
+    row multipliers (each player's block clamped at 0 and normalized), an
+    upper bound on its optimum, and ``dual_total`` the dual optimum (sum
+    of the per-player guarantees), a lower bound on the same optimum.
+    ``margin = u_anchor - u_joint`` must be nonnegative and
+    ``sd_residual = |dual_total - u_joint|`` must vanish, both up to
+    ``1e-7``, so passing :meth:`check` certifies both bounds optimal.  All
+    of these are finite at every scale.  For ``scale >= 1`` the program
+    is ``min scale * u`` in disguise: ``u_anchor = scale * u_star`` and
+    ``u_opt = u_joint / scale`` is the per-unit optimum, so ``margin =
+    scale * (u_star - u_opt)``.  For ``scale <= 0`` there is no per-unit
+    reading and ``u_opt`` is NaN; ``u_anchor`` is ``scale * min_b r_b``
+    (0 at scale 0).  ``pivots`` is the extension LP's simplex pivot count.
     """
 
     u_star: float
@@ -83,6 +87,7 @@ class ExtensionAudit:
     u_joint: float
     dual_total: float
     scale: int
+    pivots: int = 0
 
     @property
     def u_opt(self):
@@ -146,7 +151,7 @@ def vi_residual(game, profile):
 
 
 def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
-    """Solve the extension dual LP and audit it against its primal.
+    """Solve the extension dual LP and audit it from its row multipliers.
 
     ``minimizer_coeffs`` lists one ``|A_i| x |B|`` matrix per team player
     (pure-deviation payoffs against each pure adversary action);
@@ -157,85 +162,47 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
 
     The dual maximizes the per-player guarantee sum over adversary
     mixtures; its optimum ``y`` is returned together with the audit, which
-    has already been checked.
+    has already been checked.  One LP is solved: the multipliers of each
+    player's rows, clamped at 0 and normalized, are that player's mixed
+    strategy in the joint-deviation program, and ``u_joint`` is the
+    program's objective at that point.
     """
+    # Co-maximizer rows carry -W: their deviations count against the sum.
+    blocks = list(minimizer_coeffs) + [-W for W in maximizer_coeffs]
+    sizes = [M.shape[0] for M in blocks]
+    starts = np.cumsum([0] + sizes)
+    n_g = len(blocks)
     n_b = response_values.size
-    n_min = len(minimizer_coeffs)
-    n_max = len(maximizer_coeffs)
-    scale = n_min - n_max
-    # Dual variables (z_1..z_n, w_1..w_k, y): maximize sum z + sum w.
-    n_vars = n_min + n_max + n_b
-    cost = np.zeros(n_vars)
-    cost[:n_min + n_max] = -1.0  # solve_lp minimizes
-    rows = []
-    rhs = []
-    for i, C in enumerate(minimizer_coeffs):
-        for a in range(C.shape[0]):
-            row = np.zeros(n_vars)
-            row[i] = -1.0
-            row[n_min + n_max:] = C[a]
-            rows.append(row)
-            rhs.append(0.0)
-    for j, W in enumerate(maximizer_coeffs):
-        for bp in range(W.shape[0]):
-            row = np.zeros(n_vars)
-            row[n_min + j] = -1.0
-            row[n_min + n_max:] = -W[bp]
-            rows.append(row)
-            rhs.append(0.0)
-    eq = np.zeros((1, n_vars))
-    eq[0, n_min + n_max:] = 1.0
-    bounds = [(None, None)] * (n_min + n_max) + [(0.0, None)] * n_b
-    dual_lp = LinearProgram(cost, np.array(rows), np.array(rhs), eq,
+    scale = len(minimizer_coeffs) - len(maximizer_coeffs)
+    # Dual variables (g_1..g_K, y), one guarantee per block: maximize sum g
+    # s.t. g_k <= M_k[a] . y on every row of every block.
+    rows = np.zeros((starts[-1], n_g + n_b))
+    for k, M in enumerate(blocks):
+        rows[starts[k]:starts[k + 1], k] = -1.0
+        rows[starts[k]:starts[k + 1], n_g:] = M
+    cost = np.concatenate([-np.ones(n_g), np.zeros(n_b)])  # solve_lp minimizes
+    eq = np.concatenate([np.zeros(n_g), np.ones(n_b)])[None, :]
+    bounds = [(None, None)] * n_g + [(0.0, None)] * n_b
+    dual_lp = LinearProgram(cost, rows, np.zeros(starts[-1]), eq,
                             np.ones(1), bounds)
     dual_sol = solve_lp(dual_lp).require_optimal()
-    y = np.maximum(dual_sol.primal[n_min + n_max:], 0.0)
+    y = np.maximum(dual_sol.primal[n_g:], 0.0)
     y = y / y.sum()
-    dual_total = -float(dual_sol.value)
+
+    # A zero block sum gives NaN, which check() rejects.
+    weights = np.maximum(dual_sol.dual, 0.0)
+    deviation = np.zeros(n_b)
+    for k, M in enumerate(blocks):
+        lam = weights[starts[k]:starts[k + 1]]
+        deviation += M.T @ (lam / lam.sum())
 
     audit = ExtensionAudit(
         u_star=float(np.max(response_values)),
         u_anchor=float(np.max(scale * response_values)),
-        u_joint=_joint_deviation_optimum(minimizer_coeffs, maximizer_coeffs),
-        dual_total=dual_total, scale=scale).check()
+        u_joint=float(np.max(deviation)),
+        dual_total=-float(dual_sol.value), scale=scale,
+        pivots=len(dual_sol.pivots)).check()
     return y, audit
-
-
-def _joint_deviation_optimum(minimizer_coeffs, maximizer_coeffs):
-    """Optimum of the primal program the extension dual certifies.
-
-    Variables ``(U, x_1..x_n, y_1..y_k)``: minimize the free ``U`` subject
-    to, for every pure adversary action, ``U`` covering the summed
-    minimizer deviation payoffs minus the summed co-adversary ones, with
-    every block a probability vector.  Every block's equality makes the
-    program feasible and the adversary rows bound ``U`` below, so it is
-    well posed at every scale.
-    """
-    sizes_min = [C.shape[0] for C in minimizer_coeffs]
-    sizes_max = [W.shape[0] for W in maximizer_coeffs]
-    n_b = (minimizer_coeffs[0].shape[1] if minimizer_coeffs
-           else maximizer_coeffs[0].shape[1])
-    n_vars = 1 + sum(sizes_min) + sum(sizes_max)
-    cost = np.zeros(n_vars)
-    cost[0] = 1.0
-    rows = np.zeros((n_b, n_vars))
-    rows[:, 0] = 1.0
-    offset = 1
-    for C, k in zip(minimizer_coeffs, sizes_min):
-        rows[:, offset:offset + k] = -C.T
-        offset += k
-    for W, k in zip(maximizer_coeffs, sizes_max):
-        rows[:, offset:offset + k] = W.T
-        offset += k
-    eqs = np.zeros((len(sizes_min) + len(sizes_max), n_vars))
-    offset = 1
-    for r, k in enumerate(sizes_min + sizes_max):
-        eqs[r, offset:offset + k] = 1.0
-        offset += k
-    bounds = [(None, None)] + [(0.0, None)] * (n_vars - 1)
-    lp = LinearProgram(cost, rows, np.zeros(n_b), eqs,
-                       np.ones(len(sizes_min) + len(sizes_max)), bounds)
-    return float(solve_lp(lp).require_optimal().value)
 
 
 def extend_ne(game, team, with_audit=False):
@@ -248,6 +215,8 @@ def extend_ne(game, team, with_audit=False):
     assumed.
     """
     team = _validate_team(game, team)
+    for i, x in enumerate(team):
+        _check_simplex(x, f"player {i}", player=i)
     coeffs = [contract_game(game, team, None, (i, game.n))
               for i in range(game.n)]
     values = contract_game(game, team, None, (game.n,))

@@ -275,26 +275,25 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
     guard = 200 * (rows + T.shape[1])
     blowup = 1e12 * max(1.0, float(np.abs(T).max()))
     for _ in range(guard):
-        enter = -1
-        for j in range(stop_cols):
-            if T[-1, j] < -PIVOT_TOL:
-                enter = j
-                break
+        # Scanning Python floats is cheaper than indexing numpy scalars;
+        # both are IEEE doubles, so every comparison is exact.
+        enter = next((j for j, v in enumerate(T[-1, :stop_cols].tolist())
+                      if v < -PIVOT_TOL), -1)
         if enter < 0:
             return False
-        col = T[:rows, enter]
-        col_scale = float(np.max(col, initial=0.0))
+        col = T[:rows, enter].tolist()
+        rhs = T[:rows, -1].tolist()
+        col_scale = max([0.0, *col])
         floor = max(PIVOT_TOL, 1e-7 * col_scale)
         best_ratio, leave = None, -1
-        for r in range(rows):
-            a = col[r]
+        for r, a in enumerate(col):
             if a > floor:
-                ratio = max(T[r, -1], 0.0) / a
+                ratio = max(rhs[r], 0.0) / a
                 better = (best_ratio is None or ratio < best_ratio - 1e-12)
                 tie = (best_ratio is not None
                        and abs(ratio - best_ratio) <= 1e-12
-                       and (a > T[leave, enter] + 1e-12
-                            or (abs(a - T[leave, enter]) <= 1e-12
+                       and (a > col[leave] + 1e-12
+                            or (abs(a - col[leave]) <= 1e-12
                                 and basis[r] < basis[leave])))
                 if better or tie:
                     best_ratio, leave = ratio, r

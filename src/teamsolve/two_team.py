@@ -280,11 +280,11 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
 
     Builds the multi-team extension dual LP (guarantee variables for
     every minimizer and every co-maximizer, a mixture for the last
-    maximizer) and returns the mixture.  Each call also solves the
-    joint-deviation primal and asserts the feasibility chain from the
-    anchor profile plus strong duality, exactly as in the
-    single-adversary module, at every scale ``n - m + 1`` including
-    outside the ``n > m - 1`` regime (see
+    maximizer) and returns the mixture.  Each call solves that one LP,
+    reads a joint-deviation point from its row multipliers and asserts
+    the feasibility chain from the anchor profile plus strong duality,
+    exactly as in the single-adversary module, at every scale
+    ``n - m + 1`` including outside the ``n > m - 1`` regime (see
     :class:`teamsolve.extension.ExtensionAudit`).  With ``m = 1`` this
     routes through :func:`teamsolve.extension.extend_ne` and agrees with
     it bitwise.
@@ -315,10 +315,10 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     projected gradient ascent step against that reply and the oracle's
     extension mixture for the last maximizer, and the last maximizer is
     re-extended.  Each iteration thus solves two extension LPs, both
-    counted in ``trace.extend_calls`` and both feeding its duality
-    statistics; with ``m = 1`` the oracle's extension already completes
-    the profile and is the only one.  ``br_action`` records the oracle's
-    pure best response.
+    counted in ``trace.extend_calls`` and ``trace.lp_pivots`` and both
+    feeding its duality statistics; with ``m = 1`` the oracle's extension
+    already completes the profile and is the only one.  ``br_action``
+    records the oracle's pure best response.
     Stops at the first certified ``epsilon``-equilibrium (checked after
     the update, so the first check sees a fully formed profile).  Returns
     ``(profile, certificate, trace)`` with the budget-exhausted best-seen
@@ -353,11 +353,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         else:
             y_m, audits = oracle.adversary, (oracle.audit,)
         for checked in audits:
-            trace.extend_calls += 1
-            trace.max_sd_residual = max(trace.max_sd_residual,
-                                        checked.sd_residual)
-            trace.min_duality_margin = min(trace.min_duality_margin,
-                                           checked.margin)
+            trace.record_extension(checked)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
         cert = _deviation_gaps(game, profile, config.epsilon)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teamsolve import TeamGame
+from teamsolve import LocalBlock, TeamGame
 
 MP_TENSOR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -28,3 +28,11 @@ def random_profile(rng, game):
     team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
     adversary = rng.dirichlet(np.ones(game.adversary_actions))
     return team, adversary
+
+
+def ring_game(rng, players, adversary_actions):
+    """Polytensor ring: one block per pair (i, i+1 mod n), with the adversary."""
+    blocks = [LocalBlock(tuple(sorted((i, (i + 1) % players))), True,
+                         rng.uniform(-1, 1, size=(2, 2, adversary_actions)))
+              for i in range(players)]
+    return TeamGame.polytensor([2] * players, adversary_actions, blocks)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamsolve.extension as extension
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
 from teamsolve.dynamics import TRACE_VERSION, default_eta, default_max_iters
 from teamsolve.generators import random_game
@@ -211,3 +212,17 @@ class TestSummaryMatchesCertificate:
             game, GdConfig(epsilon=1e-6, max_iters=5))
         assert trace.outcome == "budget_exhausted"
         assert trace.summary()["final_ne_gap"] == cert.gap
+
+
+class TestLpPivots:
+    def test_trace_sums_extension_lp_pivots(self, monkeypatch):
+        seen = []
+        real = extension.solve_lp
+        monkeypatch.setattr(extension, "solve_lp",
+                            lambda lp: seen.append(real(lp)) or seen[-1])
+        game = random_game(2, [2, 2], 3, 0)
+        _, _, trace = gradient_descent_max(
+            game, GdConfig(epsilon=1e-6, max_iters=5))
+        assert trace.extend_calls == len(seen) > 0
+        assert trace.lp_pivots == sum(len(s.pivots) for s in seen) > 0
+        assert trace.summary()["lp_pivots"] == trace.lp_pivots

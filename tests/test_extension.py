@@ -1,12 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import teamsolve.extension as extension
 from teamsolve import (
+    DimensionMismatchError,
+    DualityError,
     MixedProfile,
     TeamGame,
+    TwoTeamGame,
     expected_utility,
     extend_ne,
+    extend_ne_multi,
     ne_gap,
+    random_game,
     vi_residual,
     zero_sum_value,
 )
@@ -14,8 +22,8 @@ from teamsolve.dynamics import GdConfig, gradient_descent_max
 from teamsolve.moreau import stationarity
 from teamsolve.games import analytic_bounds
 
-from conftest import random_profile, random_team_game
-from oracles import deviation_gaps
+from conftest import random_profile, random_team_game, ring_game
+from oracles import deviation_gaps, tensordot_contract
 
 
 def profile(team, adversary):
@@ -157,3 +165,93 @@ class TestMonotoneDegradation:
         assert np.isfinite(fitted) and fitted >= 0.0
         for measure, gap in samples:
             assert gap <= fitted * measure + 1e-6
+
+
+class TestExtendNeBoundary:
+    @pytest.mark.parametrize("team", [[1.5, -0.5], [0.5, 0.4]])
+    def test_rejects_team_vector_that_is_not_a_distribution(self, team):
+        with pytest.raises(DimensionMismatchError):
+            extend_ne(random_game(1, [2], 2, 0), [team])
+
+
+def _uniform_block_multipliers(lp, sol):
+    """``sol`` with each player's row multipliers replaced by uniform ones.
+
+    The guarantee variables are the columns with cost -1; each extension
+    row puts -1 on the guarantee of the player it belongs to.
+    """
+    n_g = int(np.sum(lp.objective == -1.0))
+    owner = np.argmax(lp.A[:, :n_g] == -1.0, axis=1)
+    sizes = np.bincount(owner, minlength=n_g)
+    dual = sol.dual.copy()
+    dual[:owner.size] = 1.0 / sizes[owner]
+    return dataclasses.replace(sol, dual=dual)
+
+
+class TestOneLpAudit:
+    """The audit is read from the single LP's row multipliers."""
+
+    @pytest.fixture()
+    def wrong_multipliers(self, monkeypatch):
+        real = extension.solve_lp
+        monkeypatch.setattr(
+            extension, "solve_lp",
+            lambda lp: _uniform_block_multipliers(lp, real(lp)))
+
+    def test_catches_wrong_multipliers(self, wrong_multipliers):
+        rng = np.random.default_rng(21)
+        dense = random_game(2, [2, 2], 3, 4)
+        ring = ring_game(rng, 4, 3)
+        for game in (dense, ring):
+            team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
+            with pytest.raises(DualityError):
+                extend_ne(game, team)
+        two = TwoTeamGame(rng.uniform(-1, 1, size=(2, 2, 2, 2)), n=2, m=2)
+        with pytest.raises(DualityError):
+            extend_ne_multi(two, (rng.dirichlet(np.ones(2)),) * 2,
+                            (rng.dirichlet(np.ones(2)),))
+
+    def test_one_lp_per_extension(self, monkeypatch):
+        calls = []
+        real = extension.solve_lp
+        monkeypatch.setattr(extension, "solve_lp",
+                            lambda lp: calls.append(lp) or real(lp))
+        game = random_game(2, [2, 2], 3, 4)
+        _, audit = extend_ne(game, ([0.3, 0.7], [0.6, 0.4]), with_audit=True)
+        assert len(calls) == 1
+        assert audit.pivots == len(real(calls[0]).pivots) > 0
+
+    @pytest.mark.parametrize("kind", ["dense", "ring"])
+    def test_audit_matches_highs(self, kind):
+        # The free-U program min U s.t. U >= sum_i C_i^T x_i, rebuilt from
+        # the raw tensor, where C_i is player i's pure-deviation payoff
+        # matrix against each adversary action.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(22)
+        for seed in range(4):
+            if kind == "dense":
+                n = 2 + seed % 2
+                game = random_game(n, [2 + seed % 3] * n, 3 + seed, seed)
+            else:
+                game = ring_game(rng, 3 + seed, 2 + seed % 2)
+            team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
+            _, audit = extend_ne(game, team, with_audit=True)
+            tensor = game.payoff_tensor()
+            n_b = game.adversary_actions
+            blocks = [tensordot_contract(tensor, team + (None,), (i, game.n))
+                      for i in range(game.n)]
+            sizes = [blk.shape[0] for blk in blocks]
+            a_eq = np.zeros((game.n, 1 + sum(sizes)))
+            offset = 1
+            for r, k in enumerate(sizes):
+                a_eq[r, offset:offset + k] = 1.0
+                offset += k
+            res = linprog(np.r_[1.0, np.zeros(sum(sizes))],
+                          A_ub=np.hstack([-np.ones((n_b, 1))]
+                                         + [blk.T for blk in blocks]),
+                          b_ub=np.zeros(n_b), A_eq=a_eq, b_eq=np.ones(game.n),
+                          bounds=[(None, None)] + [(0, None)] * sum(sizes),
+                          method="highs")
+            assert res.status == 0
+            assert audit.u_joint == pytest.approx(res.fun, abs=1e-7)
+            assert audit.dual_total == pytest.approx(res.fun, abs=1e-7)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import teamsolve.extension as extension
 from teamsolve import (
     GdConfig,
     TeamGame,
@@ -328,3 +329,16 @@ class TestGdMmSingleMaximizer:
         assert trace.outcome == "budget_exhausted"
         assert trace.extend_calls == len(trace.iterations) == 3
         assert trace.summary()["final_ne_gap"] == cert.gap
+
+
+class TestGdMmLpPivots:
+    def test_trace_sums_extension_lp_pivots(self, monkeypatch):
+        seen = []
+        real = extension.solve_lp
+        monkeypatch.setattr(extension, "solve_lp",
+                            lambda lp: seen.append(real(lp)) or seen[-1])
+        game = random_two_team(np.random.default_rng(23))
+        _, _, trace = gd_mm(game, GdConfig(epsilon=1e-9, max_iters=3))
+        assert trace.extend_calls == len(seen) == 6
+        assert trace.lp_pivots == sum(len(s.pivots) for s in seen) > 0
+        assert trace.summary()["lp_pivots"] == trace.lp_pivots

@@ -90,10 +90,12 @@ class RunTrace:
     is present on every ``check_every``-th record.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
     pivots; duality statistics aggregate over the same calls (see
-    :meth:`record_extension`).  Monotonicity fields
-    summarize the recorded potential decreases against the allowance
-    ``2 * max_prox_tolerance + 1e-9``.  ``final_profile`` and
-    ``final_ne_gap`` are the returned profile and its certified gap.
+    :meth:`record_extension`).  ``prox_lp_pivots`` sums the pivots of the
+    Kelley LPs inside every proximal-point call, backed-off ones included.
+    Monotonicity fields summarize the recorded potential decreases
+    against the allowance ``2 * max_prox_tolerance + 1e-9``.
+    ``final_profile`` and ``final_ne_gap`` are the returned profile and
+    its certified gap.
     """
 
     epsilon: float
@@ -105,6 +107,7 @@ class RunTrace:
     final_ne_gap: float | None = None
     extend_calls: int = 0
     lp_pivots: int = 0
+    prox_lp_pivots: int = 0
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
     max_prox_tolerance: float = 0.0
@@ -171,6 +174,7 @@ class RunTrace:
             "max_prox_tolerance": self.max_prox_tolerance,
             "extend_calls": self.extend_calls,
             "lp_pivots": self.lp_pivots,
+            "prox_lp_pivots": self.prox_lp_pivots,
             "max_sd_residual": self.max_sd_residual,
             "min_duality_margin": (None if math.isinf(self.min_duality_margin)
                                    else self.min_duality_margin),
@@ -279,6 +283,7 @@ def gradient_descent_max(game, config):
 
     if prox_due(0):
         prox_state = proximal_point(game, team, ell, prox_tol)
+        trace.prox_lp_pivots += prox_state.lp_pivots
 
     t = 0
     while t < max_iters:
@@ -320,6 +325,7 @@ def gradient_descent_max(game, config):
             if prox_due(t + 1):
                 new_prox = proximal_point(game, new_team, ell, prox_tol,
                                           warm_start=prox_state)
+                trace.prox_lp_pivots += new_prox.lp_pivots
                 rise = (new_prox.potential_g - last_potential
                         if last_potential is not None else -math.inf)
                 if (rise > prox_tol and eta > 1e-12

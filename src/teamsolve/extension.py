@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import _check_simplex, _validate_team, contract_game
+from .games import _validate_mixed_team, contract_game
 from .linprog import LinearProgram, solve_lp
 
 DUALITY_TOL = 1e-7
@@ -214,9 +214,7 @@ def extend_ne(game, team, with_audit=False):
     near-equilibrium; quality should be read off :func:`ne_gap`, not
     assumed.
     """
-    team = _validate_team(game, team)
-    for i, x in enumerate(team):
-        _check_simplex(x, f"player {i}", player=i)
+    team = _validate_mixed_team(game, team)
     coeffs = [contract_game(game, team, None, (i, game.n))
               for i in range(game.n)]
     values = contract_game(game, team, None, (game.n,))

@@ -280,6 +280,14 @@ def _validate_team(game, team):
     return team
 
 
+def _validate_mixed_team(game, team):
+    """:func:`_validate_team`, then check each vector is a distribution."""
+    team = _validate_team(game, team)
+    for i, x in enumerate(team):
+        _check_simplex(x, f"player {i}", player=i)
+    return team
+
+
 # -- expected utility and gradients ------------------------------------
 
 
@@ -356,7 +364,8 @@ def adversary_payoff_vector(game, team):
     Returns the length-``|B|`` vector ``b -> U(x, b)``; these are exactly
     the per-action coefficients the extension LP consumes.
     """
-    return contract_game(game, _validate_team(game, team), None, (game.n,))
+    return contract_game(game, _validate_mixed_team(game, team), None,
+                         (game.n,))
 
 
 def expected_utility(game, profile):
@@ -387,7 +396,7 @@ def deviation_payoff_matrix(game, team, player):
     Row-averaging with ``x_player`` recovers ``adversary_payoff_vector``;
     these matrices are the extension LP's coefficients.
     """
-    team = _validate_team(game, team)
+    team = _validate_mixed_team(game, team)
     _check_player(game, player)
     return contract_game(game, team, None, (player, game.n))
 
@@ -411,7 +420,7 @@ def team_gradients(game, team, adversary):
     payoff when player ``i`` commits to ``a``; dotting with ``x_i``
     recovers the expected utility, whichever ``i`` is used.
     """
-    team = _validate_team(game, team)
+    team = _validate_mixed_team(game, team)
     if np.isscalar(adversary) or isinstance(adversary, (int, np.integer)):
         adversary = int(adversary)
         if not 0 <= adversary < game.adversary_actions:
@@ -423,6 +432,7 @@ def team_gradients(game, team, adversary):
             raise DimensionMismatchError(
                 f"adversary vector length {adversary.shape} does not match "
                 f"{game.adversary_actions} actions")
+        _check_simplex(adversary, "adversary")
     return [contract_game(game, team, adversary, (i,)) for i in range(game.n)]
 
 
@@ -451,9 +461,13 @@ def analytic_bounds(game):
     ``L = V * sqrt(sum_i |A_i| + |B|)``; the smoothness constant uses the
     analogous per-coordinate argument and is deliberately an over-estimate
     (``V * (sum_i |A_i| + |B|)``), which only shrinks downstream step
-    sizes.
+    sizes.  For a two-team game the sizes are summed over every minimizer
+    and maximizer action set.
     """
-    size = sum(game.action_sets) + game.adversary_actions
+    if hasattr(game, "maximizer_actions"):  # a TwoTeamGame
+        size = sum(game.minimizer_actions) + sum(game.maximizer_actions)
+    else:
+        size = sum(game.action_sets) + game.adversary_actions
     v = game.v_max
     return SmoothnessBounds(lipschitz=v * math.sqrt(size), smoothness=v * size)
 

@@ -9,6 +9,11 @@ deliberately out of scope.
 Conventions: we minimize ``c . v`` subject to ``A v >= b`` (row
 multipliers ``>= 0``), ``E v = f`` (free multipliers), and optional box
 bounds.  Variables are free unless bounds say otherwise.
+
+Standard form keeps one nonnegative column per sign-constrained variable
+and splits only free ones; bounds become shifts, and only a box adds a
+row.  Inequality rows with right-hand side ``<= 0`` start on their
+surplus column, so artificials (and phase 1) cover only the other rows.
 """
 
 from __future__ import annotations
@@ -118,109 +123,112 @@ class _DegeneratePivot(Exception):
 
 
 def _convert(lp, perturb):
-    """Rewrite into min c.x, Ax = b, x >= 0 via splitting and surplus vars.
+    """Rewrite into min c.x + const, A x = b, x >= 0 with a starting basis.
 
-    Returns the standard-form data plus bookkeeping to map the solution
-    and the row multipliers back to the caller's coordinates.
+    Each variable becomes one nonnegative column: ``v = lo + x`` under a
+    lower bound, ``v = hi - x`` under an upper bound only, and two adjacent
+    columns ``x+ - x-`` when free.  A variable bounded on both sides adds
+    the row ``x <= hi - lo``.  Every inequality row gets a surplus column;
+    a row whose right-hand side is ``<= 0`` is negated so that column
+    starts the basis.  The other rows, equalities included, are returned
+    in ``art``: they start on artificials.
+
+    Returns the standard-form data plus the bookkeeping that maps the
+    solution and the row multipliers back to the caller's coordinates.
     """
     m = lp.n_vars
-    ineq_rows = [(np.asarray(row, dtype=float), float(rhs))
-                 for row, rhs in zip(lp.A, lp.b)]
-    # Box bounds become ordinary inequality rows appended after the
-    # caller's; their multipliers stay internal.
-    n_user_ineq = len(ineq_rows)
-    if lp.bounds is not None:
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                row = np.zeros(m)
-                row[j] = 1.0
-                ineq_rows.append((row, float(lo)))
-            if hi is not None:
-                row = np.zeros(m)
-                row[j] = -1.0
-                ineq_rows.append((row, -float(hi)))
-    n_ineq = len(ineq_rows)
-    n_eq = lp.E.shape[0]
-    rows = n_ineq + n_eq
-    # Columns: v+ (m), v- (m), surplus (one per inequality).
-    cols = 2 * m + n_ineq
+    lo, hi = _bound_arrays(lp)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
+    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    free = np.flatnonzero(~has_lo & ~has_hi)
+    box = np.flatnonzero(has_lo & has_hi)
+    # v = shift + D x; a free variable's x- column sits right after x+.
+    pos = np.arange(m) + np.searchsorted(free, np.arange(m))
+    D = np.zeros((m, m + free.size))
+    D[np.arange(m), pos] = sign
+    D[free, pos[free] + 1] = -1.0
+    n_x = D.shape[1]
+
+    n_ineq = lp.A.shape[0] + box.size
+    rhs = np.concatenate([lp.b - lp.A @ shift, lo[box] - hi[box],
+                          lp.f - lp.E @ shift])
+    rows, cols = rhs.size, n_x + n_ineq
     A = np.zeros((rows, cols))
-    b = np.zeros(rows)
-    for r, (row, rhs) in enumerate(ineq_rows):
-        A[r, :m] = row
-        A[r, m:2 * m] = -row
-        A[r, 2 * m + r] = -1.0
-        b[r] = rhs
-    for k in range(n_eq):
-        r = n_ineq + k
-        A[r, :m] = lp.E[k]
-        A[r, m:2 * m] = -lp.E[k]
-        b[r] = lp.f[k]
+    A[:lp.A.shape[0], :n_x] = lp.A @ D
+    A[lp.A.shape[0] + np.arange(box.size), pos[box]] = -1.0
+    A[n_ineq:, :n_x] = lp.E @ D
+    A[:n_ineq, n_x:] = -np.eye(n_ineq)
+    slack = (np.arange(rows) < n_ineq) & (rhs <= 0.0)
+    signs = np.where(slack | (rhs < 0.0), -1.0, 1.0)
+    A *= signs[:, None]
+    b = rhs * signs
     if perturb:
         b = b + PERTURBATION * (1.0 + np.arange(rows))
-    c = np.concatenate([lp.objective, -lp.objective, np.zeros(n_ineq)])
-    # Flip rows so the phase-1 rhs is nonnegative; remember signs for duals.
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    A = A * signs[:, None]
-    b = b * signs
-    return A, b, c, signs, n_user_ineq, n_ineq
+    c = np.concatenate([lp.objective @ D, np.zeros(n_ineq)])
+    return (A, b, c, float(lp.objective @ shift), rhs, signs,
+            np.flatnonzero(~slack), lambda x: shift + D @ x[:n_x])
+
+
+def _bound_arrays(lp):
+    """Per-variable bounds as arrays, with +-inf for a missing side."""
+    pairs = lp.bounds or [(None, None)] * lp.n_vars
+    lo = np.array([-np.inf if l is None else l for l, _ in pairs], dtype=float)
+    hi = np.array([np.inf if h is None else h for _, h in pairs], dtype=float)
+    return lo, hi
 
 
 def _solve_converted(lp, perturb):
-    m = lp.n_vars
-    A, b, c, signs, n_user_ineq, n_ineq = _convert(lp, perturb)
+    A, b, c, const, rhs, signs, art, primal_of = _convert(lp, perturb)
     rows, cols = A.shape
+    n_user_ineq, n_ineq = lp.A.shape[0], rows - lp.E.shape[0]
     pivots = []
 
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    T = np.zeros((rows + 1, cols + rows + 1))
+    # Phase 1: surplus columns start the basis of the negated rows and
+    # artificials that of the rest; minimize the sum of artificials.
+    T = np.zeros((rows + 1, cols + art.size + 1))
     T[:rows, :cols] = A
-    T[:rows, cols:cols + rows] = np.eye(rows)
+    T[art, cols + np.arange(art.size)] = 1.0
     T[:rows, -1] = b
-    basis = list(range(cols, cols + rows))
-    T[-1, :] = -T[:rows, :].sum(axis=0)  # reduced costs of min sum(artificials)
-    T[-1, cols:cols + rows] = 0.0
-    if _pivot_until_optimal(T, basis, stop_cols=cols, pivots=pivots):
-        raise _DegeneratePivot  # phase 1 is bounded; this is numerical
-    phase1 = -T[-1, -1]
-    if phase1 > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
-        return LpSolution(status="infeasible", pivots=tuple(pivots))
-    _drive_out_artificials(T, basis, cols, pivots)
+    basis = [cols - n_ineq + r for r in range(rows)]
+    for k, r in enumerate(art.tolist()):
+        basis[r] = cols + k
+    if art.size:
+        T[-1, :] = -T[art, :].sum(axis=0)  # min sum(artificials)
+        T[-1, cols:cols + art.size] = 0.0
+        if _pivot_until_optimal(T, basis, stop_cols=cols, pivots=pivots):
+            raise _DegeneratePivot  # phase 1 is bounded; this is numerical
+        phase1 = -T[-1, -1]
+        if phase1 > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+            return LpSolution(status="infeasible", pivots=tuple(pivots))
+        _drive_out_artificials(T, basis, cols, pivots)
 
     # Phase 2 on the original objective, artificial columns retired.
-    keep = list(range(cols)) + [cols + rows]
-    T2 = T[:, keep]
+    T2 = T[:, list(range(cols)) + [cols + art.size]]
     T2[-1, :] = 0.0
     T2[-1, :cols] = c
     for r, var in enumerate(basis):
         if var < cols and abs(c[var]) > 0.0:
             T2[-1, :] -= c[var] * T2[r, :]
-    unbounded = _pivot_until_optimal(T2, basis, stop_cols=cols, pivots=pivots)
-    if unbounded:
+    if _pivot_until_optimal(T2, basis, stop_cols=cols, pivots=pivots):
         return LpSolution(status="unbounded", pivots=tuple(pivots))
 
+    if any(var >= cols for var in basis):
+        raise _DegeneratePivot  # artificial stuck in the basis
     x = np.zeros(cols)
-    for r, var in enumerate(basis):
-        if var < cols:
-            x[var] = T2[r, -1]
-    primal = x[:m] - x[m:2 * m]
+    x[basis] = T2[:rows, -1]
+    primal = primal_of(x)
     value = float(lp.objective @ primal)
 
     # Row multipliers from the basis: y solves B^T y = c_B.
-    B = A[:, [v for v in basis if v < cols]]
-    if B.shape[1] != rows:
-        raise _DegeneratePivot  # artificial stuck in the basis
-    c_b = c[[v for v in basis if v < cols]]
     try:
-        y = np.linalg.solve(B.T, c_b)
+        y = np.linalg.solve(A[:, basis].T, c[basis])
     except np.linalg.LinAlgError:
         raise _DegeneratePivot from None
     y = y * signs  # undo row flips
     dual_user = np.concatenate([y[:n_user_ineq], y[n_ineq:]])
-    # Dual objective includes the internal bound rows.
-    b_orig = np.concatenate(
-        [np.array([rhs for _, rhs in _iter_ineq(lp)], dtype=float), lp.f])
-    dual_value = float(y @ b_orig)
+    # Dual objective on the unperturbed converted rows, bound rows included.
+    dual_value = float(y @ rhs) + const
     gap = abs(value - dual_value)
 
     residual = _feasibility_residual(lp, primal)
@@ -236,29 +244,10 @@ def _solve_converted(lp, perturb):
                       value=value, duality_gap=gap, pivots=tuple(pivots))
 
 
-def _iter_ineq(lp):
-    """The inequality system including the internal bound rows."""
-    for row, rhs in zip(lp.A, lp.b):
-        yield row, float(rhs)
-    if lp.bounds is not None:
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                row = np.zeros(lp.n_vars)
-                row[j] = 1.0
-                yield row, float(lo)
-            if hi is not None:
-                row = np.zeros(lp.n_vars)
-                row[j] = -1.0
-                yield row, -float(hi)
-
-
 def _feasibility_residual(lp, v):
-    worst = 0.0
-    for row, rhs in _iter_ineq(lp):
-        worst = max(worst, rhs - float(row @ v))
-    for row, rhs in zip(lp.E, lp.f):
-        worst = max(worst, abs(float(row @ v) - rhs))
-    return worst
+    lo, hi = _bound_arrays(lp)
+    violations = [lp.b - lp.A @ v, np.abs(lp.E @ v - lp.f), lo - v, v - hi]
+    return float(np.max(np.concatenate(violations), initial=0.0))
 
 
 def _pivot_until_optimal(T, basis, stop_cols, pivots):

@@ -63,6 +63,7 @@ class ProximalResult:
     whether the requested tolerance was certified within the iteration
     budget; ``planned_iterations`` is the worst-case budget implied by
     the strongly-convex subgradient rate for the requested tolerance.
+    ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs.
     """
 
     center: tuple
@@ -75,6 +76,7 @@ class ProximalResult:
     planned_iterations: int
     adversary_mix: np.ndarray
     memory: _ProxMemory | None = None
+    lp_pivots: int = 0
 
     @property
     def prox_distance(self):
@@ -189,6 +191,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         planned_iterations=planned,
         adversary_mix=certifier.best_y,
         memory=certifier.export_memory(),
+        lp_pivots=certifier.lp_pivots,
     )
 
 
@@ -223,6 +226,7 @@ class _DualCertifier:
         self.memory = memory
         self.jac = None
         self.jac_active = None
+        self.lp_pivots = 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -308,6 +312,7 @@ class _DualCertifier:
                                          bounds))
         except LpFault:
             return None, math.inf  # model is advisory; probes stay rigorous
+        self.lp_pivots += len(sol.pivots)
         if sol.status != "optimal":
             return None, math.inf
         y = np.maximum(sol.primal[1:], 0.0)

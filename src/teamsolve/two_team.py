@@ -328,9 +328,8 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         warnings.warn(
             f"extension guarantee assumes n > m - 1 (here n={game.n}, "
             f"m={game.m}); running anyway", RuntimeWarning, stacklevel=2)
-    bounds_proxy = _full_bounds(game)
     eta = config.eta if config.eta is not None else _ascent_eta(
-        game, config.epsilon, bounds_proxy)
+        game, config.epsilon, analytic_bounds(game))
     max_iters = config.max_iters if config.max_iters is not None else 200
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
@@ -391,18 +390,10 @@ def _maximizer_gradient(game, x, y, j, y_m):
     return contract(game.tensor, (*x, *y[:-1], y_m), (game.n + j,))
 
 
-def _full_bounds(game):
-    sizes = sum(game.minimizer_actions) + sum(game.maximizer_actions)
-    lipschitz = game.v_max * math.sqrt(sizes)
-    smoothness = game.v_max * sizes
-    return lipschitz, smoothness
-
-
-def _ascent_eta(game, epsilon, bounds_proxy):
-    lipschitz, smoothness = bounds_proxy
+def _ascent_eta(game, epsilon, bounds):
     movers = max(game.m - 1, 1)
-    denom = lipschitz ** 2 * movers
-    return epsilon ** 2 * smoothness / denom if denom > 0 else 1.0
+    denom = bounds.lipschitz ** 2 * movers
+    return epsilon ** 2 * bounds.smoothness / denom if denom > 0 else 1.0
 
 
 def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
@@ -419,8 +410,7 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
     prox-solver contribution, since oracle error cannot be bounded
     rigorously at this scale.
     """
-    lipschitz, smoothness = _full_bounds(game)
-    ell = smoothness if ell is None else ell
+    ell = analytic_bounds(game).smoothness if ell is None else ell
     induced = induced_single_adversary_game(game, profile.maximizers[:-1])
     x_report = stationarity(induced, profile.minimizers,
                             max(analytic_bounds(induced).smoothness, 1e-9),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teamsolve.extension as extension
+import teamsolve.linprog as linprog
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
 from teamsolve.dynamics import TRACE_VERSION, default_eta, default_max_iters
 from teamsolve.generators import random_game
@@ -226,3 +227,18 @@ class TestLpPivots:
         assert trace.extend_calls == len(seen) > 0
         assert trace.lp_pivots == sum(len(s.pivots) for s in seen) > 0
         assert trace.summary()["lp_pivots"] == trace.lp_pivots
+
+
+class TestProxLpPivots:
+    def test_trace_sums_kelley_lp_pivots(self, monkeypatch):
+        # Extension LPs bind solve_lp at import; only moreau's Kelley
+        # step looks it up on teamsolve.linprog at call time.
+        seen = []
+        real = linprog.solve_lp
+        monkeypatch.setattr(linprog, "solve_lp",
+                            lambda lp: seen.append(real(lp)) or seen[-1])
+        _, _, trace = gradient_descent_max(
+            random_game(1, [3], 3, 2), GdConfig(epsilon=0.05, max_iters=40))
+        assert len(seen) > 0
+        assert trace.prox_lp_pivots == sum(len(s.pivots) for s in seen) > 0
+        assert trace.summary()["prox_lp_pivots"] == trace.prox_lp_pivots

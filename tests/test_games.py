@@ -14,6 +14,7 @@ from teamsolve import (
     adversary_payoff_vector,
     analytic_bounds,
     expected_utility,
+    gd_step,
     game_from_dict,
     game_to_dict,
     ne_gap,
@@ -24,6 +25,7 @@ from teamsolve.games import (
     SchemaError,
     contract,
     deviation_payoff_matrix,
+    team_gradients,
 )
 
 from conftest import random_profile, random_team_game
@@ -358,3 +360,34 @@ class TestContract:
                                   (1,))
                 assert np.allclose(stacked[r, s], single, rtol=0,
                                    atol=1e-14)
+
+
+class TestKernelsRejectNonDistributions:
+    BAD = pytest.mark.parametrize("bad", [[1.5, -0.5], [0.5, 0.4]])
+
+    @staticmethod
+    def game():
+        return TeamGame.dense(np.arange(8.0).reshape(2, 2, 2))
+
+    @BAD
+    def test_adversary_payoff_vector(self, bad):
+        with pytest.raises(DimensionMismatchError, match="player 1"):
+            adversary_payoff_vector(self.game(), [[0.5, 0.5], bad])
+        # The best response reads the same vector.
+        with pytest.raises(DimensionMismatchError, match="player 1"):
+            adversary_best_response(self.game(), [[0.5, 0.5], bad])
+
+    @BAD
+    def test_deviation_payoff_matrix(self, bad):
+        with pytest.raises(DimensionMismatchError, match="player 0"):
+            deviation_payoff_matrix(self.game(), [bad, [0.5, 0.5]], 1)
+
+    @BAD
+    def test_team_gradients(self, bad):
+        with pytest.raises(DimensionMismatchError, match="player 0"):
+            team_gradients(self.game(), [bad, [0.5, 0.5]], 0)
+        with pytest.raises(DimensionMismatchError, match="adversary"):
+            team_gradients(self.game(), [[0.5, 0.5], [0.5, 0.5]], bad)
+        # A descent step starts from the same gradients.
+        with pytest.raises(DimensionMismatchError, match="player 0"):
+            gd_step(self.game(), (np.array(bad), np.array([0.5, 0.5])), 0.1)

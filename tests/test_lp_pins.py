@@ -6,6 +6,11 @@ be bitwise deterministic, so a change to its pivot rule or to its
 tableau arithmetic shows up here as a changed digest.  The programs are
 extension LPs from dense, ring and two-team games, plus
 ``random_feasible_lp`` draws.
+
+The pins may change only in a change whose stated purpose allows the
+pivot sequences to move; every other change must leave them equal.  To
+re-record them, run ``PYTHONPATH=src python tests/test_lp_pins.py``
+from the repository root and replace ``PINS`` with the dict it prints.
 """
 
 import hashlib
@@ -80,26 +85,26 @@ CASES = {
 
 # name -> (pivot count, digest of the pivot sequence, digest of the primal)
 PINS = {
-    "dense_2x2x3_0": (11, "6284efaea206228f", "2f9cac2cfdc0f36a"),
-    "dense_2x2x3_1": (17, "ae8bc77e16c70708", "cfe268582e349492"),
-    "dense_2x2x3_2": (16, "a086e70fe190b8cd", "4307fe5d68f4c5d6"),
-    "dense_2x2x3_3": (10, "426de1970ed1a171", "0111d47caf1cfb24"),
-    "dense_4444x6_0": (54, "cdb2f3e3b493a9c1", "a76a8bf977baabe0"),
-    "dense_4444x6_1": (46, "c031e1f0b9b3b900", "c302814acf93ddb3"),
-    "dense_4444x6_2": (41, "79235146a04a5524", "8217db63a0529029"),
-    "feasible_0": (33, "9b1bca3178919c06", "ddb9d4f2b18d5e27"),
-    "feasible_1": (35, "02d51b6c39bb6ff8", "6b847cea06e15533"),
-    "feasible_2": (37, "455e48def72b3848", "a1eb4f7c53b572c6"),
-    "feasible_3": (33, "a288fb385e3cb4f7", "8992fe35ccd467e7"),
-    "feasible_4": (36, "52c255d2c5fd4b1b", "6a91603d0d7d39ce"),
-    "feasible_5": (31, "55460f915792a627", "265031f351a6e858"),
-    "feasible_6": (32, "abb9fd4a95ffaed4", "53d151a0acd46858"),
-    "feasible_7": (47, "f26c85d5fe88922a", "6c34a933115a6788"),
-    "ring_12_0": (69, "0f0cf629614990f9", "d3959f30fdfcf1d4"),
-    "ring_12_1": (92, "26694b5332650ab9", "0664064b21255406"),
-    "ring_12_2": (114, "120ed7e01ba68478", "21b9f49e5b786144"),
-    "two_team_2v2_0": (13, "018011518b913e8b", "ec601f62c13c8c7f"),
-    "two_team_2v2_1": (11, "a9e44db9601b0b6f", "cdd314d30fe1c4b8"),
+    "dense_2x2x3_0": (4, "ef3a65452e4efb31", "86650d5625497b57"),
+    "dense_2x2x3_1": (7, "5abdd2b1806533ad", "e3fe46e977bd4317"),
+    "dense_2x2x3_2": (8, "d6c5481306420f17", "729cf74d8fb86585"),
+    "dense_2x2x3_3": (5, "002a2308ab75882c", "b8ebb6697fe958ed"),
+    "dense_4444x6_0": (18, "ea1f2cee5b9bdaa6", "6c59c875ae72157d"),
+    "dense_4444x6_1": (19, "ad83b74da27fca6a", "50c7130eaee21bf8"),
+    "dense_4444x6_2": (16, "cf6c6912024d7a8b", "f40508e2de20edf8"),
+    "feasible_0": (7, "3ed71f27a6964677", "18360cea92cca176"),
+    "feasible_1": (9, "d0d65c953d31ac4a", "f9205da83e463b93"),
+    "feasible_2": (4, "2b6373e88ce423e8", "76cbc1f520eaa467"),
+    "feasible_3": (2, "4f6f4ffc355f2cd0", "afa26f04e71eb412"),
+    "feasible_4": (7, "b8b6737b22ac3f1e", "6a91603d0d7d39ce"),
+    "feasible_5": (3, "a9e39efe01f9c0ac", "878253196008a58f"),
+    "feasible_6": (4, "a2aa1487f5ed31f9", "a819b58dbca55613"),
+    "feasible_7": (4, "233ec31f4c72f1c3", "6157a7955f2c2709"),
+    "ring_12_0": (30, "30aeb3ebac7cb5ef", "f81385478ff931e2"),
+    "ring_12_1": (36, "b8ab6a9d7d993991", "e7dfe029807286b1"),
+    "ring_12_2": (41, "5f9c872b1a87b988", "567bd14f8b97d942"),
+    "two_team_2v2_0": (4, "9ebe28867933ae87", "7b67fa911d8afa31"),
+    "two_team_2v2_1": (5, "b08827df60887234", "2727ea33882f8d5a"),
 }
 
 
@@ -182,3 +187,10 @@ def test_program_without_constraints(cost, status):
     sol = solve_lp(LinearProgram(np.array([cost])))
     assert sol.status == status
     assert sol.pivots == ()
+
+
+if __name__ == "__main__":
+    print("PINS = {")
+    for name in sorted(CASES):
+        print(f"    {name!r}: {pin(CASES[name]())!r},".replace("'", '"'))
+    print("}")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from teamsolve import (
     TeamGame,
     TwoTeamGame,
     TwoTeamProfile,
+    analytic_bounds,
     extend_ne,
     extend_ne_multi,
     gd_mm,
@@ -342,3 +344,12 @@ class TestGdMmLpPivots:
         assert trace.extend_calls == len(seen) == 6
         assert trace.lp_pivots == sum(len(s.pivots) for s in seen) > 0
         assert trace.summary()["lp_pivots"] == trace.lp_pivots
+
+
+class TestAnalyticBounds:
+    def test_sizes_sum_over_both_teams(self):
+        rng = np.random.default_rng(12)
+        game = TwoTeamGame(rng.uniform(-1, 1, size=(2, 3, 2, 4)), n=2, m=2)
+        bounds = analytic_bounds(game)
+        assert bounds.lipschitz == game.v_max * math.sqrt(11)
+        assert bounds.smoothness == game.v_max * 11

@@ -1,6 +1,15 @@
-"""Euclidean projection onto the probability simplex."""
+"""Euclidean projection onto the probability simplex.
+
+The descent loops project a handful of short vectors per step, thousands
+of times per run, so the projection works on Python floats: for vectors
+of a few entries numpy's per-call overhead costs more than the
+arithmetic.  The float operations are the ones a numpy sort-and-threshold
+performs, in the same order, so the result is the same to the last bit.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,20 +25,28 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    vals = v.tolist()
+    if not all(map(math.isfinite, vals)):
         raise ValueError("expected finite entries")
-    n = v.size
+    n = len(vals)
     if n == 1:
         return np.ones(1)
     if n == 2:
         # Projection moves along (1, -1); the threshold is the clip.
-        a = 0.5 * (v[0] - v[1] + 1.0)
+        a = 0.5 * (vals[0] - vals[1] + 1.0)
         a = 0.0 if a < 0.0 else (1.0 if a > 1.0 else a)
         return np.array([a, 1.0 - a])
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ranks = np.arange(1, n + 1)
-    support = np.nonzero(u * ranks > cumulative)[0]
-    rho = support[-1]
-    shift = cumulative[rho] / (rho + 1.0)
-    return np.maximum(v - shift, 0.0)
+    # Keep the last rank that passes, not the first that fails: the two
+    # agree in exact arithmetic, and the last one is what a vectorized
+    # test over every rank picks.
+    running = 0.0
+    shift = None
+    for rank, u in enumerate(sorted(vals, reverse=True), start=1):
+        running += u
+        cumulative = running - 1.0
+        if u * rank > cumulative:
+            shift = cumulative / rank
+    if shift is None:
+        # Every rank fails only when subtracting 1 is lost to rounding.
+        raise ValueError("entries too large to project")
+    return np.array([d if d > 0.0 else 0.0 for d in [x - shift for x in vals]])

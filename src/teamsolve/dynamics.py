@@ -91,7 +91,8 @@ class RunTrace:
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
     pivots; duality statistics aggregate over the same calls (see
     :meth:`record_extension`).  ``prox_lp_pivots`` sums the pivots of the
-    Kelley LPs inside every proximal-point call, backed-off ones included.
+    Kelley LPs inside every proximal-point call, backed-off ones included,
+    and ``prox_kelley_faults`` counts those that raised ``LpFault``.
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.
     ``final_profile`` and ``final_ne_gap`` are the returned profile and
@@ -108,6 +109,7 @@ class RunTrace:
     extend_calls: int = 0
     lp_pivots: int = 0
     prox_lp_pivots: int = 0
+    prox_kelley_faults: int = 0
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
     max_prox_tolerance: float = 0.0
@@ -140,6 +142,11 @@ class RunTrace:
         self.lp_pivots += audit.pivots
         self.max_sd_residual = max(self.max_sd_residual, audit.sd_residual)
         self.min_duality_margin = min(self.min_duality_margin, audit.margin)
+
+    def record_prox(self, result):
+        """Fold in the Kelley LP counters of one proximal-point call."""
+        self.prox_lp_pivots += result.lp_pivots
+        self.prox_kelley_faults += result.kelley_faults
 
     def finish(self, outcome, profile, cert):
         """Record the outcome and the returned profile with its certificate.
@@ -175,6 +182,7 @@ class RunTrace:
             "extend_calls": self.extend_calls,
             "lp_pivots": self.lp_pivots,
             "prox_lp_pivots": self.prox_lp_pivots,
+            "prox_kelley_faults": self.prox_kelley_faults,
             "max_sd_residual": self.max_sd_residual,
             "min_duality_margin": (None if math.isinf(self.min_duality_margin)
                                    else self.min_duality_margin),
@@ -283,7 +291,7 @@ def gradient_descent_max(game, config):
 
     if prox_due(0):
         prox_state = proximal_point(game, team, ell, prox_tol)
-        trace.prox_lp_pivots += prox_state.lp_pivots
+        trace.record_prox(prox_state)
 
     t = 0
     while t < max_iters:
@@ -325,7 +333,7 @@ def gradient_descent_max(game, config):
             if prox_due(t + 1):
                 new_prox = proximal_point(game, new_team, ell, prox_tol,
                                           warm_start=prox_state)
-                trace.prox_lp_pivots += new_prox.lp_pivots
+                trace.record_prox(new_prox)
                 rise = (new_prox.potential_g - last_potential
                         if last_potential is not None else -math.inf)
                 if (rise > prox_tol and eta > 1e-12

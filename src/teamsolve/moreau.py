@@ -18,12 +18,14 @@ the rate-implied ``2 L^2 / (ell * tol)`` iterations.  Runs almost never
 pay that budget: every call maintains a *computable* optimality
 certificate.  Any mixed adversary candidate ``y`` yields a rigorous
 lower bound on the prox value through the strong convexity of
-``U(., y) + ell ||x - .||^2`` (a smooth inner problem that solves fast),
-cutting planes steer ``y`` globally, and a Newton step equalizing the
-active payoffs pins the optimal mixture superlinearly.  The run stops
-as soon as the requested value tolerance is certified, and the final
-mixture, active set and Newton Jacobian are returned so that the next
-call at a nearby center certifies in a couple of inner solves.
+``U(., y) + ell ||x - .||^2`` (a smooth inner problem that solves fast;
+each inner solve contracts its fixed ``y`` out of the payoff once and
+sweeps over the team-only payoff), cutting planes steer ``y`` globally,
+and a Newton step equalizing the active payoffs pins the optimal
+mixture superlinearly.  The run stops as soon as the requested value
+tolerance is certified, and the final mixture, active set and Newton
+Jacobian are returned so that the next call at a nearby center
+certifies in a couple of inner solves.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import project_simplex
-from .games import _validate_team, analytic_bounds, contract_game
+from .games import (
+    _validate_mixed_team,
+    analytic_bounds,
+    contract_game,
+    contract_team,
+    fix_adversary,
+)
 
 DEFAULT_ITER_CAP = 100_000
 _INNER_SWEEPS = 120
@@ -63,7 +71,9 @@ class ProximalResult:
     whether the requested tolerance was certified within the iteration
     budget; ``planned_iterations`` is the worst-case budget implied by
     the strongly-convex subgradient rate for the requested tolerance.
-    ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs.
+    ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs, and
+    ``kelley_faults`` counts the Kelley LPs that raised ``LpFault``; such
+    a step is skipped, since only the probes supply bounds.
     """
 
     center: tuple
@@ -77,6 +87,7 @@ class ProximalResult:
     adversary_mix: np.ndarray
     memory: _ProxMemory | None = None
     lp_pivots: int = 0
+    kelley_faults: int = 0
 
     @property
     def prox_distance(self):
@@ -131,7 +142,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
     if ell <= 0 or tol <= 0:
         raise ValueError("ell and tol must be positive")
     center = tuple(np.array(x, dtype=float)
-                   for x in _validate_team(game, center))
+                   for x in _validate_mixed_team(game, center))
     lipschitz = analytic_bounds(game).lipschitz
     planned = max(1, math.ceil(2.0 * lipschitz * lipschitz / (ell * tol)))
     cap = planned if max_iters is None else min(planned, int(max_iters))
@@ -192,6 +203,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         adversary_mix=certifier.best_y,
         memory=certifier.export_memory(),
         lp_pivots=certifier.lp_pivots,
+        kelley_faults=certifier.kelley_faults,
     )
 
 
@@ -227,6 +239,7 @@ class _DualCertifier:
         self.jac = None
         self.jac_active = None
         self.lp_pivots = 0
+        self.kelley_faults = 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -311,6 +324,7 @@ class _DualCertifier:
             sol = solve_lp(LinearProgram(cost, rows, rhs, eq, np.ones(1),
                                          bounds))
         except LpFault:
+            self.kelley_faults += 1
             return None, math.inf  # model is advisory; probes stay rigorous
         self.lp_pivots += len(sol.pivots)
         if sol.status != "optimal":
@@ -430,17 +444,23 @@ def _inner_min(game, center, ell, y, z0, inner_tol):
     games solve in one sweep.  After every sweep the strong-convexity
     model at the current gradient certifies a lower bound on the inner
     minimum (hence on the prox value); the sweep loop stops once it is
-    within ``inner_tol``.
+    within ``inner_tol``.  The mixture ``y`` is fixed for the whole call,
+    so it is contracted out of the payoff once, and every sweep and
+    gradient contracts team axes only.
     """
     n = game.n
+    payoff = fix_adversary(game, y)
     z = list(z0)
     lb = -math.inf
     f_z = math.inf
     for _ in range(_INNER_SWEEPS):
         for i in range(n):
-            g_i = contract_game(game, z, y, (i,))
+            g_i = contract_team(payoff, z, (i,))
             z[i] = project_simplex(center[i] - g_i / (2.0 * ell))
-        grads = [contract_game(game, z, y, (i,)) for i in range(n)]
+        # The last player's sweep gradient saw every other block at its
+        # final value, so it is already the gradient at the new ``z``.
+        grads = [contract_team(payoff, z, (i,)) for i in range(n - 1)]
+        grads.append(g_i)
         f_z = float(z[0] @ grads[0]) + ell * _dist2(z, center)
         quad = 0.0
         for zi, gi, ci in zip(z, grads, center):

@@ -36,3 +36,16 @@ def ring_game(rng, players, adversary_actions):
                          rng.uniform(-1, 1, size=(2, 2, adversary_actions)))
               for i in range(players)]
     return TeamGame.polytensor([2] * players, adversary_actions, blocks)
+
+
+def mixed_ring_game(rng, players, adversary_actions):
+    """A ring whose odd pairs skip the adversary, plus two one-player blocks
+    (one with the adversary axis, one without)."""
+    blocks = [LocalBlock(tuple(sorted((i, (i + 1) % players))), i % 2 == 0,
+                         rng.uniform(-1, 1, size=(2, 2) + (
+                             (adversary_actions,) if i % 2 == 0 else ())))
+              for i in range(players)]
+    blocks.append(LocalBlock((1,), False, rng.uniform(-1, 1, size=2)))
+    blocks.append(LocalBlock((2,), True,
+                             rng.uniform(-1, 1, size=(2, adversary_actions))))
+    return TeamGame.polytensor([2] * players, adversary_actions, blocks)

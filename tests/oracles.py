@@ -42,6 +42,35 @@ def tensordot_contract(tensor, vectors, keep=()):
     return out
 
 
+def sort_threshold_projection(v):
+    """Euclidean projection onto the simplex, vectorized in numpy.
+
+    Sort descending, take the last rank ``k`` with ``k u_k > sum_{j<=k}
+    u_j - 1`` and subtract that prefix's common shift; lengths 1 and 2
+    use their closed forms.  The package projects on Python floats and
+    must match this to the last bit.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a nonempty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("expected finite entries")
+    n = v.size
+    if n == 1:
+        return np.ones(1)
+    if n == 2:
+        a = 0.5 * (v[0] - v[1] + 1.0)
+        a = 0.0 if a < 0.0 else (1.0 if a > 1.0 else a)
+        return np.array([a, 1.0 - a])
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u) - 1.0
+    ranks = np.arange(1, n + 1)
+    support = np.nonzero(u * ranks > cumulative)[0]
+    rho = support[-1]
+    shift = cumulative[rho] / (rho + 1.0)
+    return np.maximum(v - shift, 0.0)
+
+
 def finite_difference_gradient(tensor, team, adversary, player, step=1e-5):
     """Central finite differences of the multilinear extension."""
     out = np.zeros(len(team[player]))

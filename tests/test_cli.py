@@ -47,3 +47,25 @@ def test_verify_exit_codes(tmp_path, capsys, schema, case):
     else:
         cert = json.loads(out)
         assert (cert["gap"] <= 0.1) == (expected == cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([0.5, 0.5], cli.EXIT_OK),
+    ([1.0, 0.0], cli.EXIT_OK),
+    ([1.5, -0.5], cli.EXIT_INPUT),
+    ([0.5, 0.4], cli.EXIT_INPUT),
+    ([0.5, 0.25, 0.25], cli.EXIT_INPUT),
+])
+def test_prox_center_exit_codes(tmp_path, capsys, row, expected):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(GAMES["team"]))
+    center = tmp_path / "center.json"
+    center.write_text(json.dumps({"team": [row]}))
+    code = cli.main(["prox", "--game", str(game), "--center", str(center),
+                     "--ell", "4.0", "--tol", "1e-6"])
+    assert code == expected
+    out, err = capsys.readouterr()
+    if expected == cli.EXIT_INPUT:
+        assert err.startswith("error: ") and not out
+    else:
+        assert json.loads(out)["reached"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from teamsolve.dynamics import TRACE_VERSION, default_eta, default_max_iters
 from teamsolve.generators import random_game
 
 from conftest import random_team_game
-from oracles import deviation_gaps, simplex_grid_points
+from oracles import deviation_gaps, simplex_grid_points, sort_threshold_projection
 
 
 class TestProjectSimplex:
@@ -56,6 +57,45 @@ class TestProjectSimplex:
         rng = np.random.default_rng(seed)
         q = rng.dirichlet(np.ones(v.size))
         assert float((p - v) @ (p - v)) <= float((q - v) @ (q - v)) + 1e-12
+
+
+def _projection_inputs():
+    """Seeded vectors of length 1-64 over scales 1e-12 to 1e6."""
+    rng = np.random.default_rng(64)
+    for n in range(1, 65):
+        for scale in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+            v = rng.normal(size=n) * scale
+            yield v
+            yield np.round(v / scale, 1) * scale  # ties
+            yield np.full(n, scale)  # all equal
+            yield np.full(n, -scale)
+            yield rng.dirichlet(np.ones(n))  # already feasible
+            yield v + (1.0 - v.sum()) / n  # on the hyperplane, off-simplex
+
+
+class TestProjectSimplexOracle:
+    def test_bitwise_equal_to_sort_threshold(self):
+        for v in _projection_inputs():
+            assert np.array_equal(project_simplex(v),
+                                  sort_threshold_projection(v)), v
+
+    @pytest.mark.parametrize("v", [[math.nan, 1.0, 0.0], [math.inf, 0.0],
+                                   [-math.inf], [1.0, 2.0, math.inf, 0.5],
+                                   [], [[0.5, 0.5]], [[1.0], [0.0]]])
+    def test_same_errors(self, v):
+        with pytest.raises(ValueError) as expected:
+            sort_threshold_projection(v)
+        with pytest.raises(ValueError) as got:
+            project_simplex(v)
+        assert str(got.value) == str(expected.value)
+
+    def test_entries_lost_to_rounding_raise_a_named_error(self):
+        # Subtracting 1 from 1e17 rounds back to 1e17, so no rank passes
+        # the threshold test; the vectorized body fails on an empty index.
+        with pytest.raises(IndexError):
+            sort_threshold_projection([1e17] * 3)
+        with pytest.raises(ValueError, match="too large"):
+            project_simplex([1e17] * 3)
 
 
 class TestGdStep:
@@ -242,3 +282,33 @@ class TestProxLpPivots:
         assert len(seen) > 0
         assert trace.prox_lp_pivots == sum(len(s.pivots) for s in seen) > 0
         assert trace.summary()["prox_lp_pivots"] == trace.prox_lp_pivots
+
+
+class TestProxKelleyFaults:
+    def test_trace_counts_kelley_lp_faults(self, monkeypatch):
+        faults = []
+
+        def failing(lp):
+            faults.append(lp)
+            raise linprog.LpFault("forced")
+
+        monkeypatch.setattr(linprog, "solve_lp", failing)
+        _, cert, trace = gradient_descent_max(
+            random_game(1, [3], 3, 2), GdConfig(epsilon=0.05, max_iters=40))
+        assert trace.prox_kelley_faults == len(faults) > 0
+        assert trace.prox_lp_pivots == 0
+        assert trace.summary()["prox_kelley_faults"] == len(faults)
+        assert trace.summary()["final_ne_gap"] == cert.gap
+
+
+class TestTrajectoryPin:
+    def test_gd_run_pinned(self):
+        # Pins taken from the numpy projection and the full-game inner
+        # solve; the kernels that replace them must not move any step.
+        _, _, trace = gradient_descent_max(random_game(2, [2, 2], 3, 3),
+                                           GdConfig(epsilon=0.05))
+        gaps = np.array([r.ne_gap for r in trace.iterations])
+        assert len(trace.iterations) == 737
+        assert trace.outcome == "converged"
+        assert hashlib.sha256(gaps.tobytes()).hexdigest()[:16] \
+            == "b5702666d0474153"

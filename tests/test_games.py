@@ -24,11 +24,13 @@ from teamsolve.games import (
     LocalBlock,
     SchemaError,
     contract,
+    contract_team,
     deviation_payoff_matrix,
+    fix_adversary,
     team_gradients,
 )
 
-from conftest import random_profile, random_team_game
+from conftest import mixed_ring_game, random_profile, random_team_game, ring_game
 from oracles import (
     exhaustive_expected_utility,
     finite_difference_gradient,
@@ -391,3 +393,57 @@ class TestKernelsRejectNonDistributions:
         # A descent step starts from the same gradients.
         with pytest.raises(DimensionMismatchError, match="player 0"):
             gd_step(self.game(), (np.array(bad), np.array([0.5, 0.5])), 0.1)
+
+
+class TestFixAdversary:
+    """The team-only payoff against the one-axis-at-a-time oracle."""
+
+    @staticmethod
+    def check(game, rng):
+        n = game.n
+        tensor = game.payoff_tensor()
+        team = [rng.dirichlet(np.ones(k)) for k in game.action_sets]
+        y = rng.dirichlet(np.ones(game.adversary_actions))
+        vectors = team + [y]
+        payoff = fix_adversary(game, y)
+        if payoff.tensor is not None:
+            assert np.allclose(payoff.tensor,
+                               tensordot_contract(tensor, vectors, range(n)),
+                               rtol=0, atol=1e-12)
+        else:
+            assert not any(blk.includes_adversary for blk in payoff.blocks)
+        for i in range(n):
+            assert np.allclose(contract_team(payoff, team, (i,)),
+                               tensordot_contract(tensor, vectors, (i,)),
+                               rtol=0, atol=1e-12)
+        value = float(contract_team(payoff, team, ()))
+        assert value == pytest.approx(
+            float(tensordot_contract(tensor, vectors)), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 3, 3, 4)])
+    def test_dense(self, shape):
+        rng = np.random.default_rng(len(shape))
+        game = TeamGame.dense(rng.uniform(-1, 1, size=shape))
+        for _ in range(5):
+            self.check(game, rng)
+
+    def test_seventeen_dense_players(self):
+        rng = np.random.default_rng(17)
+        self.check(TeamGame.dense(rng.uniform(-1, 1, size=(2,) * 17 + (3,))),
+                   rng)
+
+    @pytest.mark.parametrize("players", [3, 6])
+    def test_rings(self, players):
+        rng = np.random.default_rng(players)
+        for game in (ring_game(rng, players, 3),
+                     mixed_ring_game(rng, players, 3)):
+            for _ in range(3):
+                self.check(game, rng)
+
+    def test_blocks_without_adversary_kept_as_they_are(self):
+        game = mixed_ring_game(np.random.default_rng(0), 4, 2)
+        payoff = fix_adversary(game, np.array([0.3, 0.7]))
+        for blk, fixed in zip(game._blocks, payoff.blocks):
+            assert fixed.players == blk.players
+            if not blk.includes_adversary:
+                assert fixed is blk

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from teamsolve import TeamGame, zero_sum_value
-from teamsolve.games import LocalBlock, adversary_payoff_vector, analytic_bounds
+import teamsolve.linprog as linprog
+import teamsolve.moreau as moreau
+from teamsolve import DimensionMismatchError, TeamGame, zero_sum_value
+from teamsolve.games import (
+    LocalBlock,
+    adversary_payoff_vector,
+    analytic_bounds,
+    contract_game,
+)
+from teamsolve.generators import random_game
 from teamsolve.moreau import potential_g, proximal_point, stationarity
 
-from conftest import random_profile, random_team_game
-from oracles import grid_prox_minimum
+from conftest import mixed_ring_game, random_profile, random_team_game, ring_game
+from oracles import grid_prox_minimum, sort_threshold_projection
 
 
 def small_games(seed, count, two_player=False):
@@ -199,3 +207,91 @@ class TestSummedDeviationTransfer:
             assert res_w.prox_distance <= measure / ell + slack + 1e-6
             checked += 1
         assert checked >= 2
+
+
+class TestCenterValidation:
+    @pytest.mark.parametrize("center", [[[1.5, -0.5]], [[0.5, 0.4]],
+                                        [[math.nan, 1.0]]])
+    def test_rejects_center_that_is_not_a_distribution(self, center):
+        with pytest.raises(DimensionMismatchError):
+            proximal_point(random_game(1, [2], 2, 0), center, ell=4.0,
+                           tol=1e-6)
+
+
+class TestKelleyFaults:
+    def test_faults_counted_and_bounds_from_probes_stay_sound(
+            self, monkeypatch):
+        game = random_game(1, [3], 3, 1)
+        center = [np.array([0.2, 0.15, 0.65])]
+        clean = proximal_point(game, center, ell=2.0, tol=1e-8)
+        faults = []
+
+        def failing(lp):
+            faults.append(lp)
+            raise linprog.LpFault("forced")
+
+        monkeypatch.setattr(linprog, "solve_lp", failing)
+        res = proximal_point(game, center, ell=2.0, tol=1e-8)
+        assert clean.kelley_faults == 0 < clean.lp_pivots
+        assert res.kelley_faults == len(faults) > 0
+        assert res.lp_pivots == 0
+        # Each run's certified lower bound sits below the other's
+        # achieved (feasible) value.
+        lower = res.objective_value - res.tolerance
+        assert lower <= clean.objective_value + 1e-12
+        assert clean.objective_value - clean.tolerance \
+            <= res.objective_value + 1e-12
+        grid_val, _ = grid_prox_minimum(game.payoff_tensor(), center, 2.0)
+        assert lower <= grid_val + 1e-12
+
+
+def _inner_min_full_game(game, center, ell, y, z0, inner_tol):
+    """The inner solve contracting the whole game, adversary axis
+    included, on every call."""
+    n = game.n
+    z = list(z0)
+    lb = -math.inf
+    f_z = math.inf
+    for _ in range(moreau._INNER_SWEEPS):
+        for i in range(n):
+            g_i = contract_game(game, z, y, (i,))
+            z[i] = sort_threshold_projection(center[i] - g_i / (2.0 * ell))
+        grads = [contract_game(game, z, y, (i,)) for i in range(n)]
+        f_z = float(z[0] @ grads[0]) + ell * moreau._dist2(z, center)
+        quad = 0.0
+        for zi, gi, ci in zip(z, grads, center):
+            full = gi + 2.0 * ell * (zi - ci)
+            d = sort_threshold_projection(zi - full / ell) - zi
+            quad += float(full @ d) + 0.5 * ell * float(d @ d)
+        lb = f_z + quad
+        if -quad <= inner_tol:
+            break
+    return tuple(z), f_z, lb
+
+
+class TestInnerMinFixedAdversary:
+    """One adversary contraction per call against the full-game loop."""
+
+    @staticmethod
+    def games():
+        rng = np.random.default_rng(5)
+        return [TeamGame.dense(rng.uniform(-1, 1, size=(2, 2, 3))),
+                TeamGame.dense(rng.uniform(-1, 1, size=(3, 3, 3, 4))),
+                TeamGame.dense(rng.uniform(-1, 1, size=(2,) * 17 + (2,))),
+                ring_game(rng, 6, 3), mixed_ring_game(rng, 4, 3)]
+
+    @pytest.mark.parametrize("inner_tol", [1e-9, moreau._POLISH_TOL])
+    def test_matches_full_game_loop(self, inner_tol):
+        rng = np.random.default_rng(6)
+        for game in self.games():
+            ell = analytic_bounds(game).smoothness
+            center, y = random_profile(rng, game)
+            z0 = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
+            z, f_z, lb = moreau._inner_min(game, center, ell, y, z0,
+                                           inner_tol)
+            z_ref, f_ref, lb_ref = _inner_min_full_game(
+                game, center, ell, y, z0, inner_tol)
+            assert max(float(np.max(np.abs(a - b)))
+                       for a, b in zip(z, z_ref)) <= 1e-12
+            assert abs(f_z - f_ref) <= 1e-12
+            assert abs(lb - lb_ref) <= 1e-12

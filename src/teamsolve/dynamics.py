@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .moreau import proximal_point
 
 TRACE_VERSION = "teamsolve-trace-v1"
 TRACE_COLUMNS = ("t", "potential_g", "ne_gap", "step_norm", "br_action")
+# Where gradient_descent_max's wall time goes: equilibrium checks (ne_gap),
+# extension LPs, proximal-point calls and the gradient steps themselves.
+PHASES = ("certify", "extend", "prox", "step")
 
 # Documented budget constant: max_iters defaults to
 # ceil(K_BUDGET * (2 V + 2 ell n) / epsilon^4), the potential's range over
@@ -96,7 +100,9 @@ class RunTrace:
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.
     ``final_profile`` and ``final_ne_gap`` are the returned profile and
-    its certified gap.
+    its certified gap.  ``phase_s`` maps each of :data:`PHASES` to the
+    wall seconds :func:`gradient_descent_max` spent in it (zero elsewhere);
+    being timings, they are left out of the bit-identical ``iterations``.
     """
 
     epsilon: float
@@ -115,6 +121,7 @@ class RunTrace:
     max_prox_tolerance: float = 0.0
     eta_backoffs: int = 0
     final_eta: float | None = None
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @property
     def potential_pairs(self):
@@ -147,6 +154,14 @@ class RunTrace:
         """Fold in the Kelley LP counters of one proximal-point call."""
         self.prox_lp_pivots += result.lp_pivots
         self.prox_kelley_faults += result.kelley_faults
+
+    def timed(self, phase, fn, *args, **kwargs):
+        """Call ``fn`` and add its wall seconds to ``phase_s[phase]``."""
+        began = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self.phase_s[phase] += perf_counter() - began
 
     def finish(self, outcome, profile, cert):
         """Record the outcome and the returned profile with its certificate.
@@ -189,6 +204,7 @@ class RunTrace:
             "monotonicity_violations": self.monotonicity_violations(),
             "median_potential_decrease": _none_if_nan(self.median_decrease()),
             "final_ne_gap": self.final_ne_gap,
+            "phase_s": dict(self.phase_s),
         }
 
 
@@ -220,10 +236,11 @@ def default_max_iters(game, epsilon, bounds=None):
 
 def _certified_extension(game, team, epsilon, trace):
     """Extend a candidate team strategy and certify it; None if over eps."""
-    y, audit = extend_ne(game, team, with_audit=True)
+    y, audit = trace.timed("extend", extend_ne, game, team, with_audit=True)
     trace.record_extension(audit)
     candidate = MixedProfile(team, y)
-    cert = ne_gap(game, candidate, epsilon_claimed=epsilon)
+    cert = trace.timed("certify", ne_gap, game, candidate,
+                       epsilon_claimed=epsilon)
     if cert.gap <= epsilon:
         return candidate, cert
     return None
@@ -290,13 +307,15 @@ def gradient_descent_max(game, config):
         return config.check_every and step_index % config.check_every == 0
 
     if prox_due(0):
-        prox_state = proximal_point(game, team, ell, prox_tol)
+        prox_state = trace.timed("prox", proximal_point, game, team, ell,
+                                 prox_tol)
         trace.record_prox(prox_state)
 
     t = 0
     while t < max_iters:
         profile = MixedProfile(team, adversary)
-        cert = ne_gap(game, profile, epsilon_claimed=config.epsilon)
+        cert = trace.timed("certify", ne_gap, game, profile,
+                           epsilon_claimed=config.epsilon)
         potential = None
         smoothed = None
         if prox_due(t):
@@ -310,7 +329,8 @@ def gradient_descent_max(game, config):
                                                 config.epsilon, trace)
         step_norm = float(np.linalg.norm(
             np.concatenate(team) - np.concatenate(prev_team)))
-        br_action = int(np.argmax(contract_game(game, team, None, (game.n,))))
+        br_action = int(np.argmax(trace.timed(
+            "step", contract_game, game, team, None, (game.n,))))
         trace.iterations.append(IterationRecord(
             t=t, potential_g=potential, ne_gap=cert.gap,
             step_norm=step_norm, br_action=br_action))
@@ -324,15 +344,15 @@ def gradient_descent_max(game, config):
             converged = True
             break
 
-        grads = [contract_game(game, team, br_action, (i,))
-                 for i in range(game.n)]
+        grads = trace.timed("step", lambda: [
+            contract_game(game, team, br_action, (i,)) for i in range(game.n)])
         while True:
-            new_team = tuple(project_simplex(x - eta * g)
-                             for x, g in zip(team, grads))
+            new_team = trace.timed("step", lambda: tuple(
+                project_simplex(x - eta * g) for x, g in zip(team, grads)))
             new_prox = None
             if prox_due(t + 1):
-                new_prox = proximal_point(game, new_team, ell, prox_tol,
-                                          warm_start=prox_state)
+                new_prox = trace.timed("prox", proximal_point, game, new_team,
+                                       ell, prox_tol, warm_start=prox_state)
                 trace.record_prox(new_prox)
                 rise = (new_prox.potential_g - last_potential
                         if last_potential is not None else -math.inf)
@@ -346,7 +366,8 @@ def gradient_descent_max(game, config):
         team = new_team
         if new_prox is not None:
             prox_state = new_prox
-        adversary, audit = extend_ne(game, team, with_audit=True)
+        adversary, audit = trace.timed("extend", extend_ne, game, team,
+                                       with_audit=True)
         trace.record_extension(audit)
         t += 1
 

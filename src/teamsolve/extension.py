@@ -9,6 +9,8 @@ brute-force deviation enumeration (:func:`ne_gap`) before being reported.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -150,6 +152,24 @@ def vi_residual(game, profile):
     return max(team_part, adv_part)
 
 
+@functools.lru_cache(maxsize=64)
+def _extension_frame(sizes, n_b):
+    """The parts of an extension LP fixed by its block sizes and ``|B|``:
+    block offsets, the guarantee columns, cost, zero right-hand side,
+    equality row and right-hand side, and bounds."""
+    n_g = len(sizes)
+    starts = tuple(itertools.accumulate(sizes, initial=0))
+    guarantees = np.zeros((starts[-1], n_g))
+    for k in range(n_g):
+        guarantees[starts[k]:starts[k + 1], k] = -1.0
+    cost = np.concatenate([-np.ones(n_g), np.zeros(n_b)])  # solve_lp minimizes
+    eq = np.concatenate([np.zeros(n_g), np.ones(n_b)])[None, :]
+    arrays = (guarantees, cost, np.zeros(starts[-1]), eq, np.ones(1))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return starts, *arrays, ((None, None),) * n_g + ((0.0, None),) * n_b
+
+
 def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
     """Solve the extension dual LP and audit it from its row multipliers.
 
@@ -169,22 +189,16 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
     """
     # Co-maximizer rows carry -W: their deviations count against the sum.
     blocks = list(minimizer_coeffs) + [-W for W in maximizer_coeffs]
-    sizes = [M.shape[0] for M in blocks]
-    starts = np.cumsum([0] + sizes)
-    n_g = len(blocks)
-    n_b = response_values.size
+    n_g, n_b = len(blocks), response_values.size
+    starts, guarantees, cost, rhs, eq, f, bounds = _extension_frame(
+        tuple(M.shape[0] for M in blocks), n_b)
     scale = len(minimizer_coeffs) - len(maximizer_coeffs)
     # Dual variables (g_1..g_K, y), one guarantee per block: maximize sum g
     # s.t. g_k <= M_k[a] . y on every row of every block.
-    rows = np.zeros((starts[-1], n_g + n_b))
-    for k, M in enumerate(blocks):
-        rows[starts[k]:starts[k + 1], k] = -1.0
-        rows[starts[k]:starts[k + 1], n_g:] = M
-    cost = np.concatenate([-np.ones(n_g), np.zeros(n_b)])  # solve_lp minimizes
-    eq = np.concatenate([np.zeros(n_g), np.ones(n_b)])[None, :]
-    bounds = [(None, None)] * n_g + [(0.0, None)] * n_b
-    dual_lp = LinearProgram(cost, rows, np.zeros(starts[-1]), eq,
-                            np.ones(1), bounds)
+    rows = np.empty((starts[-1], n_g + n_b))
+    rows[:, :n_g] = guarantees
+    rows[:, n_g:] = np.concatenate(blocks)
+    dual_lp = LinearProgram(cost, rows, rhs, eq, f, bounds)
     dual_sol = solve_lp(dual_lp).require_optimal()
     y = np.maximum(dual_sol.primal[n_g:], 0.0)
     y = y / y.sum()
@@ -197,9 +211,9 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
         deviation += M.T @ (lam / lam.sum())
 
     audit = ExtensionAudit(
-        u_star=float(np.max(response_values)),
-        u_anchor=float(np.max(scale * response_values)),
-        u_joint=float(np.max(deviation)),
+        u_star=float(response_values.max()),
+        u_anchor=float((scale * response_values).max()),
+        u_joint=float(deviation.max()),
         dual_total=-float(dual_sol.value), scale=scale,
         pivots=len(dual_sol.pivots)).check()
     return y, audit

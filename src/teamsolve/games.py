@@ -190,6 +190,16 @@ class TeamGame:
                          for b in self._blocks))
 
     def _audit_v_max(self):
+        """Check ``v_max`` against the payoffs, raising ``GameError`` if low.
+
+        Dense games are checked on every entry.  Polytensor games are
+        checked on ``_VMAX_SAMPLES`` pure profiles drawn from
+        ``default_rng(0)`` in one call; each row of the draw is one profile,
+        the same one a per-action scalar draw would give.  Block values are
+        summed in block order, so every sampled payoff equals
+        :meth:`payoff` bit for bit, and the first violating sample is the
+        one reported.
+        """
         slack = 1e-12 * (1.0 + self.v_max)
         if self._tensor is not None:
             worst = float(np.max(np.abs(self._tensor), initial=0.0))
@@ -198,14 +208,19 @@ class TeamGame:
                     f"payoff magnitude {worst} exceeds v_max {self.v_max}")
             return
         rng = np.random.default_rng(0)
-        for _ in range(_VMAX_SAMPLES):
-            a = tuple(int(rng.integers(k)) for k in self.action_sets)
-            b = int(rng.integers(self.adversary_actions))
-            val = self.payoff(a, b)
-            if abs(val) > self.v_max + slack:
-                raise GameError(
-                    f"sampled payoff {val} at {a + (b,)} exceeds v_max "
-                    f"{self.v_max}")
+        sizes = self.action_sets + (self.adversary_actions,)
+        samples = rng.integers(0, sizes, size=(_VMAX_SAMPLES, len(sizes)))
+        vals = np.zeros(_VMAX_SAMPLES)
+        for blk in self._blocks:
+            axes = blk.players + ((self.n,) if blk.includes_adversary else ())
+            vals += blk.table[tuple(samples[:, ax] for ax in axes)]
+        bad = np.flatnonzero(np.abs(vals) > self.v_max + slack)
+        if bad.size:
+            first = int(bad[0])
+            profile = tuple(int(v) for v in samples[first])
+            raise GameError(
+                f"sampled payoff {float(vals[first])} at {profile} exceeds "
+                f"v_max {self.v_max}")
 
     def pure_profiles(self):
         """Iterate over all pure joint profiles ``(a, b)``."""

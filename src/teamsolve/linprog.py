@@ -1,10 +1,12 @@
 """Self-contained dense linear programming for the solver's small LPs.
 
 The equilibrium-extension programs have at most a few hundred variables,
-so a dense two-phase simplex with Bland's anti-cycling rule is plenty:
-vertex solutions keep certificates crisp and the pivot sequence is fully
-deterministic.  Interior-point machinery, sparsity and warm starts are
-deliberately out of scope.
+so a dense two-phase simplex is plenty: vertex solutions keep certificates
+crisp and the pivot sequence is fully deterministic.  Its ratio-test tie
+rule gives up Bland's guarantee against cycling, so a phase that revisits
+a basis stops and the solve restarts from a perturbed right-hand side.
+Interior-point machinery, sparsity and warm starts are deliberately out of
+scope.
 
 Conventions: we minimize ``c . v`` subject to ``A v >= b`` (row
 multipliers ``>= 0``), ``E v = f`` (free multipliers), and optional box
@@ -14,10 +16,18 @@ Standard form keeps one nonnegative column per sign-constrained variable
 and splits only free ones; bounds become shifts, and only a box adds a
 row.  Inequality rows with right-hand side ``<= 0`` start on their
 surplus column, so artificials (and phase 1) cover only the other rows.
+
+The part of that rewrite fixed by the bounds and the row counts (shifts,
+column positions, box rows, surplus columns) is built once per
+``(n_vars, bounds, rows)`` and cached read-only, since the solver's
+callers solve thousands of programs that share a few dozen such shapes.
+Every floating-point operation of a solve, and its order, is the same as
+without the cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +47,9 @@ class LinearProgram:
     """minimize ``objective . v`` s.t. ``A v >= b``, ``E v = f``, bounds.
 
     ``bounds`` is an optional list with one ``(lower, upper)`` pair per
-    variable; ``None`` on either side leaves that side unconstrained.
+    variable; ``None`` on either side leaves that side unconstrained.  It
+    is stored as a tuple of ``(float | None, float | None)`` pairs, with a
+    zero bound stored as ``+0.0``, so equal bounds are equal keys.
     """
 
     objective: np.ndarray
@@ -65,15 +77,25 @@ class LinearProgram:
         object.__setattr__(self, "f", f)
         if A.shape != (b.size, m) or E.shape != (f.size, m):
             raise ValueError("inconsistent constraint dimensions")
-        if self.bounds is not None and len(self.bounds) != m:
-            raise ValueError("bounds must have one (lo, hi) pair per variable")
-        for arr in (c, A, b, E, f):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("coefficients must be finite")
+        if self.bounds is not None:
+            if len(self.bounds) != m:
+                raise ValueError(
+                    "bounds must have one (lo, hi) pair per variable")
+            object.__setattr__(self, "bounds", tuple(
+                (_bound_value(lo), _bound_value(hi))
+                for lo, hi in self.bounds))
+        coefficients = np.concatenate([c, A.ravel(), b, E.ravel(), f])
+        if not np.isfinite(coefficients).all():
+            raise ValueError("coefficients must be finite")
 
     @property
     def n_vars(self):
         return self.objective.size
+
+
+def _bound_value(v):
+    # -0.0 and 0.0 are one cache key, so store one of them: -0.0 + 0.0 is 0.0.
+    return None if v is None else float(v) + 0.0
 
 
 @dataclass(frozen=True)
@@ -136,88 +158,120 @@ def _convert(lp, perturb):
     Returns the standard-form data plus the bookkeeping that maps the
     solution and the row multipliers back to the caller's coordinates.
     """
-    m = lp.n_vars
-    lo, hi = _bound_arrays(lp)
+    n_a, n_e = lp.A.shape[0], lp.E.shape[0]
+    layout = _layout(lp.n_vars, lp.bounds, n_a, n_e)
+    n_x, n_ineq = layout.n_x, layout.n_ineq
+    rhs = np.concatenate([lp.b - lp.A @ layout.shift, layout.box_rhs,
+                          lp.f - lp.E @ layout.shift])
+    A = layout.frame.copy()
+    A[:n_a, :n_x] = lp.A @ layout.D
+    A[n_ineq:, :n_x] = lp.E @ layout.D
+    signs, art = [], []
+    for r, v in enumerate(rhs.tolist()):
+        slack = r < n_ineq and v <= 0.0
+        signs.append(-1.0 if slack or v < 0.0 else 1.0)
+        if not slack:
+            art.append(r)
+    signs = np.array(signs)
+    A *= signs[:, None]
+    b = rhs * signs
+    if perturb:
+        b = b + PERTURBATION * (1.0 + np.arange(rhs.size))
+    c = np.concatenate([lp.objective @ layout.D, np.zeros(n_ineq)])
+    return (A, b, c, float(lp.objective @ layout.shift), rhs, signs, art,
+            layout)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The part of the standard form fixed by the bounds and row counts.
+
+    ``v = shift + D x`` over ``n_x`` columns; ``lo`` and ``hi`` hold +-inf
+    for a missing side.  ``box_rhs`` is ``lo - hi`` for each variable
+    bounded on both sides, the right-hand side of its row, and ``frame``
+    the constraint matrix before the caller's rows are written in: the box
+    rows and the surplus columns of the ``n_ineq`` inequality rows.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    shift: np.ndarray
+    D: np.ndarray
+    box_rhs: np.ndarray
+    frame: np.ndarray
+    n_x: int
+    n_ineq: int
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(m, bounds, n_a, n_e):
+    """The :class:`_Layout` of ``m`` variables under ``bounds`` (normalized,
+    so hashable) with ``n_a`` inequality and ``n_e`` equality rows."""
+    pairs = bounds or [(None, None)] * m
+    lo = np.array([-np.inf if l is None else l for l, _ in pairs], dtype=float)
+    hi = np.array([np.inf if h is None else h for _, h in pairs], dtype=float)
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
     sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
     shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     free = np.flatnonzero(~has_lo & ~has_hi)
     box = np.flatnonzero(has_lo & has_hi)
-    # v = shift + D x; a free variable's x- column sits right after x+.
+    # A free variable's x- column sits right after its x+ column.
     pos = np.arange(m) + np.searchsorted(free, np.arange(m))
     D = np.zeros((m, m + free.size))
     D[np.arange(m), pos] = sign
     D[free, pos[free] + 1] = -1.0
-    n_x = D.shape[1]
-
-    n_ineq = lp.A.shape[0] + box.size
-    rhs = np.concatenate([lp.b - lp.A @ shift, lo[box] - hi[box],
-                          lp.f - lp.E @ shift])
-    rows, cols = rhs.size, n_x + n_ineq
-    A = np.zeros((rows, cols))
-    A[:lp.A.shape[0], :n_x] = lp.A @ D
-    A[lp.A.shape[0] + np.arange(box.size), pos[box]] = -1.0
-    A[n_ineq:, :n_x] = lp.E @ D
-    A[:n_ineq, n_x:] = -np.eye(n_ineq)
-    slack = (np.arange(rows) < n_ineq) & (rhs <= 0.0)
-    signs = np.where(slack | (rhs < 0.0), -1.0, 1.0)
-    A *= signs[:, None]
-    b = rhs * signs
-    if perturb:
-        b = b + PERTURBATION * (1.0 + np.arange(rows))
-    c = np.concatenate([lp.objective @ D, np.zeros(n_ineq)])
-    return (A, b, c, float(lp.objective @ shift), rhs, signs,
-            np.flatnonzero(~slack), lambda x: shift + D @ x[:n_x])
-
-
-def _bound_arrays(lp):
-    """Per-variable bounds as arrays, with +-inf for a missing side."""
-    pairs = lp.bounds or [(None, None)] * lp.n_vars
-    lo = np.array([-np.inf if l is None else l for l, _ in pairs], dtype=float)
-    hi = np.array([np.inf if h is None else h for _, h in pairs], dtype=float)
-    return lo, hi
+    n_x, n_ineq = D.shape[1], n_a + box.size
+    frame = np.zeros((n_ineq + n_e, n_x + n_ineq))
+    frame[n_a + np.arange(box.size), pos[box]] = -1.0
+    frame[:n_ineq, n_x:] = -np.eye(n_ineq)
+    arrays = (lo, hi, shift, D, lo[box] - hi[box], frame)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Layout(*arrays, n_x, n_ineq)
 
 
 def _solve_converted(lp, perturb):
-    A, b, c, const, rhs, signs, art, primal_of = _convert(lp, perturb)
+    A, b, c, const, rhs, signs, art, layout = _convert(lp, perturb)
     rows, cols = A.shape
+    n_art = len(art)
     n_user_ineq, n_ineq = lp.A.shape[0], rows - lp.E.shape[0]
     pivots = []
 
     # Phase 1: surplus columns start the basis of the negated rows and
     # artificials that of the rest; minimize the sum of artificials.
-    T = np.zeros((rows + 1, cols + art.size + 1))
+    T = np.zeros((rows + 1, cols + n_art + 1))
     T[:rows, :cols] = A
-    T[art, cols + np.arange(art.size)] = 1.0
     T[:rows, -1] = b
     basis = [cols - n_ineq + r for r in range(rows)]
-    for k, r in enumerate(art.tolist()):
+    for k, r in enumerate(art):
+        T[r, cols + k] = 1.0
         basis[r] = cols + k
-    if art.size:
+    if n_art:
         T[-1, :] = -T[art, :].sum(axis=0)  # min sum(artificials)
-        T[-1, cols:cols + art.size] = 0.0
+        T[-1, cols:cols + n_art] = 0.0
         if _pivot_until_optimal(T, basis, stop_cols=cols, pivots=pivots):
             raise _DegeneratePivot  # phase 1 is bounded; this is numerical
         phase1 = -T[-1, -1]
-        if phase1 > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+        if phase1 > FEAS_TOL * max(1.0, float(abs(b).max(initial=0.0))):
             return LpSolution(status="infeasible", pivots=tuple(pivots))
         _drive_out_artificials(T, basis, cols, pivots)
+        T = np.concatenate([T[:, :cols], T[:, -1:]], axis=1)
 
     # Phase 2 on the original objective, artificial columns retired.
-    T2 = T[:, list(range(cols)) + [cols + art.size]]
-    T2[-1, :] = 0.0
-    T2[-1, :cols] = c
+    T[-1, :] = 0.0
+    T[-1, :cols] = c
+    cost = c.tolist()
     for r, var in enumerate(basis):
-        if var < cols and abs(c[var]) > 0.0:
-            T2[-1, :] -= c[var] * T2[r, :]
-    if _pivot_until_optimal(T2, basis, stop_cols=cols, pivots=pivots):
+        if var < cols and abs(cost[var]) > 0.0:
+            T[-1, :] -= cost[var] * T[r, :]
+    if _pivot_until_optimal(T, basis, stop_cols=cols, pivots=pivots):
         return LpSolution(status="unbounded", pivots=tuple(pivots))
 
     if any(var >= cols for var in basis):
         raise _DegeneratePivot  # artificial stuck in the basis
     x = np.zeros(cols)
-    x[basis] = T2[:rows, -1]
-    primal = primal_of(x)
+    x[basis] = T[:rows, -1]
+    primal = layout.shift + layout.D @ x[:layout.n_x]
     value = float(lp.objective @ primal)
 
     # Row multipliers from the basis: y solves B^T y = c_B.
@@ -231,8 +285,8 @@ def _solve_converted(lp, perturb):
     dual_value = float(y @ rhs) + const
     gap = abs(value - dual_value)
 
-    residual = _feasibility_residual(lp, primal)
-    scale = 1.0 + float(np.abs(lp.objective).max(initial=0.0)) + abs(value)
+    residual = _feasibility_residual(lp, primal, layout)
+    scale = 1.0 + float(abs(lp.objective).max(initial=0.0)) + abs(value)
     feas_allow = FEAS_TOL + (PERTURBATION * rows if perturb else 0.0)
     if residual > feas_allow or gap > GAP_TOL * scale:
         if not perturb:
@@ -244,10 +298,10 @@ def _solve_converted(lp, perturb):
                       value=value, duality_gap=gap, pivots=tuple(pivots))
 
 
-def _feasibility_residual(lp, v):
-    lo, hi = _bound_arrays(lp)
-    violations = [lp.b - lp.A @ v, np.abs(lp.E @ v - lp.f), lo - v, v - hi]
-    return float(np.max(np.concatenate(violations), initial=0.0))
+def _feasibility_residual(lp, v, layout):
+    violations = [lp.b - lp.A @ v, np.abs(lp.E @ v - lp.f), layout.lo - v,
+                  v - layout.hi]
+    return float(np.concatenate(violations).max(initial=0.0))
 
 
 def _pivot_until_optimal(T, basis, stop_cols, pivots):
@@ -257,13 +311,17 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
     Leaving: ratio-test minimizer; among (near-)ties, the numerically
     largest pivot element wins, then the lowest basic-variable index.
     Preferring big pivots keeps heavily degenerate tableaus from blowing
-    up; the iteration guard plus the caller's perturbed restart covers
-    the residual cycling risk that pure Bland would have excluded.
+    up, at the price of Bland's guarantee against cycling.  A phase that
+    has made ``rows + columns`` pivots therefore records the bases it
+    visits and gives up on the first repeat; the iteration guard stays as
+    a backstop, and the caller's perturbed restart takes over from both.
     """
     rows = T.shape[0] - 1
-    guard = 200 * (rows + T.shape[1])
+    watch = rows + T.shape[1]
+    guard = 200 * watch
     blowup = 1e12 * max(1.0, float(np.abs(T).max()))
-    for _ in range(guard):
+    visited = set()
+    for made in range(1, guard + 1):
         # Scanning Python floats is cheaper than indexing numpy scalars;
         # both are IEEE doubles, so every comparison is exact.
         enter = next((j for j, v in enumerate(T[-1, :stop_cols].tolist())
@@ -294,10 +352,15 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
         T[leave, :] /= T[leave, enter]
         out = T[:, enter].copy()
         out[leave] = 0.0
-        T -= np.outer(out, T[leave, :])
+        T -= out[:, None] * T[leave, :]
         basis[leave] = enter
         if float(np.abs(T).max()) > blowup:
             raise _DegeneratePivot
+        if made >= watch:
+            seen = tuple(sorted(basis))
+            if seen in visited:
+                raise _DegeneratePivot  # the pivot rule is cycling
+            visited.add(seen)
     raise _DegeneratePivot
 
 
@@ -319,7 +382,7 @@ def _drive_out_artificials(T, basis, cols, pivots):
         T[r, :] /= T[r, pivot_col]
         col = T[:, pivot_col].copy()
         col[r] = 0.0
-        T -= np.outer(col, T[r, :])
+        T -= col[:, None] * T[r, :]
         basis[r] = pivot_col
 
 

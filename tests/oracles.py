@@ -10,6 +10,15 @@ import itertools
 
 import numpy as np
 
+from teamsolve.linprog import (
+    FEAS_TOL,
+    GAP_TOL,
+    PERTURBATION,
+    PIVOT_TOL,
+    LpFault,
+    LpSolution,
+)
+
 
 def exhaustive_expected_utility(tensor, team, adversary):
     """Sum over all pure profiles weighted by product probabilities."""
@@ -298,3 +307,229 @@ def simplex_grid_points(size, step):
                 pts.append((i / q, j / q, (q - i - j) / q))
         return np.asarray(pts)
     raise ValueError("grid supports at most 3 actions per player")
+
+# -- reference simplex ------------------------------------------------------
+#
+# The dense two-phase simplex exactly as it stood before the solver cached
+# its standard-form layout: every program re-parses its bounds, the phase-2
+# tableau is a fancy-indexed copy and each pivot subtracts ``np.outer``.
+# ``teamsolve.linprog.solve_lp`` must match it bit for bit (status, pivots,
+# primal, dual, value, gap and fault text) wherever neither cycles.
+
+
+def reference_solve_lp(lp):
+    """``solve_lp`` as the reference simplex: same statuses, same restart."""
+    try:
+        return reference_solve_converted(lp, perturb=False)
+    except _ReferenceStall:
+        pass
+    try:
+        return reference_solve_converted(lp, perturb=True)
+    except _ReferenceStall as exc:
+        raise LpFault("simplex stalled on degenerate pivots even after "
+                      "the perturbed restart") from exc
+
+
+class _ReferenceStall(Exception):
+    pass
+
+
+def _reference_convert(lp, perturb):
+    """Rewrite into min c.x + const, A x = b, x >= 0 with a starting basis.
+
+    Each variable becomes one nonnegative column: ``v = lo + x`` under a
+    lower bound, ``v = hi - x`` under an upper bound only, and two adjacent
+    columns ``x+ - x-`` when free.  A variable bounded on both sides adds
+    the row ``x <= hi - lo``.  Every inequality row gets a surplus column;
+    a row whose right-hand side is ``<= 0`` is negated so that column
+    starts the basis.  The other rows, equalities included, are returned
+    in ``art``: they start on artificials.
+
+    Returns the standard-form data plus the bookkeeping that maps the
+    solution and the row multipliers back to the caller's coordinates.
+    """
+    m = lp.n_vars
+    lo, hi = _reference_bounds(lp)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
+    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    free = np.flatnonzero(~has_lo & ~has_hi)
+    box = np.flatnonzero(has_lo & has_hi)
+    # v = shift + D x; a free variable's x- column sits right after x+.
+    pos = np.arange(m) + np.searchsorted(free, np.arange(m))
+    D = np.zeros((m, m + free.size))
+    D[np.arange(m), pos] = sign
+    D[free, pos[free] + 1] = -1.0
+    n_x = D.shape[1]
+
+    n_ineq = lp.A.shape[0] + box.size
+    rhs = np.concatenate([lp.b - lp.A @ shift, lo[box] - hi[box],
+                          lp.f - lp.E @ shift])
+    rows, cols = rhs.size, n_x + n_ineq
+    A = np.zeros((rows, cols))
+    A[:lp.A.shape[0], :n_x] = lp.A @ D
+    A[lp.A.shape[0] + np.arange(box.size), pos[box]] = -1.0
+    A[n_ineq:, :n_x] = lp.E @ D
+    A[:n_ineq, n_x:] = -np.eye(n_ineq)
+    slack = (np.arange(rows) < n_ineq) & (rhs <= 0.0)
+    signs = np.where(slack | (rhs < 0.0), -1.0, 1.0)
+    A *= signs[:, None]
+    b = rhs * signs
+    if perturb:
+        b = b + PERTURBATION * (1.0 + np.arange(rows))
+    c = np.concatenate([lp.objective @ D, np.zeros(n_ineq)])
+    return (A, b, c, float(lp.objective @ shift), rhs, signs,
+            np.flatnonzero(~slack), lambda x: shift + D @ x[:n_x])
+
+
+def _reference_bounds(lp):
+    """Per-variable bounds as arrays, with +-inf for a missing side."""
+    pairs = lp.bounds or [(None, None)] * lp.n_vars
+    lo = np.array([-np.inf if l is None else l for l, _ in pairs], dtype=float)
+    hi = np.array([np.inf if h is None else h for _, h in pairs], dtype=float)
+    return lo, hi
+
+
+def reference_solve_converted(lp, perturb):
+    A, b, c, const, rhs, signs, art, primal_of = _reference_convert(lp, perturb)
+    rows, cols = A.shape
+    n_user_ineq, n_ineq = lp.A.shape[0], rows - lp.E.shape[0]
+    pivots = []
+
+    # Phase 1: surplus columns start the basis of the negated rows and
+    # artificials that of the rest; minimize the sum of artificials.
+    T = np.zeros((rows + 1, cols + art.size + 1))
+    T[:rows, :cols] = A
+    T[art, cols + np.arange(art.size)] = 1.0
+    T[:rows, -1] = b
+    basis = [cols - n_ineq + r for r in range(rows)]
+    for k, r in enumerate(art.tolist()):
+        basis[r] = cols + k
+    if art.size:
+        T[-1, :] = -T[art, :].sum(axis=0)  # min sum(artificials)
+        T[-1, cols:cols + art.size] = 0.0
+        if _reference_pivot(T, basis, stop_cols=cols, pivots=pivots):
+            raise _ReferenceStall  # phase 1 is bounded; this is numerical
+        phase1 = -T[-1, -1]
+        if phase1 > FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
+            return LpSolution(status="infeasible", pivots=tuple(pivots))
+        _reference_drive_out(T, basis, cols, pivots)
+
+    # Phase 2 on the original objective, artificial columns retired.
+    T2 = T[:, list(range(cols)) + [cols + art.size]]
+    T2[-1, :] = 0.0
+    T2[-1, :cols] = c
+    for r, var in enumerate(basis):
+        if var < cols and abs(c[var]) > 0.0:
+            T2[-1, :] -= c[var] * T2[r, :]
+    if _reference_pivot(T2, basis, stop_cols=cols, pivots=pivots):
+        return LpSolution(status="unbounded", pivots=tuple(pivots))
+
+    if any(var >= cols for var in basis):
+        raise _ReferenceStall  # artificial stuck in the basis
+    x = np.zeros(cols)
+    x[basis] = T2[:rows, -1]
+    primal = primal_of(x)
+    value = float(lp.objective @ primal)
+
+    # Row multipliers from the basis: y solves B^T y = c_B.
+    try:
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+    except np.linalg.LinAlgError:
+        raise _ReferenceStall from None
+    y = y * signs  # undo row flips
+    dual_user = np.concatenate([y[:n_user_ineq], y[n_ineq:]])
+    # Dual objective on the unperturbed converted rows, bound rows included.
+    dual_value = float(y @ rhs) + const
+    gap = abs(value - dual_value)
+
+    residual = _reference_residual(lp, primal)
+    scale = 1.0 + float(np.abs(lp.objective).max(initial=0.0)) + abs(value)
+    feas_allow = FEAS_TOL + (PERTURBATION * rows if perturb else 0.0)
+    if residual > feas_allow or gap > GAP_TOL * scale:
+        if not perturb:
+            raise _ReferenceStall
+        raise LpFault(
+            f"could not certify optimality: residual={residual:.3g}, "
+            f"gap={gap:.3g}")
+    return LpSolution(status="optimal", primal=primal, dual=dual_user,
+                      value=value, duality_gap=gap, pivots=tuple(pivots))
+
+
+def _reference_residual(lp, v):
+    lo, hi = _reference_bounds(lp)
+    violations = [lp.b - lp.A @ v, np.abs(lp.E @ v - lp.f), lo - v, v - hi]
+    return float(np.max(np.concatenate(violations), initial=0.0))
+
+
+def _reference_pivot(T, basis, stop_cols, pivots):
+    """Deterministic pivoting; returns True when unbounded.
+
+    Entering: the lowest-index column with negative reduced cost (Bland).
+    Leaving: ratio-test minimizer; among (near-)ties, the numerically
+    largest pivot element wins, then the lowest basic-variable index.
+    Preferring big pivots keeps heavily degenerate tableaus from blowing
+    up; the iteration guard plus the caller's perturbed restart covers
+    the residual cycling risk that pure Bland would have excluded.
+    """
+    rows = T.shape[0] - 1
+    guard = 200 * (rows + T.shape[1])
+    blowup = 1e12 * max(1.0, float(np.abs(T).max()))
+    for _ in range(guard):
+        # Scanning Python floats is cheaper than indexing numpy scalars;
+        # both are IEEE doubles, so every comparison is exact.
+        enter = next((j for j, v in enumerate(T[-1, :stop_cols].tolist())
+                      if v < -PIVOT_TOL), -1)
+        if enter < 0:
+            return False
+        col = T[:rows, enter].tolist()
+        rhs = T[:rows, -1].tolist()
+        col_scale = max([0.0, *col])
+        floor = max(PIVOT_TOL, 1e-7 * col_scale)
+        best_ratio, leave = None, -1
+        for r, a in enumerate(col):
+            if a > floor:
+                ratio = max(rhs[r], 0.0) / a
+                better = (best_ratio is None or ratio < best_ratio - 1e-12)
+                tie = (best_ratio is not None
+                       and abs(ratio - best_ratio) <= 1e-12
+                       and (a > col[leave] + 1e-12
+                            or (abs(a - col[leave]) <= 1e-12
+                                and basis[r] < basis[leave])))
+                if better or tie:
+                    best_ratio, leave = ratio, r
+        if leave < 0:
+            if col_scale > PIVOT_TOL:
+                raise _ReferenceStall  # only unstable pivots available
+            return True
+        pivots.append((enter, basis[leave]))
+        T[leave, :] /= T[leave, enter]
+        out = T[:, enter].copy()
+        out[leave] = 0.0
+        T -= np.outer(out, T[leave, :])
+        basis[leave] = enter
+        if float(np.abs(T).max()) > blowup:
+            raise _ReferenceStall
+    raise _ReferenceStall
+
+
+def _reference_drive_out(T, basis, cols, pivots):
+    rows = T.shape[0] - 1
+    for r in range(rows):
+        if basis[r] < cols:
+            continue
+        pivot_col = -1
+        for j in range(cols):
+            if abs(T[r, j]) > PIVOT_TOL:
+                pivot_col = j
+                break
+        if pivot_col < 0:
+            # Redundant row: neutralize it so it can never pivot again.
+            T[r, :] = 0.0
+            continue
+        pivots.append((pivot_col, basis[r]))
+        T[r, :] /= T[r, pivot_col]
+        col = T[:, pivot_col].copy()
+        col[r] = 0.0
+        T -= np.outer(col, T[r, :])
+        basis[r] = pivot_col

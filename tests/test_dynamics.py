@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 import teamsolve.extension as extension
 import teamsolve.linprog as linprog
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
-from teamsolve.dynamics import TRACE_VERSION, default_eta, default_max_iters
+from teamsolve.dynamics import (
+    PHASES,
+    TRACE_VERSION,
+    default_eta,
+    default_max_iters,
+)
 from teamsolve.generators import random_game
 
 from conftest import random_team_game
@@ -312,3 +318,16 @@ class TestTrajectoryPin:
         assert trace.outcome == "converged"
         assert hashlib.sha256(gaps.tobytes()).hexdigest()[:16] \
             == "b5702666d0474153"
+
+
+class TestPhaseTimes:
+    def test_phases_cover_the_run(self):
+        # About one second of GD on the pinned game above.
+        began = time.perf_counter()
+        _, _, trace = gradient_descent_max(random_game(2, [2, 2], 3, 3),
+                                           GdConfig(epsilon=0.05))
+        wall = time.perf_counter() - began
+        phases = trace.summary()["phase_s"]
+        assert set(phases) == set(PHASES)
+        assert all(v >= 0.0 for v in phases.values())
+        assert 0.8 * wall <= sum(phases.values()) <= wall

@@ -249,6 +249,50 @@ class TestPolytensor:
             TeamGame.polytensor([2], 2, blocks, v_max=1.0)
 
 
+def _scalar_v_max_samples(game):
+    """The polytensor v_max audit as a per-sample loop over payoff()."""
+    rng = np.random.default_rng(0)
+    samples = []
+    for _ in range(10_000):
+        a = tuple(int(rng.integers(k)) for k in game.action_sets)
+        b = int(rng.integers(game.adversary_actions))
+        samples.append((a + (b,), game.payoff(a, b)))
+    return samples
+
+
+class TestVmaxAudit:
+    """The vectorized audit against the scalar loop it replaced."""
+
+    @staticmethod
+    def game(action_sets, adversary, seed, v_max=None):
+        rng = np.random.default_rng(seed)
+        n = len(action_sets)
+        blocks = [LocalBlock(tuple(sorted((i, (i + 1) % n))), i % 2 == 0,
+                             rng.uniform(-1, 1, size=(
+                                 action_sets[min(i, (i + 1) % n)],
+                                 action_sets[max(i, (i + 1) % n)])
+                                 + ((adversary,) if i % 2 == 0 else ())))
+                  for i in range(n)]
+        blocks.append(LocalBlock((), True, rng.uniform(-1, 1, size=adversary)))
+        return TeamGame.polytensor(action_sets, adversary, blocks, v_max)
+
+    @pytest.mark.parametrize("action_sets, adversary", [
+        ((2,) * 12, 3), ((4, 4, 4, 4, 3, 7), 6), ((1, 2, 1, 3), 1)])
+    def test_first_violation_matches_scalar_loop(self, action_sets,
+                                                 adversary):
+        samples = _scalar_v_max_samples(self.game(action_sets, adversary, 7))
+        values = sorted({abs(v) for _, v in samples})
+        for v_max in (0.0, values[len(values) // 2], values[-1] * 0.999):
+            slack = 1e-12 * (1.0 + v_max)
+            profile, val = next((p, v) for p, v in samples
+                                if abs(v) > v_max + slack)
+            with pytest.raises(GameError) as err:
+                self.game(action_sets, adversary, 7, v_max=v_max)
+            assert str(err.value) == (f"sampled payoff {val} at {profile} "
+                                      f"exceeds v_max {v_max}")
+        self.game(action_sets, adversary, 7, v_max=values[-1])
+
+
 class TestJsonSchema:
     def doc(self):
         return {

@@ -20,22 +20,29 @@ def project_simplex(v):
     Sort-and-threshold: find the largest prefix of the sorted entries
     whose common shift keeps them positive, subtract that shift and clip.
     Exact up to float rounding, idempotent, and nearly linear time in the
-    vector length.
+    vector length.  See :func:`project_list` for the same projection on
+    a list of Python floats.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+    if v.ndim != 1:
         raise ValueError("expected a nonempty vector")
-    vals = v.tolist()
+    return np.array(project_list(v.tolist()))
+
+
+def project_list(vals):
+    """:func:`project_simplex` from a list of floats to a list of floats."""
+    n = len(vals)
+    if n == 0:
+        raise ValueError("expected a nonempty vector")
     if not all(map(math.isfinite, vals)):
         raise ValueError("expected finite entries")
-    n = len(vals)
     if n == 1:
-        return np.ones(1)
+        return [1.0]
     if n == 2:
         # Projection moves along (1, -1); the threshold is the clip.
         a = 0.5 * (vals[0] - vals[1] + 1.0)
         a = 0.0 if a < 0.0 else (1.0 if a > 1.0 else a)
-        return np.array([a, 1.0 - a])
+        return [a, 1.0 - a]
     # Keep the last rank that passes, not the first that fails: the two
     # agree in exact arithmetic, and the last one is what a vectorized
     # test over every rank picks.
@@ -49,4 +56,4 @@ def project_simplex(v):
     if shift is None:
         # Every rank fails only when subtracting 1 is lost to rounding.
         raise ValueError("entries too large to project")
-    return np.array([d if d > 0.0 else 0.0 for d in [x - shift for x in vals]])
+    return [d if d > 0.0 else 0.0 for d in [x - shift for x in vals]]

@@ -96,7 +96,8 @@ class RunTrace:
     pivots; duality statistics aggregate over the same calls (see
     :meth:`record_extension`).  ``prox_lp_pivots`` sums the pivots of the
     Kelley LPs inside every proximal-point call, backed-off ones included,
-    and ``prox_kelley_faults`` counts those that raised ``LpFault``.
+    and ``prox_kelley_faults`` counts those that raised ``LpFault``;
+    ``prox_inner_solves`` sums the inner solves of the same calls.
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.
     ``final_profile`` and ``final_ne_gap`` are the returned profile and
@@ -116,6 +117,7 @@ class RunTrace:
     lp_pivots: int = 0
     prox_lp_pivots: int = 0
     prox_kelley_faults: int = 0
+    prox_inner_solves: int = 0
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
     max_prox_tolerance: float = 0.0
@@ -151,9 +153,10 @@ class RunTrace:
         self.min_duality_margin = min(self.min_duality_margin, audit.margin)
 
     def record_prox(self, result):
-        """Fold in the Kelley LP counters of one proximal-point call."""
+        """Fold in the counters of one proximal-point call."""
         self.prox_lp_pivots += result.lp_pivots
         self.prox_kelley_faults += result.kelley_faults
+        self.prox_inner_solves += result.inner_solves
 
     def timed(self, phase, fn, *args, **kwargs):
         """Call ``fn`` and add its wall seconds to ``phase_s[phase]``."""
@@ -198,6 +201,7 @@ class RunTrace:
             "lp_pivots": self.lp_pivots,
             "prox_lp_pivots": self.prox_lp_pivots,
             "prox_kelley_faults": self.prox_kelley_faults,
+            "prox_inner_solves": self.prox_inner_solves,
             "max_sd_residual": self.max_sd_residual,
             "min_duality_margin": (None if math.isinf(self.min_duality_margin)
                                    else self.min_duality_margin),

@@ -14,8 +14,10 @@ operation in this module is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -310,26 +312,69 @@ def contract(table, vectors, keep=()):
     """Contract ``table`` with one strategy per axis, except the kept axes.
 
     ``vectors`` has one entry per axis of ``table``; entries on axes in
-    ``keep`` are ignored (``None`` will do).  A 1-D entry weights its
+    ``keep`` (a tuple) are ignored (``None`` will do).  A 1-D entry weights its
     axis.  A 2-D entry stacks several strategies for its axis, one per
     row, and its stacking axis leads the result.  The kept axes follow in
     increasing order.  Axes are labelled by number, so no subscript
     alphabet caps the rank below numpy's own limit of 52 labels.  This is
     the only contraction of payoffs in the package.
+
+    The subscripts depend only on the table's rank, the kept axes and
+    each operand's rank, so they are built once per such layout
+    (:func:`_plan`) and handed straight to numpy's C ``einsum``, the call
+    ``np.einsum`` itself makes without ``optimize``.  Results are bitwise
+    equal to ``np.einsum`` on the numbered sublists, without its Python
+    wrapper and dispatch.
     """
-    ndim = table.ndim
-    operands = [table, list(range(ndim))]
+    ranks = tuple([None if axis in keep else vec.ndim
+                   for axis, vec in enumerate(vectors)])
+    spec, axes = _plan(table.ndim, keep, ranks)
+    return _c_einsum(spec, table, *[vectors[axis] for axis in axes])
+
+
+# numpy spells a numbered sublist label ``k`` as the ``k``-th of these.
+_LABELS = string.ascii_uppercase + string.ascii_lowercase
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(ndim, keep, ranks):
+    """The ``einsum`` subscripts of :func:`contract` for one layout.
+
+    ``ranks`` holds each vector's ``ndim``, ``None`` on kept axes.
+    Returns the subscript string and the axes whose vectors are its
+    operands after the table.  Axis ``a`` is labelled ``a``, a stacking
+    axis ``ndim + a``, spelled as numpy spells numbered sublists, so the
+    string is the one ``np.einsum`` builds from them.
+    """
+    axes = tuple(axis for axis, rank in enumerate(ranks) if rank is not None)
+    terms = [range(ndim)]
     stacked = []
-    for axis, vec in enumerate(vectors):
-        if axis in keep:
-            continue
-        if vec.ndim == 2:
+    for axis in axes:
+        if ranks[axis] == 2:
             stacked.append(ndim + axis)
-            operands += [vec, [ndim + axis, axis]]
+            terms.append((ndim + axis, axis))
         else:
-            operands += [vec, [axis]]
-    operands.append(stacked + sorted(keep))
-    return np.einsum(*operands)
+            terms.append((axis,))
+    out = stacked + sorted(keep)
+    if max([ndim - 1, *stacked]) >= len(_LABELS):
+        raise ValueError("subscript is not within the valid range [0, 52)")
+    spec = ",".join("".join(_LABELS[k] for k in term) for term in terms)
+    return spec + "->" + "".join(_LABELS[k] for k in out), axes
+
+
+def _find_c_einsum():
+    """numpy's C ``einsum``, wherever this numpy keeps it; else ``np.einsum``."""
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:
+        try:
+            from numpy.core.multiarray import c_einsum
+        except ImportError:
+            c_einsum = np.einsum
+    return c_einsum
+
+
+_c_einsum = _find_c_einsum()
 
 
 def contract_game(game, team, adversary, keep):

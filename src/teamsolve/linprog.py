@@ -28,6 +28,7 @@ without the cache.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,7 +289,9 @@ def _solve_converted(lp, perturb):
     residual = _feasibility_residual(lp, primal, layout)
     scale = 1.0 + float(abs(lp.objective).max(initial=0.0)) + abs(value)
     feas_allow = FEAS_TOL + (PERTURBATION * rows if perturb else 0.0)
-    if residual > feas_allow or gap > GAP_TOL * scale:
+    # Written to fail on NaN as well: an overflowed tableau certifies
+    # nothing.
+    if not (residual <= feas_allow and gap <= GAP_TOL * scale):
         if not perturb:
             raise _DegeneratePivot
         raise LpFault(
@@ -319,7 +322,8 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
     rows = T.shape[0] - 1
     watch = rows + T.shape[1]
     guard = 200 * watch
-    blowup = 1e12 * max(1.0, float(np.abs(T).max()))
+    # Capped at the largest float, so the guard also trips on inf and NaN.
+    blowup = min(1e12 * max(1.0, float(np.abs(T).max())), sys.float_info.max)
     visited = set()
     for made in range(1, guard + 1):
         # Scanning Python floats is cheaper than indexing numpy scalars;
@@ -354,7 +358,7 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
         out[leave] = 0.0
         T -= out[:, None] * T[leave, :]
         basis[leave] = enter
-        if float(np.abs(T).max()) > blowup:
+        if not float(np.abs(T).max()) <= blowup:
             raise _DegeneratePivot
         if made >= watch:
             seen = tuple(sorted(basis))

@@ -26,6 +26,12 @@ mixture superlinearly.  The run stops as soon as the requested value
 tolerance is certified, and the final mixture, active set and Newton
 Jacobian are returned so that the next call at a nearby center
 certifies in a couple of inner solves.
+
+Inner solves are the bulk of the work and their vectors have a few
+entries each, so only their contractions use numpy: the Gauss-Seidel
+step, the distances, the objective and the strong-convexity bound run on
+lists of Python floats.  A warm call probes its remembered mixture once;
+Newton starts from that probe's payoffs instead of solving again.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import project_simplex
+from ._simplex import project_list, project_simplex
 from .games import (
     _validate_mixed_team,
     analytic_bounds,
@@ -74,6 +80,8 @@ class ProximalResult:
     ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs, and
     ``kelley_faults`` counts the Kelley LPs that raised ``LpFault``; such
     a step is skipped, since only the probes supply bounds.
+    ``inner_solves`` counts the inner minimizations the call ran, one per
+    adversary mixture probed.
     """
 
     center: tuple
@@ -88,6 +96,7 @@ class ProximalResult:
     memory: _ProxMemory | None = None
     lp_pivots: int = 0
     kelley_faults: int = 0
+    inner_solves: int = 0
 
     @property
     def prox_distance(self):
@@ -204,6 +213,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         memory=certifier.export_memory(),
         lp_pivots=certifier.lp_pivots,
         kelley_faults=certifier.kelley_faults,
+        inner_solves=certifier.inner_solves,
     )
 
 
@@ -240,19 +250,21 @@ class _DualCertifier:
         self.jac_active = None
         self.lp_pivots = 0
         self.kelley_faults = 0
+        self.inner_solves = 0
 
     # -- bookkeeping ---------------------------------------------------
 
     def probe(self, y_cand, inner_tol):
-        self.z, _, lb = _inner_min(self.game, self.center, self.ell, y_cand,
-                                   self.z, inner_tol)
+        self.z, _, lb, dist2 = _inner_solve(self.game, self.center, self.ell,
+                                            y_cand, self.z, inner_tol)
+        self.inner_solves += 1
         vec_z = contract_game(self.game, self.z, None, (self.game.n,))
-        feas = float(np.max(vec_z)) + self.ell * _dist2(self.z, self.center)
+        intercept = self.ell * dist2
+        feas = float(np.max(vec_z)) + intercept
         if feas < self.best_feasible[1]:
             self.best_feasible = (self.z, feas)
         if lb > self.best_lb:
             self.best_lb, self.best_y = lb, np.asarray(y_cand, dtype=float)
-        intercept = self.ell * _dist2(self.z, self.center)
         duplicate = any(
             abs(intercept - c0) <= 1e-12
             and float(np.max(np.abs(vec_z - s0))) <= 1e-12
@@ -280,14 +292,16 @@ class _DualCertifier:
 
     def run(self, counts, tol, value_hint):
         inner_tol = max(tol / 4.0, 1e-14)
-        self.probe(self.best_y, _POLISH_TOL)
+        y_probed = self.best_y
+        vec = self.probe(y_probed, _POLISH_TOL)
         if self._done(tol, value_hint):
             return
         # Warm path: a remembered active set plus Jacobian usually
-        # certifies in one or two more inner solves.
+        # certifies in one or two more inner solves.  Newton usually
+        # starts at the mixture just probed, whose payoffs it reuses.
         if self.memory is not None and len(self.memory.active) >= 2:
             self._newton(list(self.memory.active), tol, value_hint,
-                         jac=self.memory.jacobian)
+                         jac=self.memory.jacobian, probed=(y_probed, vec))
             if self._done(tol, value_hint):
                 return
         total = counts.sum()
@@ -345,15 +359,17 @@ class _DualCertifier:
                 return
             active.pop()  # drop the weakest member and retry
 
-    def _newton(self, active, tol, value_hint, jac=None):
+    def _newton(self, active, tol, value_hint, jac=None, probed=None):
         """Zero the active payoff differences as a function of the mixture.
 
         Newton on ``r(w) = [u_b(z*(y(w))) - u_last]`` with ``w`` the free
         weights of the active set; the Jacobian comes from forward
         differences when not supplied and is kept current by Broyden
-        updates.  Every residual evaluation is a warm inner solve.
-        Returns True once converged or the active set provably cannot
-        improve; False asks the caller to shrink the set.
+        updates.  Every residual evaluation is a warm inner solve, except
+        at a start mixture within 1e-15 of ``probed = (y, payoffs)``,
+        whose payoff vector from :meth:`probe` is reused.  Returns True
+        once converged or the active set provably cannot improve; False
+        asks the caller to shrink the set.
         """
         k = len(active)
         if k < 2 or k > self.game.adversary_actions:
@@ -364,13 +380,22 @@ class _DualCertifier:
         total = w.sum()
         w = np.full(k, 1.0 / k) if total <= 0 else w / total
 
-        def residual(wv):
+        def mixture(wv):
             y = np.zeros(self.game.adversary_actions)
             y[active] = wv
-            vec = self.probe(y, _POLISH_TOL)
+            return y
+
+        def differences(vec):
             return vec[np.asarray(active[:-1])] - vec[active[-1]], vec
 
-        r0, vec0 = residual(w)
+        def residual(wv):
+            return differences(self.probe(mixture(wv), _POLISH_TOL))
+
+        if probed is not None and float(np.max(np.abs(
+                mixture(w) - probed[0]))) <= 1e-15:
+            r0, vec0 = differences(probed[1])
+        else:
+            r0, vec0 = residual(w)
         if self._done(tol, value_hint):
             self._remember(active, jac)
             return True
@@ -446,32 +471,69 @@ def _inner_min(game, center, ell, y, z0, inner_tol):
     minimum (hence on the prox value); the sweep loop stops once it is
     within ``inner_tol``.  The mixture ``y`` is fixed for the whole call,
     so it is contracted out of the payoff once, and every sweep and
-    gradient contracts team axes only.
+    gradient contracts team axes only.  The per-player vector math runs
+    on Python floats (see :func:`_inner_solve`).  Returns ``(z, f_z,
+    lb)`` with ``lb <= f_z``.
+    """
+    z, f_z, lb, _ = _inner_solve(game, center, ell, y, z0, inner_tol)
+    return z, f_z, lb
+
+
+def _inner_solve(game, center, ell, y, z0, inner_tol):
+    """:func:`_inner_min`, also returning ``||z - center||^2``.
+
+    The vectors have a few entries each, so everything but the
+    contractions runs on lists of Python floats: the elementwise
+    operations numpy would perform, in the same order, and sequential
+    dot products, which round differently from BLAS.  :meth:`probe`
+    takes its cut intercept from the returned distance.
     """
     n = game.n
     payoff = fix_adversary(game, y)
+    cen = [c.tolist() for c in center]
     z = list(z0)
+    zl = [zi.tolist() for zi in z]
+    two_ell = 2.0 * ell
+    half_ell = 0.5 * ell
     lb = -math.inf
     f_z = math.inf
+    dist2 = math.inf
     for _ in range(_INNER_SWEEPS):
         for i in range(n):
-            g_i = contract_team(payoff, z, (i,))
-            z[i] = project_simplex(center[i] - g_i / (2.0 * ell))
+            g_i = contract_team(payoff, z, (i,)).tolist()
+            zl[i] = project_list([c - g / two_ell
+                                  for c, g in zip(cen[i], g_i)])
+            z[i] = np.array(zl[i])
         # The last player's sweep gradient saw every other block at its
         # final value, so it is already the gradient at the new ``z``.
-        grads = [contract_team(payoff, z, (i,)) for i in range(n - 1)]
+        grads = [contract_team(payoff, z, (i,)).tolist()
+                 for i in range(n - 1)]
         grads.append(g_i)
-        f_z = float(z[0] @ grads[0]) + ell * _dist2(z, center)
+        dist2 = 0.0
+        for zi, ci in zip(zl, cen):
+            d = [a - c for a, c in zip(zi, ci)]
+            dist2 += _dot(d, d)
+        f_z = _dot(zl[0], grads[0]) + ell * dist2
         quad = 0.0
-        for zi, gi, ci in zip(z, grads, center):
-            full = gi + 2.0 * ell * (zi - ci)
-            trial = project_simplex(zi - full / ell)
-            d = trial - zi
-            quad += float(full @ d) + 0.5 * ell * float(d @ d)
-        lb = f_z + quad  # strong convexity: no feasible point beats this
+        for zi, gi, ci in zip(zl, grads, cen):
+            full = [g + two_ell * (a - c) for a, g, c in zip(zi, gi, ci)]
+            trial = project_list([a - f / ell for a, f in zip(zi, full)])
+            d = [t - a for t, a in zip(trial, zi)]
+            quad += _dot(full, d) + half_ell * _dot(d, d)
+        # Strong convexity: no feasible point beats this.  The model's
+        # minimum is at most its value 0 at ``z``; a positive ``quad`` is
+        # rounding, and would put the bound above the feasible ``f_z``.
+        lb = f_z + min(quad, 0.0)
         if -quad <= inner_tol:
             break
-    return tuple(z), f_z, lb
+    return tuple(z), f_z, lb, dist2
+
+
+def _dot(a, b):
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def potential_g(game, team, ell, tol, max_iters=None, warm_start=None):

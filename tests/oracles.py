@@ -51,6 +51,28 @@ def tensordot_contract(tensor, vectors, keep=()):
     return out
 
 
+def einsum_contract(table, vectors, keep=()):
+    """``games.contract`` as it was: one ``np.einsum`` on numbered sublists.
+
+    A 2-D entry stacks strategies for its axis and its stacking axis
+    (labelled ``ndim + axis``) leads the result; kept axes follow in
+    increasing order.  The package's contraction must match it bitwise.
+    """
+    ndim = table.ndim
+    operands = [table, list(range(ndim))]
+    stacked = []
+    for axis, vec in enumerate(vectors):
+        if axis in keep:
+            continue
+        if vec.ndim == 2:
+            stacked.append(ndim + axis)
+            operands += [vec, [ndim + axis, axis]]
+        else:
+            operands += [vec, [axis]]
+    operands.append(stacked + sorted(keep))
+    return np.einsum(*operands)
+
+
 def sort_threshold_projection(v):
     """Euclidean projection onto the simplex, vectorized in numpy.
 

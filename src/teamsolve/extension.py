@@ -118,18 +118,23 @@ class ExtensionAudit:
 def ne_gap(game, profile, epsilon_claimed=math.nan):
     """Certify a profile by enumerating all unilateral pure deviations.
 
-    By multilinearity a best deviation is always pure, so the two maxima
-    below are exact.
+    By multilinearity a best deviation is always pure, so the maxima are
+    exact.
     """
     profile.validate(game)
-    team, y = profile.team, profile.adversary
+    return _deviation_gaps(game, profile.team, profile.adversary, game.n,
+                           epsilon_claimed)
+
+
+def _deviation_gaps(game, team, y, minimizers, epsilon_claimed):
+    """:func:`ne_gap` unvalidated; team players from ``minimizers`` on
+    gain, like the adversary, by raising the payoff."""
     adv = contract_game(game, team, None, (game.n,))
     value = float(adv @ y)
-    gap_team = -math.inf
-    for i in range(game.n):
-        devs = contract_game(game, team, y, (i,))
-        gap_team = max(gap_team, value - float(np.min(devs)))
-    gap_adversary = float(np.max(adv)) - value
+    devs = [contract_game(game, team, y, (i,)) for i in range(game.n)]
+    gap_team = max(value - float(np.min(d)) for d in devs[:minimizers])
+    gap_adversary = max(float(np.max(d)) - value
+                        for d in (adv, *devs[minimizers:]))
     return NeCertificate(gap_team, gap_adversary, epsilon_claimed)
 
 
@@ -228,9 +233,15 @@ def extend_ne(game, team, with_audit=False):
     near-equilibrium; quality should be read off :func:`ne_gap`, not
     assumed.
     """
-    team = _validate_mixed_team(game, team)
+    y, audit = _extend(game, _validate_mixed_team(game, team), game.n)
+    return (y, audit) if with_audit else y
+
+
+def _extend(game, team, minimizers):
+    """:func:`extend_ne` unvalidated, returning ``(y, audit)``.  Team
+    players from index ``minimizers`` on are co-maximizers."""
     coeffs = [contract_game(game, team, None, (i, game.n))
               for i in range(game.n)]
     values = contract_game(game, team, None, (game.n,))
-    y, audit = solve_extension_pair(coeffs, [], values)
-    return (y, audit) if with_audit else y
+    return solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
+                                values)

@@ -569,13 +569,11 @@ def analytic_bounds(game):
     ``L = V * sqrt(sum_i |A_i| + |B|)``; the smoothness constant uses the
     analogous per-coordinate argument and is deliberately an over-estimate
     (``V * (sum_i |A_i| + |B|)``), which only shrinks downstream step
-    sizes.  For a two-team game the sizes are summed over every minimizer
-    and maximizer action set.
+    sizes.  A two-team game is bounded through its joint game, so the
+    sizes are summed over every minimizer and maximizer action set.
     """
-    if hasattr(game, "maximizer_actions"):  # a TwoTeamGame
-        size = sum(game.minimizer_actions) + sum(game.maximizer_actions)
-    else:
-        size = sum(game.action_sets) + game.adversary_actions
+    game = getattr(game, "joint", game)
+    size = sum(game.action_sets) + game.adversary_actions
     v = game.v_max
     return SmoothnessBounds(lipschitz=v * math.sqrt(size), smoothness=v * size)
 

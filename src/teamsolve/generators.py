@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import GameError, SchemaError, TeamGame, game_from_dict
+from .games import (GameError, SchemaError, TeamGame, game_from_dict,
+                    game_to_dict)
 from .two_team import TwoTeamGame, two_team_from_dict
 
 MENU_PRODUCT_CAP = 64
@@ -310,17 +311,13 @@ def potential_spec_to_two_team(doc, seed):
         [int(k) for k in doc["adversary_actions"]],
         seed, tuple(doc.get("value_range", (-1, 1))))
     game = potential_game_embed(costs, utils, potential)
-    entries = []
-    for idx in np.ndindex(*potential.shape):
-        value = Fraction(*float(potential[idx]).as_integer_ratio())
-        if value != 0:
-            entries.append([list(int(v) for v in idx), *_pair(value)])
+    joint = game_to_dict(game.joint)  # the two-team axis order
     document = {
         "teams": {"minimizers": game.n, "maximizers": game.m},
         "actions": [int(k) for k in doc["actions"]],
         "adversary_actions": [int(k) for k in doc["adversary_actions"]],
-        "payoff": {"kind": "dense", "entries": entries},
-        "v_max": _pair(Fraction(*float(game.v_max).as_integer_ratio())),
+        "payoff": joint["payoff"],
+        "v_max": joint["v_max"],
         "provenance": {"generator": "potential", "seed": int(seed)},
     }
     return two_team_from_dict(document)

@@ -130,15 +130,17 @@ def solve_lp(lp):
     (perturbation ``1e-10 * (row + 1)``) and re-certifies against the
     original data.
     """
-    try:
-        return _solve_converted(lp, perturb=False)
-    except _DegeneratePivot:
-        pass
-    try:
-        return _solve_converted(lp, perturb=True)
-    except _DegeneratePivot as exc:
-        raise LpFault("simplex stalled on degenerate pivots even after "
-                      "the perturbed restart") from exc
+    # Overflowing programs are refused below anyway; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _solve_converted(lp, perturb=False)
+        except _DegeneratePivot:
+            pass
+        try:
+            return _solve_converted(lp, perturb=True)
+        except _DegeneratePivot as exc:
+            raise LpFault("simplex stalled on degenerate pivots even after "
+                          "the perturbed restart") from exc
 
 
 class _DegeneratePivot(Exception):

@@ -1,7 +1,12 @@
 """Two-team zero-sum games: extension LPs and the GDmm loop, desk scale.
 
-A team of ``n`` minimizers faces a team of ``m`` maximizers.  Joint
-equilibria are computed by repeatedly solving the induced
+A team of ``n`` minimizers faces a team of ``m`` maximizers.  The payoff
+is one single-adversary game, dense or polytensor, the *joint game*: its
+team is the minimizers followed by the first ``m - 1`` maximizers (the
+co-maximizers), its adversary the last maximizer.  Every evaluation runs
+the single-adversary kernels on it.
+
+Joint equilibria are computed by repeatedly solving the induced
 single-adversary game against the last maximizer (the minmax oracle),
 letting the other maximizers take projected ascent steps, and completing
 the profile for the last maximizer through the multi-team extension dual
@@ -28,22 +33,20 @@ from .dynamics import (
 )
 from .extension import (
     ExtensionAudit,
-    NeCertificate,
+    _deviation_gaps,
+    _extend,
     extend_ne,
-    ne_gap,
-    solve_extension_pair,
 )
 from .games import (
     DimensionMismatchError,
     GameError,
     SchemaError,
     TeamGame,
-    _as_fraction,
     _check_strategy,
-    _freeze,
-    _parse_dense_entries,
     analytic_bounds,
     contract,
+    contract_game,
+    game_from_dict,
 )
 from .moreau import stationarity
 
@@ -53,44 +56,37 @@ _GRID_POINT_CAP = 2_000_000
 class TwoTeamGame:
     """Zero-sum game between a minimizer team and a maximizer team.
 
-    One payoff tensor suffices: minimizers drive it down, maximizers up.
-    Axes are the ``n`` minimizer action sets followed by the ``m``
-    maximizer action sets.  Immutable after construction.
+    One payoff suffices: minimizers drive it down, maximizers up; ``tensor``
+    has the minimizer axes, then the maximizer axes.  ``joint`` is the joint
+    game (module docstring), with no ``document``.  Immutable.
     """
 
-    __slots__ = ("tensor", "minimizer_actions", "maximizer_actions",
+    __slots__ = ("joint", "n", "m", "minimizer_actions", "maximizer_actions",
                  "v_max", "document")
 
     def __init__(self, tensor, n, m, v_max=None, document=None):
-        tensor = _freeze(tensor)
-        if n < 1 or m < 1 or tensor.ndim != n + m:
+        if n < 1 or m < 1 or np.ndim(tensor) != n + m:
             raise GameError("tensor rank must equal total player count")
-        self.tensor = tensor
-        self.minimizer_actions = tensor.shape[:n]
-        self.maximizer_actions = tensor.shape[n:]
-        self.document = document
-        worst = float(np.max(np.abs(tensor), initial=0.0))
-        self.v_max = worst if v_max is None else float(v_max)
-        if worst > self.v_max + 1e-12 * (1.0 + self.v_max):
-            raise GameError(
-                f"payoff magnitude {worst} exceeds v_max {self.v_max}")
+        self._view(TeamGame.dense(tensor, v_max=v_max), n, document)
+
+    def _view(self, joint, n, document):
+        sizes = joint.action_sets + (joint.adversary_actions,)
+        self.joint, self.n, self.m = joint, n, len(sizes) - n
+        self.minimizer_actions, self.maximizer_actions = sizes[:n], sizes[n:]
+        self.v_max, self.document = joint.v_max, document
 
     @property
-    def n(self):
-        return len(self.minimizer_actions)
-
-    @property
-    def m(self):
-        return len(self.maximizer_actions)
+    def tensor(self):
+        """The dense payoff tensor, materialized for a polytensor game."""
+        return self.joint.payoff_tensor()
 
     def extendibility_hypothesis(self):
         """Whether ``n > m - 1``, the regime the extension theorem covers."""
         return self.n > self.m - 1
 
     def payoff(self, minimizer_actions, maximizer_actions):
-        idx = tuple(int(v) for v in minimizer_actions) + tuple(
-            int(v) for v in maximizer_actions)
-        return float(self.tensor[idx])
+        *co_maximizers, last = maximizer_actions
+        return self.joint.payoff((*minimizer_actions, *co_maximizers), last)
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,25 @@ class TwoTeamProfile:
         Raises :class:`~teamsolve.games.DimensionMismatchError`, whose
         ``player`` is the offender's payoff axis (minimizers first).
         """
-        if (len(self.minimizers), len(self.maximizers)) != (game.n, game.m):
-            raise DimensionMismatchError(
-                f"profile has {len(self.minimizers)} minimizer and "
-                f"{len(self.maximizers)} maximizer vectors, game has "
-                f"{game.n} and {game.m}")
-        for axis, x in enumerate((*self.minimizers, *self.maximizers)):
-            who = (f"minimizer {axis}" if axis < game.n
-                   else f"maximizer {axis - game.n}")
-            _check_strategy(x, game.tensor.shape[axis], who, player=axis)
+        _checked(game, self.minimizers, 0, game.n)
+        _checked(game, self.maximizers, game.n, game.m)
         return self
+
+
+def _checked(game, vectors, first, count):
+    """The ``count`` strategies of the payoff axes from ``first`` on, as
+    float arrays, checked as :meth:`TwoTeamProfile.validate` documents."""
+    if len(vectors) != count:
+        who = "minimizer" if first < game.n else "maximizer"
+        raise DimensionMismatchError(
+            f"got {len(vectors)} {who} vectors, need {count}")
+    sizes = game.minimizer_actions + game.maximizer_actions
+    vectors = tuple(np.asarray(v, dtype=float) for v in vectors)
+    for axis, x in enumerate(vectors, first):
+        who = (f"minimizer {axis}" if axis < game.n
+               else f"maximizer {axis - game.n}")
+        _check_strategy(x, sizes[axis], who, player=axis)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ class TwoTeamStationarity:
 
 def expected_value(game, profile):
     """Expected payoff of mixed team profiles (full contraction)."""
-    vectors = (*profile.minimizers, *profile.maximizers)
-    return float(contract(game.tensor, vectors, ()))
+    team = (*profile.minimizers, *profile.maximizers[:-1])
+    return float(contract_game(game.joint, team, profile.maximizers[-1], ()))
 
 
 def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
@@ -157,38 +162,33 @@ def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
     increase available).  The profile is validated first.
     """
     profile.validate(game)
-    return _deviation_gaps(game, profile, epsilon_claimed)
-
-
-def _deviation_gaps(game, profile, epsilon_claimed):
-    vectors = (*profile.minimizers, *profile.maximizers)
-    value = expected_value(game, profile)
-    gap_min = max(value - float(np.min(contract(game.tensor, vectors, (i,))))
-                  for i in range(game.n))
-    gap_max = max(float(np.max(contract(game.tensor, vectors, (axis,))))
-                  - value for axis in range(game.n, game.n + game.m))
-    return NeCertificate(gap_team=gap_min, gap_adversary=gap_max,
-                         epsilon_claimed=epsilon_claimed)
+    team = (*profile.minimizers, *profile.maximizers[:-1])
+    return _deviation_gaps(game.joint, team, profile.maximizers[-1], game.n,
+                           epsilon_claimed)
 
 
 def induced_single_adversary_game(game, y_minus_m):
     """The team game seen by the minimizers and the last maximizer.
 
-    Co-maximizer strategies ``y_minus_m`` are averaged out.  With
-    ``m = 1`` this is the original tensor unchanged, so downstream
-    results agree bitwise with the single-adversary code path.
+    Co-maximizer strategies ``y_minus_m``, validated, are averaged out.
+    With ``m = 1`` this is the joint game itself, so downstream results
+    agree bitwise with the single-adversary code path.
     """
+    return _induced(game, _checked(game, y_minus_m, game.n, game.m - 1))
+
+
+def _induced(game, y_minus_m):
+    """:func:`induced_single_adversary_game` on unvalidated strategies."""
     if len(y_minus_m) != game.m - 1:
-        raise GameError(f"need {game.m - 1} co-maximizer strategies, got "
-                        f"{len(y_minus_m)}")
+        raise DimensionMismatchError(f"need {game.m - 1} co-maximizer "
+                                     f"strategies, got {len(y_minus_m)}")
     if game.m == 1:
-        return TeamGame.dense(game.tensor, v_max=game.v_max)
-    vectors = ((None,) * game.n
-               + tuple(np.asarray(y, dtype=float) for y in y_minus_m)
-               + (None,))
-    keep = tuple(range(game.n)) + (game.n + game.m - 1,)
-    return TeamGame.dense(contract(game.tensor, vectors, keep),
-                          v_max=game.v_max)
+        return game.joint
+    keep = tuple(range(game.n)) + (game.joint.n,)
+    y_minus_m = tuple(np.asarray(y, dtype=float) for y in y_minus_m)
+    tensor = contract_game(game.joint, (None,) * game.n + y_minus_m, None,
+                           keep)
+    return TeamGame.dense(tensor, v_max=game.v_max)
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,10 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     ``method="nested"`` runs the single-adversary descent solver on the
     induced game instead.  Either way the last maximizer's reply is the
     extension mixture of the induced game at the chosen team strategy
-    (one extension LP per call), not a pure best response.
+    (one extension LP per call), not a pure best response.  Only the
+    number of strategies in ``y_minus_m`` is checked.
     """
-    induced = induced_single_adversary_game(game, y_minus_m)
+    induced = _induced(game, y_minus_m)
     tensor = induced.payoff_tensor()
     if method == "grid":
         q = max(1, round(1.0 / grid_step))
@@ -286,24 +287,12 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
     exactly as in the single-adversary module, at every scale
     ``n - m + 1`` including outside the ``n > m - 1`` regime (see
     :class:`teamsolve.extension.ExtensionAudit`).  With ``m = 1`` this
-    routes through :func:`teamsolve.extension.extend_ne` and agrees with
-    it bitwise.
+    is :func:`teamsolve.extension.extend_ne` on the joint game and agrees
+    with it bitwise.  The strategies are validated.
     """
-    x_star = tuple(np.asarray(x, dtype=float) for x in x_star)
-    if game.m == 1:
-        induced = induced_single_adversary_game(game, ())
-        return extend_ne(induced, x_star, with_audit=with_audit)
-    # Every contraction below keeps the last maximizer's axis.
-    vectors = (x_star + tuple(np.asarray(y, dtype=float) for y in y_minus_m)
-               + (None,))
-    last = game.n + game.m - 1
-    minimizer_coeffs = [contract(game.tensor, vectors, (i, last))
-                        for i in range(game.n)]
-    maximizer_coeffs = [contract(game.tensor, vectors, (game.n + j, last))
-                        for j in range(game.m - 1)]
-    response = contract(game.tensor, vectors, (last,))
-    y_m, audit = solve_extension_pair(minimizer_coeffs, maximizer_coeffs,
-                                      response)
+    team = (_checked(game, x_star, 0, game.n)
+            + _checked(game, y_minus_m, game.n, game.m - 1))
+    y_m, audit = _extend(game.joint, team, game.n)
     return (y_m, audit) if with_audit else y_m
 
 
@@ -344,18 +333,17 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         x = oracle.team
         ascended = tuple(
             project_simplex(y[j] + eta * _maximizer_gradient(
-                game, x, y, j, oracle.adversary))
+                game, x, y[:-1], j, oracle.adversary))
             for j in range(game.m - 1))
+        trace.record_extension(oracle.audit)
+        y_m = oracle.adversary
         if ascended:
-            y_m, audit = extend_ne_multi(game, x, ascended, with_audit=True)
-            audits = (oracle.audit, audit)
-        else:
-            y_m, audits = oracle.adversary, (oracle.audit,)
-        for checked in audits:
-            trace.record_extension(checked)
+            y_m, audit = _extend(game.joint, (*x, *ascended), game.n)
+            trace.record_extension(audit)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
-        cert = _deviation_gaps(game, profile, config.epsilon)
+        cert = _deviation_gaps(game.joint, (*x, *ascended), y_m, game.n,
+                               config.epsilon)
         stack = np.concatenate([np.concatenate(x), np.concatenate(y)])
         step_norm = (0.0 if prev_stack is None
                      else float(np.linalg.norm(stack - prev_stack)))
@@ -377,7 +365,7 @@ def _inner_config(config):
                     seed=config.seed)
 
 
-def _maximizer_gradient(game, x, y, j, y_m):
+def _maximizer_gradient(game, x, co_maximizers, j, y_m):
     """Gradient of the expected payoff in co-maximizer ``j``'s strategy.
 
     Evaluated, as in the update rule, at the fresh minimizer reply, the
@@ -387,7 +375,8 @@ def _maximizer_gradient(game, x, y, j, y_m):
     function; a tie-broken pure reply would flip between the maximizer's
     indifferent actions and point elsewhere.
     """
-    return contract(game.tensor, (*x, *y[:-1], y_m), (game.n + j,))
+    return contract_game(game.joint, (*x, *co_maximizers), y_m,
+                         (game.n + j,))
 
 
 def _ascent_eta(game, epsilon, bounds):
@@ -432,13 +421,11 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
         value = oracle.value - ell * penalty
         if value > best_val:
             best_val, best_point = value, current
-        grads = []
-        reply = (*oracle.team, *current, oracle.adversary)
-        for j in range(game.m - 1):
-            g = contract(game.tensor, reply, (game.n + j,))
-            grads.append(g - 2.0 * ell * (current[j] - anchor[j]))
-        current = tuple(project_simplex(c + step * g)
-                        for c, g in zip(current, grads))
+        current = tuple(
+            project_simplex(c + step * (_maximizer_gradient(
+                game, oracle.team, current, j, oracle.adversary)
+                - 2.0 * ell * (c - a)))
+            for j, (c, a) in enumerate(zip(current, anchor)))
     distance = math.sqrt(sum(float((b - a) @ (b - a))
                              for b, a in zip(best_point, anchor)))
     slack = 2.0 * math.sqrt(2.0 * tol * ell)
@@ -455,7 +442,11 @@ def two_team_from_dict(doc):
 
     Extends the single-adversary schema with ``"teams": {"minimizers":
     n, "maximizers": m}``; ``adversary_actions`` becomes the list of the
-    ``m`` maximizer action counts and the payoff must be dense.
+    ``m`` maximizer action counts.  The payoff, dense or polytensor, is
+    the joint game's, read by :func:`~teamsolve.games.game_from_dict`: a
+    dense entry indexes the minimizers, then the maximizers; a block's
+    ``players`` index the minimizers, then the co-maximizers (``n`` to
+    ``n + m - 2``), and ``includes_adversary`` marks the last maximizer.
     """
     if not isinstance(doc, dict) or "teams" not in doc:
         raise SchemaError("two-team document needs a 'teams' field")
@@ -478,16 +469,15 @@ def two_team_from_dict(doc):
             or not all(isinstance(k, int) and k >= 1 for k in b_actions)):
         raise SchemaError(f"must list {m} positive action counts",
                           "adversary_actions")
-    payoff = doc.get("payoff")
-    if not isinstance(payoff, dict) or payoff.get("kind") != "dense":
-        raise SchemaError("two-team payoff must be dense", "payoff")
-    shape = tuple(actions) + tuple(b_actions)
-    tensor = _parse_dense_entries(payoff.get("entries"), shape,
-                                  "payoff.entries")
-    v_max = None
-    if doc.get("v_max") is not None:
-        v_max = float(_as_fraction(doc["v_max"], "v_max"))
-    return TwoTeamGame(tensor, n, m, v_max=v_max, document=doc)
+    joint = game_from_dict({
+        "n": n + m - 1, "actions": actions + b_actions[:-1],
+        "adversary_actions": b_actions[-1], "payoff": doc.get("payoff"),
+        "v_max": doc.get("v_max")})
+    # The source document is the two-team game's, not the joint game's.
+    joint.document = None
+    game = TwoTeamGame.__new__(TwoTeamGame)
+    game._view(joint, n, doc)
+    return game
 
 
 def two_team_profile_to_dict(profile):

@@ -49,3 +49,29 @@ def mixed_ring_game(rng, players, adversary_actions):
     blocks.append(LocalBlock((2,), True,
                              rng.uniform(-1, 1, size=(2, adversary_actions))))
     return TeamGame.polytensor([2] * players, adversary_actions, blocks)
+
+
+# Blocks of a 2v2 polytensor game as (players, includes_adversary): the
+# joint team is minimizers 0 and 1 and co-maximizer 2, the adversary the
+# last maximizer.
+POLY_2V2_BLOCKS = (((0, 2), False), ((1,), True), ((0, 1), False),
+                   ((2,), True), ((0, 1, 2), True))
+
+
+def poly_two_team_doc(rng):
+    """A 2v2 two-team document with a polytensor payoff, two actions each.
+
+    Entries are multiples of 1e-6, drawn like the benchmark's rational
+    payoffs.
+    """
+    locals_ = []
+    for players, with_adversary in POLY_2V2_BLOCKS:
+        shape = (2,) * (len(players) + with_adversary)
+        entries = [[list(idx), int(rng.integers(-10**6, 10**6 + 1)), 10**6]
+                   for idx in np.ndindex(*shape)]
+        locals_.append({"players": list(players),
+                        "includes_adversary": with_adversary,
+                        "entries": [e for e in entries if e[1]]})
+    return {"teams": {"minimizers": 2, "maximizers": 2}, "actions": [2, 2],
+            "adversary_actions": [2, 2],
+            "payoff": {"kind": "polytensor", "locals": locals_}}

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from teamsolve import cli
+
+from conftest import poly_two_team_doc
 
 # Matching pennies: the minimizer picks a row, the maximizer a column.
 PENNIES = [[[0, 0], 1, 1], [[0, 1], -1, 1], [[1, 0], -1, 1], [[1, 1], 1, 1]]
@@ -69,3 +72,68 @@ def test_prox_center_exit_codes(tmp_path, capsys, row, expected):
         assert err.startswith("error: ") and not out
     else:
         assert json.loads(out)["reached"]
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _gdmm(game, out, *extra):
+    return cli.main(["gdmm", "--game", game, "--epsilon", "0.1", "--out",
+                     str(out), *extra])
+
+
+def test_gdmm_exits_ok_when_converged(tmp_path):
+    out = tmp_path / "out.json"
+    assert _gdmm(_write(tmp_path, "game.json", GAMES["two_team"]),
+                 out) == cli.EXIT_OK
+    result = json.loads(out.read_text())
+    assert result["summary"]["outcome"] == "converged"
+    assert result["certificate"]["gap"] <= 0.1
+
+
+def test_gdmm_exits_budget_and_writes_the_best_profile(tmp_path):
+    # The minmax strategy (1/3, 2/3) lies off the 1/50 grid, so no
+    # iteration reaches epsilon 1e-9.
+    doc = dict(GAMES["two_team"], payoff={"kind": "dense", "entries": [
+        [[0, 0], 3, 1], [[0, 1], -1, 1], [[1, 0], -1, 1], [[1, 1], 1, 1]]})
+    out = tmp_path / "out.json"
+    code = cli.main(["gdmm", "--game", _write(tmp_path, "game.json", doc),
+                     "--epsilon", "1e-9", "--max-iters", "3", "--out",
+                     str(out)])
+    assert code == cli.EXIT_BUDGET
+    result = json.loads(out.read_text())
+    assert result["summary"]["outcome"] == "budget_exhausted"
+    assert result["summary"]["iterations"] == 3
+    assert len(result["profile"]["maximizers"]) == 1
+
+
+@pytest.mark.parametrize("command, schema", [("gdmm", "team"),
+                                             ("solve", "two_team")])
+def test_commands_refuse_the_other_schema(tmp_path, capsys, command,
+                                          schema):
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--game",
+                     _write(tmp_path, "game.json", GAMES[schema]),
+                     "--epsilon", "0.1", "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and not printed
+    assert not out.exists()
+
+
+def test_gdmm_and_verify_on_a_polytensor_two_team_file(tmp_path, capsys):
+    game = _write(tmp_path, "game.json",
+                  poly_two_team_doc(np.random.default_rng(3)))
+    out = tmp_path / "out.json"
+    assert _gdmm(game, out) == cli.EXIT_OK
+    result = json.loads(out.read_text())
+    profile = _write(tmp_path, "profile.json", result["profile"])
+    code = cli.main(["verify", "--game", game, "--profile", profile,
+                     "--epsilon", "0.1"])
+    assert code == cli.EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["gap"] == pytest.approx(result["certificate"]["gap"],
+                                        abs=1e-12)

@@ -7,6 +7,7 @@ lets it through; the solver must instead restart and then raise
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,3 +70,13 @@ def test_blowup_guard_trips_on_non_finite_entries(bad):
     T[0, 1] = bad
     with pytest.raises(linprog._DegeneratePivot):
         linprog._pivot_until_optimal(T, [1], stop_cols=2, pivots=[])
+
+
+def test_overflow_is_refused_without_warnings():
+    # The module filter above ignores RuntimeWarnings; recording them all
+    # here shows that solve_lp itself emits none.
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(LpFault):
+            solve_lp(overflowing_lp(44))
+    assert [str(w.message) for w in seen] == []

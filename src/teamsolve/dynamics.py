@@ -24,6 +24,7 @@ from .games import (
     adversary_best_response,
     analytic_bounds,
     contract_game,
+    contract_players,
     team_gradients,
     uniform_profile,
 )
@@ -77,7 +78,7 @@ class GdConfig:
             raise ValueError("init must be 'uniform' or 'dirichlet'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     t: int
     potential_g: float | None
@@ -348,8 +349,7 @@ def gradient_descent_max(game, config):
             converged = True
             break
 
-        grads = trace.timed("step", lambda: [
-            contract_game(game, team, br_action, (i,)) for i in range(game.n)])
+        grads = trace.timed("step", contract_players, game, team, br_action)
         while True:
             new_team = trace.timed("step", lambda: tuple(
                 project_simplex(x - eta * g) for x, g in zip(team, grads)))

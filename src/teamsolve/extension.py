@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import _validate_mixed_team, contract_game
+from .games import _validate_mixed_team, contract_game, contract_players
 from .linprog import LinearProgram, solve_lp
 
 DUALITY_TOL = 1e-7
@@ -26,7 +26,7 @@ class DualityError(Exception):
     """An extension call violated its duality invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeCertificate:
     """Best unilateral pure-deviation benefits at a profile.
 
@@ -55,7 +55,7 @@ class NeCertificate:
                 "epsilon_claimed": self.epsilon_claimed}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionAudit:
     """Duality bookkeeping recorded on every extension call.
 
@@ -131,7 +131,7 @@ def _deviation_gaps(game, team, y, minimizers, epsilon_claimed):
     gain, like the adversary, by raising the payoff."""
     adv = contract_game(game, team, None, (game.n,))
     value = float(adv @ y)
-    devs = [contract_game(game, team, y, (i,)) for i in range(game.n)]
+    devs = contract_players(game, team, y)
     gap_team = max(value - float(np.min(d)) for d in devs[:minimizers])
     gap_adversary = max(float(np.max(d)) - value
                         for d in (adv, *devs[minimizers:]))
@@ -149,9 +149,8 @@ def vi_residual(game, profile):
     profile.validate(game)
     team, y = profile.team, profile.adversary
     team_part = 0.0
-    for i in range(game.n):
-        g = contract_game(game, team, y, (i,))
-        team_part += float(team[i] @ g) - float(np.min(g))
+    for x, g in zip(team, contract_players(game, team, y)):
+        team_part += float(x @ g) - float(np.min(g))
     adv = contract_game(game, team, None, (game.n,))
     adv_part = float(np.max(adv)) - float(adv @ y)
     return max(team_part, adv_part)
@@ -240,8 +239,7 @@ def extend_ne(game, team, with_audit=False):
 def _extend(game, team, minimizers):
     """:func:`extend_ne` unvalidated, returning ``(y, audit)``.  Team
     players from index ``minimizers`` on are co-maximizers."""
-    coeffs = [contract_game(game, team, None, (i, game.n))
-              for i in range(game.n)]
+    coeffs = contract_players(game, team, None, keep_adversary=True)
     values = contract_game(game, team, None, (game.n,))
     return solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
                                 values)

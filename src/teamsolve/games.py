@@ -385,7 +385,10 @@ def contract_game(game, team, adversary, keep):
     mixed vector, a pure action index (which fixes the adversary axis), or
     ``None`` when axis ``n`` is kept.  Nothing is validated: the public
     kernels below check their inputs once, and internal callers pass
-    strategies they built themselves.
+    strategies they built themselves.  A polytensor game's blocks are
+    summed in block order, starting from zero; :func:`contract_players`
+    keeps that order, so its per-player vectors equal this function's
+    bitwise.
     """
     if game._tensor is not None:
         if isinstance(adversary, (int, np.integer)):
@@ -395,26 +398,96 @@ def contract_game(game, team, adversary, keep):
                        game.action_sets + (game.adversary_actions,), keep)
 
 
+def contract_players(game, team, adversary, keep_adversary=False,
+                     players=None):
+    """Each listed team player's vector at one profile, in one pass.
+
+    Entry ``k`` is bitwise equal to ``contract_game(game, team, adversary,
+    (i,) + ((game.n,) if keep_adversary else ()))`` for ``i = players[k]``;
+    ``players`` defaults to every team player.  ``keep_adversary``
+    requires ``adversary`` to be ``None``.  A dense game makes those
+    per-player calls.  A polytensor game contracts each block once with no
+    team axis kept, and again, with ``i`` kept, only for the players ``i``
+    it touches: ``blocks + sum_i deg_i`` contractions instead of ``n *
+    blocks``.  The block-order summation of :func:`contract_game` is kept
+    (see :func:`_sum_blocks_per_player`), so every float addition is the
+    one it makes.  Nothing is validated.
+    """
+    players = range(game.n) if players is None else players
+    if game._tensor is not None:
+        extra = (game.n,) if keep_adversary else ()
+        return [contract_game(game, team, adversary, (i,) + extra)
+                for i in players]
+    return _sum_blocks_per_player(
+        game._blocks, team, adversary,
+        game.action_sets + (game.adversary_actions,), players,
+        keep_adversary)
+
+
+def _block_operands(blk, team, adversary, pure):
+    """A block's table, its vectors and the game axes they weight."""
+    axes = blk.players
+    table = blk.table
+    vectors = [team[p] for p in blk.players]
+    if blk.includes_adversary and pure:
+        table = table[..., adversary]
+    elif blk.includes_adversary:
+        axes += (len(team),)
+        vectors.append(adversary)
+    return table, vectors, axes
+
+
+def _block_term(operands, sizes, keep):
+    """One block's term of :func:`_sum_blocks`, shaped to broadcast over
+    the kept axes: axes the block does not touch have length one, since
+    the block is constant along them."""
+    table, vectors, axes = operands
+    local = tuple(k for k, axis in enumerate(axes) if axis in keep)
+    return contract(table, vectors, local).reshape(
+        [sizes[axis] if axis in axes else 1 for axis in keep])
+
+
 def _sum_blocks(blocks, team, adversary, sizes, keep):
     """:func:`contract_game` summed block by block over local tables."""
     pure = isinstance(adversary, (int, np.integer))
-    adversary_axis = len(team)
     out = np.zeros([sizes[axis] for axis in keep])
     for blk in blocks:
-        axes = blk.players
-        table = blk.table
-        vectors = [team[p] for p in blk.players]
-        if blk.includes_adversary and pure:
-            table = table[..., adversary]
-        elif blk.includes_adversary:
-            axes += (adversary_axis,)
-            vectors.append(adversary)
-        local = tuple(k for k, axis in enumerate(axes) if axis in keep)
-        # Axes the block does not touch broadcast: the block is constant
-        # along them.
-        out += contract(table, vectors, local).reshape(
-            [sizes[axis] if axis in axes else 1 for axis in keep])
+        out += _block_term(_block_operands(blk, team, adversary, pure),
+                           sizes, keep)
     return out
+
+
+def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
+                           keep_adversary):
+    """:func:`_sum_blocks` with ``keep = (i,)`` (and the adversary axis
+    when ``keep_adversary``) for every ``i`` in ``players``, in one pass.
+
+    The players' vectors are stacked in one array and summed block by
+    block, from zero.  A block that misses player ``i`` adds the same
+    value to every entry of ``i``'s vector: the block contracted with no
+    team axis kept, computed once for every player it misses.  A block
+    touching ``i`` is contracted with ``i`` kept.  Each entry therefore
+    sees the float additions :func:`_sum_blocks` makes, in its order.
+    The entries returned are consecutive views of the stacked array.
+    """
+    pure = isinstance(adversary, (int, np.integer))
+    extra = (len(team),) if keep_adversary else ()
+    starts = list(itertools.accumulate((sizes[i] for i in players),
+                                       initial=0))
+    rows = dict(zip(players, map(slice, starts, starts[1:])))
+    stacked = np.zeros([starts[-1]] + [sizes[axis] for axis in extra])
+    addend = np.empty_like(stacked)
+    for blk in blocks:
+        operands = _block_operands(blk, team, adversary, pure)
+        touched = [i for i in blk.players if i in rows]
+        if len(touched) < len(rows):
+            table, vectors, axes = operands
+            addend[...] = contract(table, vectors, tuple(
+                k for k, axis in enumerate(axes) if axis in extra))
+        for i in touched:
+            addend[rows[i]] = _block_term(operands, sizes, (i,) + extra)
+        stacked += addend
+    return [stacked[rows[i]] for i in players]
 
 
 @dataclass(frozen=True)
@@ -457,6 +530,15 @@ def contract_team(payoff, team, keep):
     if payoff.tensor is not None:
         return contract(payoff.tensor, team, keep)
     return _sum_blocks(payoff.blocks, team, None, payoff.action_sets, keep)
+
+
+def contract_team_players(payoff, team, players):
+    """:func:`contract_players` on a :class:`TeamPayoff`: entry ``k`` is
+    bitwise equal to ``contract_team(payoff, team, (players[k],))``."""
+    if payoff.tensor is not None:
+        return [contract(payoff.tensor, team, (i,)) for i in players]
+    return _sum_blocks_per_player(payoff.blocks, team, None,
+                                  payoff.action_sets, players, False)
 
 
 def _check_player(game, player):
@@ -541,7 +623,7 @@ def team_gradients(game, team, adversary):
                 f"adversary vector length {adversary.shape} does not match "
                 f"{game.adversary_actions} actions")
         _check_simplex(adversary, "adversary")
-    return [contract_game(game, team, adversary, (i,)) for i in range(game.n)]
+    return contract_players(game, team, adversary)
 
 
 @dataclass(frozen=True)

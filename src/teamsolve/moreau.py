@@ -46,7 +46,9 @@ from .games import (
     _validate_mixed_team,
     analytic_bounds,
     contract_game,
+    contract_players,
     contract_team,
+    contract_team_players,
     fix_adversary,
 )
 
@@ -193,7 +195,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         if val < best_val:
             best_val, best_x = val, x
         counts[b] += 1.0
-        grads = [contract_game(game, x, b, (i,)) for i in range(game.n)]
+        grads = contract_players(game, x, b)
         step = 2.0 / (ell * (k + 1))
         x = tuple(project_simplex(xi - step * (gi + 2.0 * ell * (xi - ci)))
                   for xi, gi, ci in zip(x, grads, center))
@@ -506,8 +508,8 @@ def _inner_solve(game, center, ell, y, z0, inner_tol):
             z[i] = np.array(zl[i])
         # The last player's sweep gradient saw every other block at its
         # final value, so it is already the gradient at the new ``z``.
-        grads = [contract_team(payoff, z, (i,)).tolist()
-                 for i in range(n - 1)]
+        grads = [g.tolist()
+                 for g in contract_team_players(payoff, z, range(n - 1))]
         grads.append(g_i)
         dist2 = 0.0
         for zi, ci in zip(zl, cen):

@@ -35,7 +35,6 @@ from .extension import (
     ExtensionAudit,
     _deviation_gaps,
     _extend,
-    extend_ne,
 )
 from .games import (
     DimensionMismatchError,
@@ -46,6 +45,7 @@ from .games import (
     analytic_bounds,
     contract,
     contract_game,
+    contract_players,
     game_from_dict,
 )
 from .moreau import stationarity
@@ -270,7 +270,7 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     b = int(np.argmax(vec))
     if method == "nested":
         bracket = (math.nan, float(vec[b]))
-    adversary, audit = extend_ne(induced, team, with_audit=True)
+    adversary, audit = _extend(induced, team, induced.n)
     return MinmaxResult(team=team, adversary=adversary, value=float(vec[b]),
                         bracket=bracket, method=method, best_response=b,
                         audit=audit)
@@ -332,9 +332,9 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
                                inner_config=_inner_config(config))
         x = oracle.team
         ascended = tuple(
-            project_simplex(y[j] + eta * _maximizer_gradient(
-                game, x, y[:-1], j, oracle.adversary))
-            for j in range(game.m - 1))
+            project_simplex(yj + eta * g) for yj, g in zip(
+                y[:-1], _maximizer_gradients(game, x, y[:-1],
+                                             oracle.adversary)))
         trace.record_extension(oracle.audit)
         y_m = oracle.adversary
         if ascended:
@@ -365,8 +365,8 @@ def _inner_config(config):
                     seed=config.seed)
 
 
-def _maximizer_gradient(game, x, co_maximizers, j, y_m):
-    """Gradient of the expected payoff in co-maximizer ``j``'s strategy.
+def _maximizer_gradients(game, x, co_maximizers, y_m):
+    """Gradients of the expected payoff in each co-maximizer's strategy.
 
     Evaluated, as in the update rule, at the fresh minimizer reply, the
     *previous* co-maximizer profile and the oracle's last-maximizer
@@ -375,8 +375,8 @@ def _maximizer_gradient(game, x, co_maximizers, j, y_m):
     function; a tie-broken pure reply would flip between the maximizer's
     indifferent actions and point elsewhere.
     """
-    return contract_game(game.joint, (*x, *co_maximizers), y_m,
-                         (game.n + j,))
+    return contract_players(game.joint, (*x, *co_maximizers), y_m,
+                            players=range(game.n, game.joint.n))
 
 
 def _ascent_eta(game, epsilon, bounds):
@@ -421,11 +421,11 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
         value = oracle.value - ell * penalty
         if value > best_val:
             best_val, best_point = value, current
+        grads = _maximizer_gradients(game, oracle.team, current,
+                                     oracle.adversary)
         current = tuple(
-            project_simplex(c + step * (_maximizer_gradient(
-                game, oracle.team, current, j, oracle.adversary)
-                - 2.0 * ell * (c - a)))
-            for j, (c, a) in enumerate(zip(current, anchor)))
+            project_simplex(c + step * (g - 2.0 * ell * (c - a)))
+            for c, g, a in zip(current, grads, anchor))
     distance = math.sqrt(sum(float((b - a) @ (b - a))
                              for b, a in zip(best_point, anchor)))
     slack = 2.0 * math.sqrt(2.0 * tol * ell)

@@ -1,9 +1,10 @@
 """The small-array kernels of the descent loop against their references.
 
 ``games.contract`` must equal one ``np.einsum`` call bitwise, whichever
-C entry point it reaches; ``project_list`` must equal ``project_simplex``
-bitwise; the Python-float inner solve must agree with the full-game
-numpy loop to rounding.
+C entry point it reaches; ``contract_players`` must equal per-player
+``contract_game`` calls bitwise; ``project_list`` must equal
+``project_simplex`` bitwise; the Python-float inner solve must agree with
+the full-game numpy loop to rounding.
 """
 
 import math
@@ -11,15 +12,40 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teamsolve.games as games
 import teamsolve.moreau as moreau
-from teamsolve import GdConfig, TeamGame, gradient_descent_max
+from teamsolve import (
+    GdConfig,
+    MixedProfile,
+    TeamGame,
+    extend_ne,
+    gradient_descent_max,
+    ne_gap,
+    two_team_from_dict,
+)
 from teamsolve._simplex import project_list, project_simplex
-from teamsolve.games import LocalBlock, analytic_bounds, contract
+from teamsolve.games import (
+    LocalBlock,
+    analytic_bounds,
+    contract,
+    contract_game,
+    contract_players,
+    contract_team,
+    contract_team_players,
+    fix_adversary,
+)
 from teamsolve.generators import random_game
 
-from conftest import random_profile, ring_game
+from conftest import (
+    mixed_ring_game,
+    poly_two_team_doc,
+    random_profile,
+    random_team_game,
+    ring_game,
+)
 from oracles import einsum_contract
 from test_dynamics import _projection_inputs
 from test_moreau import _inner_min_full_game
@@ -100,6 +126,136 @@ class TestContractMatchesEinsum:
             einsum_contract(table, vectors, ())
         with pytest.raises(ValueError, match="valid range"):
             contract(table, vectors, ())
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_players_match(game, team, y, players=None):
+    """``contract_players`` against per-player ``contract_game`` for a
+    mixed, a pure and a kept adversary, and ``contract_team_players``
+    against ``contract_team`` at ``y``."""
+    players = range(game.n) if players is None else players
+    b = game.adversary_actions - 1
+    for adversary, keep_adversary in ((y, False), (b, False), (None, True)):
+        extra = (game.n,) if keep_adversary else ()
+        got = contract_players(game, team, adversary, keep_adversary,
+                               players)
+        assert len(got) == len(players)
+        for i, vec in zip(players, got):
+            _assert_same_bytes(
+                vec, contract_game(game, team, adversary, (i,) + extra))
+    payoff = fix_adversary(game, y)
+    got = contract_team_players(payoff, team, players)
+    for i, vec in zip(players, got):
+        _assert_same_bytes(vec, contract_team(payoff, team, (i,)))
+
+
+def _adversary_only_game(rng):
+    """Blocks with no team player (fixed to a constant block by
+    ``fix_adversary``), one-player blocks and a block missing player 3."""
+    blocks = [LocalBlock((), True, rng.uniform(-1, 1, size=3)),
+              LocalBlock((0, 2), False, rng.uniform(-1, 1, size=(2, 3))),
+              LocalBlock((1,), True, rng.uniform(-1, 1, size=(2, 3))),
+              LocalBlock((), True, rng.uniform(-1, 1, size=3)),
+              LocalBlock((3,), False, rng.uniform(-1, 1, size=2))]
+    return TeamGame.polytensor([2, 2, 3, 2], 3, blocks)
+
+
+@st.composite
+def _block_layouts(draw):
+    """A polytensor game with 1-6 players and 1-8 random blocks."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = draw(st.integers(1, 3))
+    specs = draw(st.lists(
+        st.tuples(st.sets(st.integers(0, n - 1), max_size=3), st.booleans()),
+        min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for players, with_adversary in specs:
+        players = tuple(sorted(players))
+        with_adversary = with_adversary or not players
+        shape = tuple(sizes[p] for p in players) + ((b,) * with_adversary)
+        blocks.append(LocalBlock(players, with_adversary,
+                                 rng.uniform(-1, 1, size=shape)))
+    game = TeamGame.polytensor(sizes, b, blocks)
+    players = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return game, rng, players
+
+
+class TestContractPlayers:
+    """One block-order pass equals per-player contractions bitwise."""
+
+    def test_rings(self):
+        rng = np.random.default_rng(20)
+        for game in (ring_game(rng, 12, 3), mixed_ring_game(rng, 6, 3),
+                     ring_game(rng, 3, 2)):
+            for _ in range(5):
+                _assert_players_match(game, *random_profile(rng, game))
+
+    def test_adversary_only_and_constant_blocks(self):
+        rng = np.random.default_rng(21)
+        game = _adversary_only_game(rng)
+        payoff = fix_adversary(game, rng.dirichlet(np.ones(3)))
+        assert payoff.blocks[0].table.ndim == 0  # a constant block
+        for _ in range(5):
+            _assert_players_match(game, *random_profile(rng, game))
+
+    def test_two_team_joint_game(self):
+        rng = np.random.default_rng(22)
+        game = two_team_from_dict(poly_two_team_doc(rng)).joint
+        for _ in range(5):
+            team, y = random_profile(rng, game)
+            _assert_players_match(game, team, y)
+            _assert_players_match(game, team, y, players=[2])
+
+    def test_dense_games(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            game = random_team_game(rng, max_players=4)
+            _assert_players_match(game, *random_profile(rng, game))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_block_layouts())
+    def test_random_block_layouts(self, drawn):
+        game, rng, players = drawn
+        team, y = random_profile(rng, game)
+        _assert_players_match(game, team, y)
+        _assert_players_match(game, team, y, players)
+
+    def test_certificate_calls_on_a_ring(self, monkeypatch):
+        # Each block once reduced and once per player it touches, plus one
+        # adversary-vector pass: at most 2 * blocks + sum_i deg_i.
+        rng = np.random.default_rng(25)
+        game = ring_game(rng, 12, 3)
+        bound = 2 * len(game._blocks) + sum(
+            len(blk.players) for blk in game._blocks)
+        assert bound == 48
+        calls = []
+        real = games.contract
+        monkeypatch.setattr(games, "contract",
+                            lambda *a: calls.append(1) or real(*a))
+        team = random_profile(rng, game)[0]
+        y = extend_ne(game, team)
+        assert 0 < len(calls) <= bound
+        calls.clear()
+        ne_gap(game, MixedProfile(team, y))
+        assert 0 < len(calls) <= bound
+
+    def test_dense_calls_are_per_player(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        game = random_team_game(rng, max_players=3)
+        team, y = random_profile(rng, game)
+        calls = []
+        real = games.contract
+        monkeypatch.setattr(games, "contract",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        contract_players(game, team, y)
+        assert calls == [(i,) for i in range(game.n)]
 
 
 class TestCEinsumImportGuard:

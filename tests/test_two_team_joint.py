@@ -13,11 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import teamsolve.games as games
 import teamsolve.two_team as two_team
 from teamsolve import (
     GdConfig,
     TwoTeamGame,
     TwoTeamProfile,
+    extend_ne,
     extend_ne_multi,
     gd_mm,
     ne_gap_two_team,
@@ -156,3 +158,23 @@ class TestEntryPointValidation:
         assert len(trace.iterations) == 2 and calls == []
         ne_gap_two_team(game, profile)
         assert len(calls) == 4  # the wrapper is live at the entry points
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_gd_mm_checks_no_simplex_in_its_oracle(self, monkeypatch, m):
+        # Every strategy check, extend_ne's included, ends in _check_simplex.
+        calls = []
+        real = games._check_simplex
+        monkeypatch.setattr(games, "_check_simplex",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        rng = np.random.default_rng(24)
+        game = TwoTeamGame(rng.uniform(-1, 1, size=(2,) * (2 + m)), n=2, m=m)
+        _, _, trace = gd_mm(game, GdConfig(epsilon=1e-9, max_iters=3))
+        assert trace.extend_calls > 0 and calls == []
+        oracle = two_team.minmax_oracle(game, (np.full(2, 0.5),) * (m - 1))
+        assert calls == []
+        induced = induced_single_adversary_game(
+            game, (np.full(2, 0.5),) * (m - 1))
+        y, audit = extend_ne(induced, oracle.team, with_audit=True)
+        assert calls  # the public extension still validates
+        assert y.tobytes() == oracle.adversary.tobytes()
+        assert audit == oracle.audit

@@ -50,6 +50,9 @@ EXIT_NOT_VERIFIED = 3
 
 log = logging.getLogger("teamsolve")
 
+SEED_HELP = ("no effect: descent starts from the uniform profile, so the "
+             "output does not depend on the seed")
+
 
 class InputError(Exception):
     """CLI-level input problem; message is printed, exit code 1."""
@@ -87,13 +90,6 @@ def _positive_epsilon(value):
     if not value > 0:
         raise InputError("epsilon must be positive")
     return value
-
-
-def _trace_paths(out_path, fmt):
-    out = Path(out_path)
-    if fmt == "csv":
-        return out, out.with_suffix(out.suffix + ".trace.csv")
-    return out, None
 
 
 def _solve_one(game_path, args):
@@ -259,7 +255,7 @@ def build_parser():
     solve.add_argument("--game", action="append", required=True,
                        help="game JSON (repeat for a batch)")
     solve.add_argument("--epsilon", type=float, required=True)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     solve.add_argument("--eta", type=float, default=None)
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--check-every", type=int, default=1)
@@ -296,7 +292,7 @@ def build_parser():
     gdmm = sub.add_parser("gdmm", help="two-team solver")
     gdmm.add_argument("--game", required=True)
     gdmm.add_argument("--epsilon", type=float, required=True)
-    gdmm.add_argument("--seed", type=int, default=0)
+    gdmm.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     gdmm.add_argument("--eta", type=float, default=None)
     gdmm.add_argument("--max-iters", type=int, default=None)
     gdmm.add_argument("--oracle", choices=("grid", "nested"),

@@ -47,13 +47,13 @@ _MAX_BACKOFFS = 60
 class GdConfig:
     """Solver knobs; everything unset falls back to a documented rule.
 
-    ``eta`` defaults to ``epsilon^2 / (ell * L^2 * n)`` with the analytic
-    bounds (conservative enough for the potential-decrease guarantee);
-    ``max_iters`` to the potential-range budget above; ``prox_tol`` to
-    ``epsilon^4 / 64``.  ``check_every`` sets how often the potential is
-    recorded (every iteration by default; ``0`` disables it); the
-    equilibrium check itself runs every iteration.  ``seed`` only matters
-    for ``init="dirichlet"``.
+    ``eta`` defaults to :func:`default_eta` with the analytic bounds
+    (conservative enough for the potential-decrease guarantee);
+    ``max_iters`` to the potential-range budget above.  The prox
+    tolerance is fixed at ``epsilon^4 / 64``.  ``check_every`` sets how
+    often the potential is recorded (every iteration by default; ``0``
+    disables it); the equilibrium check itself runs every iteration.
+    ``seed`` only matters for ``init="dirichlet"``.
     """
 
     epsilon: float
@@ -61,9 +61,7 @@ class GdConfig:
     max_iters: int | None = None
     seed: int = 0
     check_every: int = 1
-    prox_tol: float | None = None
     init: str = "uniform"
-    bounds: object = None  # SmoothnessBounds override
 
     def __post_init__(self):
         if not (self.epsilon > 0):
@@ -217,24 +215,24 @@ def _none_if_nan(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def default_eta(game, epsilon, bounds=None):
-    """``epsilon^2 * ell / (L^2 * n)``: the potential-decrease argument
+def default_eta(game, epsilon, movers=None):
+    """``epsilon^2 * ell / (L^2 * movers)``: the potential-decrease argument
 
     trades a gain of order ``eta * ell^2 * d^2`` (``d`` the proximal
     distance) against a loss of order ``eta^2 * ell * L^2`` per step, so
     steps below ``2 ell d^2 / L^2`` make progress; this default
     instantiates that threshold at ``d ~ epsilon``, split across the
-    ``n`` simultaneous movers.  Degenerate zero bounds (constant games)
-    fall back to 1.
+    simultaneous movers (the ``n`` team players unless ``movers`` is
+    given).  Degenerate zero bounds (constant games) fall back to 1.
     """
-    bounds = bounds or analytic_bounds(game)
-    denom = bounds.lipschitz ** 2 * game.n
+    bounds = analytic_bounds(game)
+    denom = bounds.lipschitz ** 2 * (game.n if movers is None else movers)
     return epsilon ** 2 * bounds.smoothness / denom if denom > 0 else 1.0
 
 
-def default_max_iters(game, epsilon, bounds=None):
-    bounds = bounds or analytic_bounds(game)
-    potential_range = 2.0 * game.v_max + 2.0 * bounds.smoothness * game.n
+def default_max_iters(game, epsilon):
+    potential_range = (2.0 * game.v_max
+                       + 2.0 * analytic_bounds(game).smoothness * game.n)
     return max(1, math.ceil(K_BUDGET * max(potential_range, 1.0)
                             / epsilon ** 4))
 
@@ -251,7 +249,7 @@ def _certified_extension(game, team, epsilon, trace):
     return None
 
 
-def gd_step(game, team, eta, bounds=None):
+def gd_step(game, team, eta):
     """One simultaneous projected descent step against the best response.
 
     Every player moves along its own gradient evaluated at the adversary's
@@ -285,14 +283,12 @@ def gradient_descent_max(game, config):
     potential decreases by construction; backoffs are counted in the
     trace.
     """
-    bounds = config.bounds or analytic_bounds(game)
-    eta = config.eta if config.eta is not None else default_eta(
-        game, config.epsilon, bounds)
+    eta = (config.eta if config.eta is not None
+           else default_eta(game, config.epsilon))
     max_iters = (config.max_iters if config.max_iters is not None
-                 else default_max_iters(game, config.epsilon, bounds))
-    prox_tol = (config.prox_tol if config.prox_tol is not None
-                else config.epsilon ** 4 / 64.0)
-    ell = max(bounds.smoothness, 1e-12)
+                 else default_max_iters(game, config.epsilon))
+    prox_tol = config.epsilon ** 4 / 64.0
+    ell = max(analytic_bounds(game).smoothness, 1e-12)
 
     if config.init == "dirichlet":
         rng = np.random.default_rng(config.seed)

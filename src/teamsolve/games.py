@@ -244,12 +244,7 @@ class MixedProfile:
                             np.asarray(adversary, dtype=float))
 
     def validate(self, game):
-        if len(self.team) != game.n:
-            raise DimensionMismatchError(
-                f"profile has {len(self.team)} team vectors, game has "
-                f"{game.n} players")
-        for i, x in enumerate(self.team):
-            _check_strategy(x, game.action_sets[i], f"player {i}", player=i)
+        _validate_mixed_team(game, self.team)
         _check_strategy(self.adversary, game.adversary_actions, "adversary")
         return self
 
@@ -618,11 +613,7 @@ def team_gradients(game, team, adversary):
                 f"adversary action {adversary} out of range")
     else:
         adversary = np.asarray(adversary, dtype=float)
-        if adversary.shape != (game.adversary_actions,):
-            raise DimensionMismatchError(
-                f"adversary vector length {adversary.shape} does not match "
-                f"{game.adversary_actions} actions")
-        _check_simplex(adversary, "adversary")
+        _check_strategy(adversary, game.adversary_actions, "adversary")
     return contract_players(game, team, adversary)
 
 
@@ -632,8 +623,8 @@ class SmoothnessBounds:
 
     ``lipschitz`` bounds ``|U(p) - U(p')| / ||p - p'||_2`` over mixed
     profile pairs; ``smoothness`` bounds the Lipschitz constant of the
-    gradient.  ``source`` records whether they came from the closed-form
-    bound or were supplied by the caller.
+    gradient.  ``source`` names where they came from; every solver uses
+    the closed-form :func:`analytic_bounds`, so it is ``"analytic"``.
     """
 
     lipschitz: float

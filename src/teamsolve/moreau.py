@@ -538,18 +538,17 @@ def _dot(a, b):
     return total
 
 
-def potential_g(game, team, ell, tol, max_iters=None, warm_start=None):
+def potential_g(game, team, ell, tol):
     """The run potential: achieved prox objective value at ``team``.
 
     Sandwiched between the exact prox value and that value plus the
     certified tolerance, and never exceeds the worst-case payoff at
     ``team`` itself (the center is always a feasible candidate).
     """
-    return proximal_point(game, team, ell, tol, max_iters=max_iters,
-                          warm_start=warm_start).potential_g
+    return proximal_point(game, team, ell, tol).potential_g
 
 
-def stationarity(game, team, ell, tol, max_iters=None, warm_start=None):
+def stationarity(game, team, ell, tol):
     """Certified near-stationarity of ``team`` for its worst-case payoff.
 
     The returned measure is ``2 * ell * prox_distance`` plus an explicit
@@ -557,8 +556,7 @@ def stationarity(game, team, ell, tol, max_iters=None, warm_start=None):
     an ``ell``-strongly convex objective moves the minimizer by at most
     ``sqrt(2 tau / ell)``).
     """
-    res = proximal_point(game, team, ell, tol, max_iters=max_iters,
-                         warm_start=warm_start)
+    res = proximal_point(game, team, ell, tol)
     slack = 2.0 * math.sqrt(2.0 * res.tolerance * ell)
     measure = 2.0 * ell * res.prox_distance + slack
     return StationarityReport(measure=measure,

@@ -29,6 +29,7 @@ from .dynamics import (
     GdConfig,
     IterationRecord,
     RunTrace,
+    default_eta,
     gradient_descent_max,
 )
 from .extension import (
@@ -51,6 +52,10 @@ from .games import (
 from .moreau import stationarity
 
 _GRID_POINT_CAP = 2_000_000
+# stationarity_diagnostics: the prox-solver value tolerance behind both
+# slacks, and the co-maximizer side's supergradient ascent steps.
+_DIAGNOSTIC_TOL = 1e-6
+_ASCENT_ROUNDS = 6
 
 
 class TwoTeamGame:
@@ -58,16 +63,17 @@ class TwoTeamGame:
 
     One payoff suffices: minimizers drive it down, maximizers up; ``tensor``
     has the minimizer axes, then the maximizer axes.  ``joint`` is the joint
-    game (module docstring), with no ``document``.  Immutable.
+    game (module docstring), with no ``document``; only
+    :func:`two_team_from_dict` sets the two-team ``document``.  Immutable.
     """
 
     __slots__ = ("joint", "n", "m", "minimizer_actions", "maximizer_actions",
                  "v_max", "document")
 
-    def __init__(self, tensor, n, m, v_max=None, document=None):
+    def __init__(self, tensor, n, m, v_max=None):
         if n < 1 or m < 1 or np.ndim(tensor) != n + m:
             raise GameError("tensor rank must equal total player count")
-        self._view(TeamGame.dense(tensor, v_max=v_max), n, document)
+        self._view(TeamGame.dense(tensor, v_max=v_max), n, None)
 
     def _view(self, joint, n, document):
         sizes = joint.action_sets + (joint.adversary_actions,)
@@ -317,8 +323,8 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         warnings.warn(
             f"extension guarantee assumes n > m - 1 (here n={game.n}, "
             f"m={game.m}); running anyway", RuntimeWarning, stacklevel=2)
-    eta = config.eta if config.eta is not None else _ascent_eta(
-        game, config.epsilon, analytic_bounds(game))
+    eta = (config.eta if config.eta is not None
+           else default_eta(game, config.epsilon, movers=max(game.m - 1, 1)))
     max_iters = config.max_iters if config.max_iters is not None else 200
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
@@ -379,15 +385,8 @@ def _maximizer_gradients(game, x, co_maximizers, y_m):
                             players=range(game.n, game.joint.n))
 
 
-def _ascent_eta(game, epsilon, bounds):
-    movers = max(game.m - 1, 1)
-    denom = bounds.lipschitz ** 2 * movers
-    return epsilon ** 2 * bounds.smoothness / denom if denom > 0 else 1.0
-
-
-def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
-                             oracle_method="grid", grid_step=0.02,
-                             ascent_rounds=6):
+def stationarity_diagnostics(game, profile, oracle_method="grid",
+                             grid_step=0.02):
     """Approximate stationarity measures for both sides of a profile.
 
     The minimizer side is the certified single-adversary measure on the
@@ -399,11 +398,11 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
     prox-solver contribution, since oracle error cannot be bounded
     rigorously at this scale.
     """
-    ell = analytic_bounds(game).smoothness if ell is None else ell
+    ell = analytic_bounds(game).smoothness
     induced = induced_single_adversary_game(game, profile.maximizers[:-1])
     x_report = stationarity(induced, profile.minimizers,
                             max(analytic_bounds(induced).smoothness, 1e-9),
-                            tol)
+                            _DIAGNOSTIC_TOL)
     if game.m == 1:
         return TwoTeamStationarity(
             x_measure=x_report.measure, x_slack=x_report.slack,
@@ -413,7 +412,7 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
     current = tuple(np.array(v) for v in anchor)
     best_point, best_val = current, -math.inf
     step = 1.0 / (2.0 * ell)
-    for _ in range(ascent_rounds):
+    for _ in range(_ASCENT_ROUNDS):
         oracle = minmax_oracle(game, current, method=oracle_method,
                                grid_step=grid_step)
         penalty = sum(float((c - a) @ (c - a))
@@ -428,7 +427,7 @@ def stationarity_diagnostics(game, profile, ell=None, tol=1e-6,
             for c, g, a in zip(current, grads, anchor))
     distance = math.sqrt(sum(float((b - a) @ (b - a))
                              for b, a in zip(best_point, anchor)))
-    slack = 2.0 * math.sqrt(2.0 * tol * ell)
+    slack = 2.0 * math.sqrt(2.0 * _DIAGNOSTIC_TOL * ell)
     return TwoTeamStationarity(
         x_measure=x_report.measure, x_slack=x_report.slack,
         y_measure=2.0 * ell * distance + slack, y_slack=slack)

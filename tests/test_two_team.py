@@ -20,6 +20,7 @@ from teamsolve import (
     two_team_from_dict,
     zero_sum_value,
 )
+from teamsolve.dynamics import default_eta
 from teamsolve.games import DimensionMismatchError, GameError, SchemaError
 from teamsolve.two_team import (
     expected_value,
@@ -29,6 +30,7 @@ from teamsolve.two_team import (
     two_team_profile_to_dict,
 )
 
+from conftest import poly_two_team_doc
 from oracles import tensordot_contract, two_team_deviation_gaps
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -331,6 +333,24 @@ class TestGdMmSingleMaximizer:
         assert trace.outcome == "budget_exhausted"
         assert trace.extend_calls == len(trace.iterations) == 3
         assert trace.summary()["final_ne_gap"] == cert.gap
+
+
+class TestGdMmDefaultStep:
+    CASES = {
+        "dense-1v1": lambda: random_two_team(np.random.default_rng(30), 1, 1),
+        "dense-2v2": lambda: random_two_team(np.random.default_rng(31), 2, 2),
+        "dense-3v3": lambda: random_two_team(np.random.default_rng(32), 3, 3),
+        "polytensor-2v2": lambda: two_team_from_dict(
+            poly_two_team_doc(np.random.default_rng(33))),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_default_eta_counts_the_co_maximizers_as_movers(self, case):
+        game = self.CASES[case]()
+        eps = 0.1
+        _, _, trace = gd_mm(game, GdConfig(epsilon=eps, max_iters=1),
+                            grid_step=0.25)
+        assert trace.eta == default_eta(game, eps, movers=max(game.m - 1, 1))
 
 
 class TestGdMmLpPivots:

@@ -32,9 +32,11 @@ from .moreau import proximal_point
 
 TRACE_VERSION = "teamsolve-trace-v1"
 TRACE_COLUMNS = ("t", "potential_g", "ne_gap", "step_norm", "br_action")
-# Where gradient_descent_max's wall time goes: equilibrium checks (ne_gap),
-# extension LPs, proximal-point calls and the gradient steps themselves.
-PHASES = ("certify", "extend", "prox", "step")
+# Where a solver's wall time goes: equilibrium checks (ne_gap), extension
+# LPs, proximal-point calls, the gradient steps themselves and, in
+# two_team.gd_mm, the minmax oracle (gradient_descent_max has no oracle,
+# gd_mm no proximal point).
+PHASES = ("certify", "extend", "oracle", "prox", "step")
 
 # Documented budget constant: max_iters defaults to
 # ceil(K_BUDGET * (2 V + 2 ell n) / epsilon^4), the potential's range over
@@ -101,8 +103,10 @@ class RunTrace:
     against the allowance ``2 * max_prox_tolerance + 1e-9``.
     ``final_profile`` and ``final_ne_gap`` are the returned profile and
     its certified gap.  ``phase_s`` maps each of :data:`PHASES` to the
-    wall seconds :func:`gradient_descent_max` spent in it (zero elsewhere);
-    being timings, they are left out of the bit-identical ``iterations``.
+    wall seconds the run spent in it, filled by
+    :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm` (a
+    phase a solver lacks stays zero); being timings, they are left out of
+    the bit-identical ``iterations``.
     """
 
     epsilon: float

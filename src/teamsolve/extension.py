@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import _validate_mixed_team, contract_game, contract_players
+from .games import (
+    _validate_mixed_team,
+    contract_game,
+    contract_players,
+    extension_coefficients,
+)
 from .linprog import LinearProgram, solve_lp
 
 DUALITY_TOL = 1e-7
@@ -239,7 +244,6 @@ def extend_ne(game, team, with_audit=False):
 def _extend(game, team, minimizers):
     """:func:`extend_ne` unvalidated, returning ``(y, audit)``.  Team
     players from index ``minimizers`` on are co-maximizers."""
-    coeffs = contract_players(game, team, None, keep_adversary=True)
-    values = contract_game(game, team, None, (game.n,))
+    coeffs, values = extension_coefficients(game, team)
     return solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
                                 values)

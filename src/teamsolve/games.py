@@ -311,8 +311,11 @@ def contract(table, vectors, keep=()):
     axis.  A 2-D entry stacks several strategies for its axis, one per
     row, and its stacking axis leads the result.  The kept axes follow in
     increasing order.  Axes are labelled by number, so no subscript
-    alphabet caps the rank below numpy's own limit of 52 labels.  This is
-    the only contraction of payoffs in the package.
+    alphabet caps the rank below numpy's own limit of 52 labels.  The
+    grid minmax oracle's ``tensordot`` screen (``two_team._grid_argmin``)
+    is the one other payoff contraction; it picks a grid point only where
+    its error bound proves it the one this function's full-grid scores
+    pick, and defers to those scores otherwise.
 
     The subscripts depend only on the table's rank, the kept axes and
     each operand's rank, so they are built once per such layout
@@ -453,7 +456,7 @@ def _sum_blocks(blocks, team, adversary, sizes, keep):
 
 
 def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
-                           keep_adversary):
+                           keep_adversary, with_total=False):
     """:func:`_sum_blocks` with ``keep = (i,)`` (and the adversary axis
     when ``keep_adversary``) for every ``i`` in ``players``, in one pass.
 
@@ -464,6 +467,9 @@ def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
     touching ``i`` is contracted with ``i`` kept.  Each entry therefore
     sees the float additions :func:`_sum_blocks` makes, in its order.
     The entries returned are consecutive views of the stacked array.
+    With ``with_total`` every block's reduced value is computed and summed
+    in block order too, and ``(entries, total)`` is returned; ``total`` is
+    bitwise :func:`_sum_blocks` with no team axis kept.
     """
     pure = isinstance(adversary, (int, np.integer))
     extra = (len(team),) if keep_adversary else ()
@@ -471,18 +477,43 @@ def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
                                        initial=0))
     rows = dict(zip(players, map(slice, starts, starts[1:])))
     stacked = np.zeros([starts[-1]] + [sizes[axis] for axis in extra])
+    total = np.zeros([sizes[axis] for axis in extra]) if with_total else None
     addend = np.empty_like(stacked)
     for blk in blocks:
         operands = _block_operands(blk, team, adversary, pure)
         touched = [i for i in blk.players if i in rows]
-        if len(touched) < len(rows):
+        if with_total or len(touched) < len(rows):
             table, vectors, axes = operands
-            addend[...] = contract(table, vectors, tuple(
+            reduced = contract(table, vectors, tuple(
                 k for k, axis in enumerate(axes) if axis in extra))
+            addend[...] = reduced
+            if with_total:
+                total += reduced
         for i in touched:
             addend[rows[i]] = _block_term(operands, sizes, (i,) + extra)
         stacked += addend
-    return [stacked[rows[i]] for i in players]
+    entries = [stacked[rows[i]] for i in players]
+    return (entries, total) if with_total else entries
+
+
+def extension_coefficients(game, team):
+    """Every team player's ``|A_i| x |B|`` pure-deviation matrix and the
+    adversary payoff vector at one team strategy, for the extension LP.
+
+    Bitwise equal to ``contract_players(game, team, None, True)`` and
+    ``contract_game(game, team, None, (game.n,))``.  A dense game makes
+    those calls.  A polytensor game reads the vector off the per-player
+    pass, as the block-order total of each block's reduced value, so a
+    block that misses some team player is contracted once fewer.
+    Nothing is validated.
+    """
+    if game._tensor is not None:
+        return (contract_players(game, team, None, keep_adversary=True),
+                contract_game(game, team, None, (game.n,)))
+    return _sum_blocks_per_player(
+        game._blocks, team, None,
+        game.action_sets + (game.adversary_actions,), range(game.n), True,
+        with_total=True)
 
 
 @dataclass(frozen=True)

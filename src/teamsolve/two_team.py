@@ -17,6 +17,7 @@ report their best-seen gap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -51,6 +52,11 @@ from .games import (
 )
 from .moreau import stationarity
 
+# The grid oracle's largest product grid.  Its screen holds one worst case
+# per point and adversary action, so the cap bounds that array's memory
+# (points x |B| x 8 B, 16 MB per adversary action); it also keeps the
+# number of products in each worst case, at most the number of points, small
+# enough for the screen's error bound (see _grid_argmin).
 _GRID_POINT_CAP = 2_000_000
 # stationarity_diagnostics: the prox-solver value tolerance behind both
 # slacks, and the co-maximizer side's supergradient ascent steps.
@@ -225,13 +231,50 @@ class MinmaxResult:
     audit: ExtensionAudit
 
 
+@functools.lru_cache(maxsize=32)
 def _simplex_grid(size, q):
-    """All probability vectors on a 1/q grid of the (size-1)-simplex."""
+    """All probability vectors on a 1/q grid of the (size-1)-simplex.
+
+    Cached and read-only: every oracle call at one grid step shares it.
+    """
     points = []
     for combo in itertools.combinations_with_replacement(range(size), q):
         counts = np.bincount(np.asarray(combo), minlength=size)
         points.append(counts / q)
-    return np.array(points)
+    grid = np.array(points)
+    grid.setflags(write=False)
+    return grid
+
+
+def _grid_argmin(tensor, grids):
+    """The first point, in C order over the product grid, with the least
+    worst case ``max_b U(x, b)``, exactly as the full-grid ``contract``.
+
+    A screen contracts one player axis at a time with ``np.tensordot``
+    (a BLAS product per axis) and takes the max over the adversary.  With
+    ``margin = 1e-9 * (1 + max|T|)``, every point whose screened worst
+    case lies within ``2 * margin`` of the screen's minimum survives.  A
+    worst case sums at most ``prod |A_i| <= _GRID_POINT_CAP`` products of
+    grid probabilities (each distribution sums to one) and payoffs, so the
+    screen and the full-grid ``contract`` each lie within about ``2e6 *
+    2**-53 * max|T|`` of the exact value, far below ``margin``; the full
+    grid's first argmin always survives, and a single survivor is that
+    point.  Several survivors (near-ties: constant payoffs, a player the
+    payoff ignores) fall back to the full-grid ``contract`` and the first
+    ``np.argmin``, so ties break as that call breaks them.
+    """
+    screen = tensor
+    for grid in grids:
+        # Player axes leave from the front; grid axes join at the back.
+        screen = np.tensordot(screen, grid, axes=([0], [1]))
+    # screen is now (|B|, P_1, ..., P_n).
+    worst = screen.max(axis=0)
+    margin = 1e-9 * (1.0 + float(np.abs(tensor).max()))
+    near = worst <= worst.min() + 2.0 * margin
+    if np.count_nonzero(near) == 1:
+        return np.unravel_index(int(np.argmax(near)), near.shape)
+    worst = contract(tensor, (*grids, None), (len(grids),)).max(axis=-1)
+    return np.unravel_index(int(np.argmin(worst)), worst.shape)
 
 
 def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
@@ -239,13 +282,22 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     """Approximate ``min_x max_{y_m}`` for fixed co-maximizer play.
 
     ``method="grid"`` sweeps products of per-player simplex grids and
-    returns a certified value bracket; it refuses (with a capacity error)
+    returns the first grid point, in ``itertools.product`` order, of least
+    worst case, as one full-grid contraction would pick it: a
+    ``tensordot`` screen keeps the points within ``2e-9 * (1 + max|T|)``
+    of its minimum, far above both computations' rounding error (about
+    ``2e6 * 2**-53 * max|T|``), and only near-ties rescore the full grid
+    (see :func:`_grid_argmin`).  Its certified value bracket is ``(value
+    - L * r, value)``, with ``L`` the induced game's Lipschitz bound and
+    ``r`` the grid's cover radius.  It refuses (with a capacity error)
     when the product grid exceeds the point cap, in which case
     ``method="nested"`` runs the single-adversary descent solver on the
-    induced game instead.  Either way the last maximizer's reply is the
-    extension mixture of the induced game at the chosen team strategy
-    (one extension LP per call), not a pure best response.  Only the
-    number of strategies in ``y_minus_m`` is checked.
+    induced game instead, reporting the achieved worst case with a NaN
+    lower end.  Either way the last maximizer's reply is the extension
+    mixture of the induced game at the chosen team strategy (one
+    extension LP per call), not a pure best response, and ``value`` is
+    the worst case at that strategy.  Only the number of strategies in
+    ``y_minus_m`` is checked.
     """
     induced = _induced(game, y_minus_m)
     tensor = induced.payoff_tensor()
@@ -258,14 +310,7 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
                 f"grid of {combos} points exceeds the cap "
                 f"{_GRID_POINT_CAP}; use method='nested'")
         grids = [_simplex_grid(k, q) for k in induced.action_sets]
-        # Worst case at every point of the product grid at once; the first
-        # minimum in C order is the first in itertools.product order.
-        worst = contract(tensor, (*grids, None), (induced.n,)).max(axis=-1)
-        point = np.unravel_index(int(np.argmin(worst)), worst.shape)
-        lipschitz = analytic_bounds(induced).lipschitz
-        radius = sum(grid_step * k / 2.0 for k in induced.action_sets)
-        best_val = float(worst[point])
-        bracket = (best_val - lipschitz * radius, best_val)
+        point = _grid_argmin(tensor, grids)
         team = tuple(g[i].copy() for g, i in zip(grids, point))
     elif method == "nested":
         config = inner_config or GdConfig(epsilon=0.025)
@@ -274,10 +319,15 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
         raise ValueError("method must be 'grid' or 'nested'")
     vec = contract(tensor, (*team, None), (induced.n,))
     b = int(np.argmax(vec))
-    if method == "nested":
-        bracket = (math.nan, float(vec[b]))
+    value = float(vec[b])
+    if method == "grid":
+        lipschitz = analytic_bounds(induced).lipschitz
+        radius = sum(grid_step * k / 2.0 for k in induced.action_sets)
+        bracket = (value - lipschitz * radius, value)
+    else:
+        bracket = (math.nan, value)
     adversary, audit = _extend(induced, team, induced.n)
-    return MinmaxResult(team=team, adversary=adversary, value=float(vec[b]),
+    return MinmaxResult(team=team, adversary=adversary, value=value,
                         bracket=bracket, method=method, best_response=b,
                         audit=audit)
 
@@ -313,7 +363,9 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     counted in ``trace.extend_calls`` and ``trace.lp_pivots`` and both
     feeding its duality statistics; with ``m = 1`` the oracle's extension
     already completes the profile and is the only one.  ``br_action``
-    records the oracle's pure best response.
+    records the oracle's pure best response, and ``trace.phase_s`` the
+    wall seconds spent in the oracle, the ascent (``step``), the
+    re-extension (``extend``) and the certificate (``certify``).
     Stops at the first certified ``epsilon``-equilibrium (checked after
     the update, so the first check sees a fully formed profile).  Returns
     ``(profile, certificate, trace)`` with the budget-exhausted best-seen
@@ -333,23 +385,24 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     prev_stack = None
 
     for t in range(max_iters):
-        oracle = minmax_oracle(game, y[:-1], method=oracle_method,
-                               grid_step=grid_step,
-                               inner_config=_inner_config(config))
+        oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
+                             method=oracle_method, grid_step=grid_step,
+                             inner_config=_inner_config(config))
         x = oracle.team
-        ascended = tuple(
+        ascended = trace.timed("step", lambda: tuple(
             project_simplex(yj + eta * g) for yj, g in zip(
                 y[:-1], _maximizer_gradients(game, x, y[:-1],
-                                             oracle.adversary)))
+                                             oracle.adversary))))
         trace.record_extension(oracle.audit)
         y_m = oracle.adversary
         if ascended:
-            y_m, audit = _extend(game.joint, (*x, *ascended), game.n)
+            y_m, audit = trace.timed("extend", _extend, game.joint,
+                                     (*x, *ascended), game.n)
             trace.record_extension(audit)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
-        cert = _deviation_gaps(game.joint, (*x, *ascended), y_m, game.n,
-                               config.epsilon)
+        cert = trace.timed("certify", _deviation_gaps, game.joint,
+                           (*x, *ascended), y_m, game.n, config.epsilon)
         stack = np.concatenate([np.concatenate(x), np.concatenate(y)])
         step_norm = (0.0 if prev_stack is None
                      else float(np.linalg.norm(stack - prev_stack)))

@@ -330,6 +330,28 @@ def simplex_grid_points(size, step):
         return np.asarray(pts)
     raise ValueError("grid supports at most 3 actions per player")
 
+
+def reference_grid_argmin(tensor, q):
+    """The grid minmax oracle's team strategy, scored on the full grid.
+
+    Each player's grid lists the count vectors of
+    ``itertools.combinations_with_replacement`` divided by ``q``; the
+    whole product grid is contracted in one ``einsum`` (numbered
+    sublists, each grid a stacked operand) and the first minimum of the
+    worst case over the last axis, in C order, is returned as one vector
+    per player.  ``minmax_oracle(method="grid")`` must pick it bitwise.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    n = tensor.ndim - 1
+    grids = [np.array([np.bincount(np.asarray(combo), minlength=k) / q
+                       for combo in itertools.combinations_with_replacement(
+                           range(k), q)])
+             for k in tensor.shape[:-1]]
+    worst = einsum_contract(tensor, (*grids, None), (n,)).max(axis=-1)
+    point = np.unravel_index(int(np.argmin(worst)), worst.shape)
+    return tuple(g[i] for g, i in zip(grids, point))
+
+
 # -- reference simplex ------------------------------------------------------
 #
 # The dense two-phase simplex exactly as it stood before the solver cached

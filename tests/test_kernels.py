@@ -35,6 +35,7 @@ from teamsolve.games import (
     contract_players,
     contract_team,
     contract_team_players,
+    extension_coefficients,
     fix_adversary,
 )
 from teamsolve.generators import random_game
@@ -256,6 +257,46 @@ class TestContractPlayers:
                             lambda *a: calls.append(a[2]) or real(*a))
         contract_players(game, team, y)
         assert calls == [(i,) for i in range(game.n)]
+
+
+class TestExtensionCoefficients:
+    """The extension LP's coefficients and adversary vector in one pass
+    equal ``contract_players`` and ``contract_game`` bitwise."""
+
+    @staticmethod
+    def _assert_matches(game, team):
+        coeffs, values = extension_coefficients(game, team)
+        want = contract_players(game, team, None, keep_adversary=True)
+        assert len(coeffs) == len(want)
+        for got, vec in zip(coeffs, want):
+            _assert_same_bytes(got, vec)
+        _assert_same_bytes(values,
+                           contract_game(game, team, None, (game.n,)))
+
+    def test_rings_and_dense_games(self):
+        rng = np.random.default_rng(27)
+        for game in (ring_game(rng, 12, 3), mixed_ring_game(rng, 6, 3),
+                     ring_game(rng, 2, 2), _adversary_only_game(rng),
+                     random_team_game(rng, max_players=4)):
+            for _ in range(20):
+                self._assert_matches(game, random_profile(rng, game)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_block_layouts())
+    def test_random_block_layouts(self, drawn):
+        game, rng, _ = drawn
+        self._assert_matches(game, random_profile(rng, game)[0])
+
+    def test_ring_extension_calls(self, monkeypatch):
+        # Each block once reduced and once per player it touches.
+        rng = np.random.default_rng(28)
+        game = ring_game(rng, 12, 3)
+        calls = []
+        real = games.contract
+        monkeypatch.setattr(games, "contract",
+                            lambda *a: calls.append(1) or real(*a))
+        extend_ne(game, random_profile(rng, game)[0])
+        assert len(calls) == 36
 
 
 class TestCEinsumImportGuard:

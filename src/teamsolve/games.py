@@ -19,7 +19,6 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,17 +54,34 @@ PROFILE_TOL = 1e-9
 _VMAX_SAMPLES = 10_000
 
 
-def _as_fraction(value, path):
-    """Parse a JSON rational: ``[num, den]`` or a bare int."""
+def _is_int(value):
+    """A JSON integer; ``True`` is an ``int`` to Python, not to the schema."""
+    return type(value) is int
+
+
+def _parse_rational(value, path):
+    """Parse a JSON rational, ``[num, den]`` or a bare int, to a float.
+
+    The float is ``num / den if num else 0.0``.  Python's int true
+    division is correctly rounded, so this equals ``float(Fraction(num,
+    den))`` bit for bit.  A zero numerator gives ``+0.0`` as ``Fraction``
+    does (``0 / -5`` is ``-0.0``); a nonzero one keeps its sign even when
+    the quotient underflows to zero.
+    """
     if isinstance(value, (list, tuple)):
-        if len(value) != 2 or not all(isinstance(v, int) for v in value):
+        if len(value) != 2 or not all(_is_int(v) for v in value):
             raise SchemaError("rational must be [numerator, denominator]", path)
-        if value[1] == 0:
-            raise SchemaError("zero denominator", path)
-        return Fraction(value[0], value[1])
-    if isinstance(value, int):
-        return Fraction(value)
-    raise SchemaError(f"expected rational, got {type(value).__name__}", path)
+        num, den = value
+    elif _is_int(value):
+        num, den = value, 1
+    else:
+        raise SchemaError(f"expected rational, got {type(value).__name__}", path)
+    if den == 0:
+        raise SchemaError("zero denominator", path)
+    try:
+        return num / den if num else 0.0
+    except OverflowError:
+        raise SchemaError("rational out of float range", path) from None
 
 
 @dataclass(frozen=True)
@@ -692,7 +708,16 @@ def game_from_dict(doc):
     "payoff": {"kind": "dense", "entries": [[[a_1..a_n, b], num, den],
     ...]} | {"kind": "polytensor", "locals": [...]}, "v_max": [num, den]?}``
     with unlisted entries equal to zero.  Entries are exact rationals,
-    converted to floats on load.
+    converted to floats on load by one correctly rounded integer division,
+    ``num / den if num else 0.0``: bit for bit ``float(Fraction(num,
+    den))``, so ``[0, -5]`` loads as ``+0.0`` while a negative rational
+    that underflows keeps its ``-0.0``.
+
+    Raises :class:`SchemaError` naming the field when a count, index,
+    ``players`` entry, numerator, denominator or ``v_max`` is not a JSON
+    integer (``true``/``false`` included), when a rational is too large
+    for a float ("rational out of float range"), and when an entry
+    repeats the index of an earlier entry in the same list.
     """
     if not isinstance(doc, dict):
         raise SchemaError("game document must be an object")
@@ -701,17 +726,17 @@ def game_from_dict(doc):
             raise SchemaError("missing required field", key)
     n = doc["n"]
     actions = doc["actions"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError("must be a positive integer", "n")
     if (not isinstance(actions, list) or len(actions) != n
-            or not all(isinstance(k, int) and k >= 1 for k in actions)):
+            or not all(_is_int(k) and k >= 1 for k in actions)):
         raise SchemaError(f"must list {n} positive action counts", "actions")
     b_count = doc["adversary_actions"]
-    if not isinstance(b_count, int) or b_count < 1:
+    if not _is_int(b_count) or b_count < 1:
         raise SchemaError("must be a positive integer", "adversary_actions")
     v_max = None
     if "v_max" in doc and doc["v_max"] is not None:
-        v_max = float(_as_fraction(doc["v_max"], "v_max"))
+        v_max = _parse_rational(doc["v_max"], "v_max")
     payoff = doc["payoff"]
     if not isinstance(payoff, dict) or "kind" not in payoff:
         raise SchemaError("must be an object with a 'kind'", "payoff")
@@ -731,24 +756,65 @@ def game_from_dict(doc):
 
 
 def _parse_dense_entries(entries, shape, path):
+    """The float table of ``shape`` that ``[[indices], num, den]`` entries
+    list, zero elsewhere.
+
+    Each value is converted as :func:`_parse_rational` does.  The
+    table is filled by one flat-index assignment, which repeated indices
+    would leave unordered, so they are rejected.
+    """
     if not isinstance(entries, list):
         raise SchemaError("must be a list of [[indices], num, den]", path)
-    tensor = np.zeros(shape)
+    ndim = len(shape)
+    flat, values = [], []
     for pos, entry in enumerate(entries):
-        here = f"{path}[{pos}]"
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], list)):
-            raise SchemaError("entry must be [[indices], num, den]", here)
-        idx = entry[0]
-        if len(idx) != len(shape):
-            raise SchemaError(
-                f"needs {len(shape)} indices, got {len(idx)}", here)
-        for axis, (i, k) in enumerate(zip(idx, shape)):
-            if not isinstance(i, int) or not 0 <= i < k:
-                raise SchemaError(
-                    f"index {i} out of range [0, {k}) on axis {axis}", here)
-        tensor[tuple(idx)] = float(_as_fraction(entry[1:], here))
-    return tensor
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], list) and len(entry[0]) == ndim):
+            raise _entry_error(entry, shape, f"{path}[{pos}]")
+        idx, num, den = entry
+        at = 0
+        for i, k in zip(idx, shape):
+            if type(i) is not int or not 0 <= i < k:
+                raise _entry_error(entry, shape, f"{path}[{pos}]")
+            at = at * k + i
+        if type(num) is not int or type(den) is not int or den == 0:
+            raise _entry_error(entry, shape, f"{path}[{pos}]")
+        try:
+            values.append(num / den if num else 0.0)
+        except OverflowError:
+            raise SchemaError("rational out of float range",
+                              f"{path}[{pos}]") from None
+        flat.append(at)
+    if len(set(flat)) != len(flat):
+        seen = set()
+        for pos, at in enumerate(flat):
+            if at in seen:
+                raise SchemaError("repeats the index of an earlier entry",
+                                  f"{path}[{pos}]")
+            seen.add(at)
+    table = np.zeros(math.prod(shape))
+    table[flat] = values
+    return table.reshape(shape)
+
+
+def _entry_error(entry, shape, here):
+    """The :class:`SchemaError` for a dense entry found malformed."""
+    if (not isinstance(entry, list) or len(entry) != 3
+            or not isinstance(entry[0], list)):
+        return SchemaError("entry must be [[indices], num, den]", here)
+    idx, num, den = entry
+    if len(idx) != len(shape):
+        return SchemaError(f"needs {len(shape)} indices, got {len(idx)}", here)
+    for axis, (i, k) in enumerate(zip(idx, shape)):
+        if not _is_int(i):
+            return SchemaError(f"index on axis {axis} must be an integer, "
+                               f"got {type(i).__name__}", here)
+        if not 0 <= i < k:
+            return SchemaError(
+                f"index {i} out of range [0, {k}) on axis {axis}", here)
+    if not (_is_int(num) and _is_int(den)):
+        return SchemaError("rational must be [numerator, denominator]", here)
+    return SchemaError("zero denominator", here)
 
 
 def _parse_locals(locals_, actions, b_count):
@@ -761,7 +827,7 @@ def _parse_locals(locals_, actions, b_count):
             raise SchemaError("must be an object", path)
         players = loc.get("players")
         if (not isinstance(players, list)
-                or not all(isinstance(p, int) and 0 <= p < len(actions)
+                or not all(_is_int(p) and 0 <= p < len(actions)
                            for p in players)):
             raise SchemaError("players must list valid team indices",
                               f"{path}.players")
@@ -791,16 +857,15 @@ def game_to_dict(game):
     for idx in np.ndindex(*tensor.shape):
         val = tensor[idx]
         if val != 0.0:
-            frac = Fraction(*float(val).as_integer_ratio())
+            # as_integer_ratio() is in lowest terms, denominator > 0.
             entries.append([list(int(i) for i in idx),
-                            int(frac.numerator), int(frac.denominator)])
-    vfrac = Fraction(*float(game.v_max).as_integer_ratio())
+                            *float(val).as_integer_ratio()])
     return {
         "n": game.n,
         "actions": list(game.action_sets),
         "adversary_actions": game.adversary_actions,
         "payoff": {"kind": "dense", "entries": entries},
-        "v_max": [int(vfrac.numerator), int(vfrac.denominator)],
+        "v_max": list(float(game.v_max).as_integer_ratio()),
     }
 
 

@@ -3,6 +3,9 @@
 and seeded random instances.  Every generator emits a JSON document in
 the standard schema (exact rational entries) and parses it back, so the
 games the solver sees are byte-for-byte reproducible under a fixed seed.
+:func:`random_game` computes each entry as an integer numerator over one
+common denominator, reduced with ``math.gcd``, so it builds no
+``Fraction`` per entry; the pairs are the lowest-terms ``Fraction`` ones.
 """
 
 from __future__ import annotations
@@ -61,14 +64,21 @@ def random_game(n, sizes, adversary_size, seed, value_range=(-1, 1)):
     rng = np.random.default_rng(seed)
     shape = tuple(sizes) + (int(adversary_size),)
     ticks = rng.integers(0, _RATIONAL_GRID + 1, size=shape)
-    entries = []
-    v_max = Fraction(0)
     span = hi - lo
-    for idx in np.ndindex(*shape):
-        value = lo + span * Fraction(int(ticks[idx]), _RATIONAL_GRID)
-        if value != 0:
-            entries.append([list(int(i) for i in idx), *_pair(value)])
-        v_max = max(v_max, abs(value))
+    # lo + span * tick / 10^6 == (a + c * tick) / d, reduced by the gcd.
+    d = lo.denominator * span.denominator * _RATIONAL_GRID
+    a = lo.numerator * span.denominator * _RATIONAL_GRID
+    c = span.numerator * lo.denominator
+    entries = []
+    for idx, tick in zip(itertools.product(*map(range, shape)),
+                         ticks.ravel().tolist()):
+        num = a + c * tick
+        if num:
+            g = math.gcd(num, d)
+            entries.append([list(idx), num // g, d // g])
+    # |value| is convex in the tick, so its maximum sits at an end tick.
+    v_max = max(abs(lo + span * Fraction(int(t), _RATIONAL_GRID))
+                for t in (ticks.min(), ticks.max()))
     doc = {
         "n": int(n),
         "actions": [int(k) for k in sizes],

@@ -44,6 +44,7 @@ from .games import (
     SchemaError,
     TeamGame,
     _check_strategy,
+    _is_int,
     analytic_bounds,
     contract,
     contract_game,
@@ -504,21 +505,21 @@ def two_team_from_dict(doc):
         raise SchemaError("two-team document needs a 'teams' field")
     teams = doc["teams"]
     if (not isinstance(teams, dict)
-            or not isinstance(teams.get("minimizers"), int)
-            or not isinstance(teams.get("maximizers"), int)):
+            or not _is_int(teams.get("minimizers"))
+            or not _is_int(teams.get("maximizers"))):
         raise SchemaError("must hold integer minimizers/maximizers", "teams")
     n, m = teams["minimizers"], teams["maximizers"]
     if n < 1 or m < 1:
         raise SchemaError("team sizes must be positive", "teams")
     actions = doc.get("actions")
     if (not isinstance(actions, list) or len(actions) != n
-            or not all(isinstance(k, int) and k >= 1 for k in actions)):
+            or not all(_is_int(k) and k >= 1 for k in actions)):
         raise SchemaError(f"must list {n} positive action counts", "actions")
     b_actions = doc.get("adversary_actions")
-    if isinstance(b_actions, int) and m == 1:
+    if _is_int(b_actions) and m == 1:
         b_actions = [b_actions]
     if (not isinstance(b_actions, list) or len(b_actions) != m
-            or not all(isinstance(k, int) and k >= 1 for k in b_actions)):
+            or not all(_is_int(k) and k >= 1 for k in b_actions)):
         raise SchemaError(f"must list {m} positive action counts",
                           "adversary_actions")
     joint = game_from_dict({

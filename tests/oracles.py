@@ -7,6 +7,7 @@ and a library failure cannot have a common cause.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -350,6 +351,79 @@ def reference_grid_argmin(tensor, q):
     worst = einsum_contract(tensor, (*grids, None), (n,)).max(axis=-1)
     point = np.unravel_index(int(np.argmin(worst)), worst.shape)
     return tuple(g[i] for g, i in zip(grids, point))
+
+
+# -- reference exact-rational loading ---------------------------------------
+#
+# The game schema's rationals as they were read and generated before the
+# loader divided integers directly: one ``Fraction`` per entry.  Documents
+# and parsed tables must match these byte for byte.
+
+
+def reference_dense_entries(entries, shape):
+    """The table that ``[[indices], num, den]`` entries list, zero elsewhere.
+
+    Entries are written in order, each as ``float(Fraction(num, den))``.
+    """
+    tensor = np.zeros(shape)
+    for idx, num, den in entries:
+        tensor[tuple(idx)] = float(Fraction(num, den))
+    return tensor
+
+
+def reference_rational(value):
+    """``float`` of a JSON rational: ``[num, den]`` or a bare int."""
+    if isinstance(value, (list, tuple)):
+        return float(Fraction(value[0], value[1]))
+    return float(Fraction(value))
+
+
+def _reference_fraction(value):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(*value.as_integer_ratio())
+    return Fraction(int(value[0]), int(value[1]))
+
+
+def _reference_pair(frac):
+    return [int(frac.numerator), int(frac.denominator)]
+
+
+def reference_random_game_document(n, sizes, adversary_size, seed,
+                                   value_range=(-1, 1)):
+    """``random_game``'s document, one ``Fraction`` per entry.
+
+    Each entry is ``lo + (hi - lo) * tick / 10^6`` for a seeded uniform
+    tick; zero entries are left out and ``v_max`` is the largest
+    ``|entry|`` over the whole tensor.
+    """
+    grid = 10 ** 6
+    lo = _reference_fraction(value_range[0])
+    hi = _reference_fraction(value_range[1])
+    rng = np.random.default_rng(seed)
+    shape = tuple(sizes) + (int(adversary_size),)
+    ticks = rng.integers(0, grid + 1, size=shape)
+    entries = []
+    v_max = Fraction(0)
+    for idx in np.ndindex(*shape):
+        value = lo + (hi - lo) * Fraction(int(ticks[idx]), grid)
+        if value != 0:
+            entries.append([list(int(i) for i in idx),
+                            *_reference_pair(value)])
+        v_max = max(v_max, abs(value))
+    return {
+        "n": int(n),
+        "actions": [int(k) for k in sizes],
+        "adversary_actions": int(adversary_size),
+        "payoff": {"kind": "dense", "entries": entries},
+        "v_max": _reference_pair(v_max),
+        "provenance": {"generator": "random", "seed": int(seed),
+                       "value_range": [_reference_pair(lo),
+                                       _reference_pair(hi)]},
+    }
 
 
 # -- reference simplex ------------------------------------------------------

@@ -137,3 +137,25 @@ def test_gdmm_and_verify_on_a_polytensor_two_team_file(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out)
     assert cert["gap"] == pytest.approx(result["certificate"]["gap"],
                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "gdmm"])
+@pytest.mark.parametrize("schema", sorted(GAMES))
+@pytest.mark.parametrize("where", ["entry", "v_max"])
+def test_rational_out_of_float_range_exits_input(tmp_path, capsys, command,
+                                                 schema, where):
+    doc = json.loads(json.dumps(GAMES[schema]))
+    if where == "entry":
+        doc["payoff"]["entries"][1] = [[0, 1], -10**400, 3]
+        path = "payoff.entries[1]"
+    else:
+        doc["v_max"] = [10**400, 1]
+        path = "v_max"
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--game", _write(tmp_path, "game.json", doc),
+                     "--epsilon", "0.1", "--out", str(out)])
+    assert code == cli.EXIT_INPUT
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and not printed
+    assert f"{path}: rational out of float range" in err
+    assert not out.exists()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GdConfig, gradient_descent_max
+from .dynamics import TRACE_COLUMNS, GdConfig, gradient_descent_max
 from .extension import ne_gap
 from .games import (
     GameError,
@@ -31,11 +31,12 @@ from .generators import (
     CongestionSpec,
     congestion_to_team_game,
     potential_spec_to_two_team,
-    random_game,
+    random_spec_to_game,
 )
 from .linprog import LpFault
 from .moreau import proximal_point
 from .two_team import (
+    TwoTeamGame,
     gd_mm,
     ne_gap_two_team,
     two_team_from_dict,
@@ -75,15 +76,20 @@ def _write_json(path, payload):
                           + "\n")
 
 
-def _load_game_any(path):
-    """Load either schema; returns ('team', game) or ('two_team', game)."""
+def _load_game(path, two_team=None):
+    """Load a game file of either schema; ``two_team`` set to True or
+    False refuses the other one."""
     doc = _read_json(path)
+    is_two_team = isinstance(doc, dict) and "teams" in doc
     try:
-        if isinstance(doc, dict) and "teams" in doc:
-            return "two_team", two_team_from_dict(doc)
-        return "team", game_from_dict(doc)
+        game = two_team_from_dict(doc) if is_two_team else game_from_dict(doc)
     except (SchemaError, GameError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if two_team is not None and is_two_team != two_team:
+        wanted = ("a two-team game (a 'teams' field)" if two_team else
+                  "a single-adversary game; use gdmm for two-team games")
+        raise InputError(f"{path}: expected {wanted}")
+    return game
 
 
 def _positive_epsilon(value):
@@ -92,26 +98,24 @@ def _positive_epsilon(value):
     return value
 
 
-def _solve_one(game_path, args):
-    kind, game = _load_game_any(game_path)
-    if kind != "team":
-        raise InputError(f"{game_path}: solve expects a single-adversary "
-                         f"game; use gdmm for two-team games")
-    config = GdConfig(epsilon=args.epsilon, eta=args.eta,
-                      max_iters=args.max_iters, seed=args.seed,
-                      check_every=args.check_every)
-    profile, cert, trace = gradient_descent_max(game, config)
-    payload = {
-        "profile": profile_to_dict(profile),
-        "certificate": cert.to_dict(),
-        "summary": trace.summary(),
-    }
-    return payload, trace, cert
+def _write_result(out, profile_doc, cert, trace, args, embed_trace):
+    """Write a run's JSON result, with its trace as a sidecar CSV under
+    ``--format csv`` or, if ``embed_trace``, as JSON rows; returns the
+    exit code."""
+    payload = {"profile": profile_doc, "certificate": cert.to_dict(),
+               "summary": trace.summary()}
+    if args.format == "csv":
+        Path(f"{out}.trace.csv").write_text(trace.to_csv())
+    elif embed_trace:
+        payload["trace"] = [{c: getattr(r, c) for c in TRACE_COLUMNS}
+                            for r in trace.iterations]
+    _write_json(out, payload)
+    log.info("%s: %s gap=%.6g", out, trace.outcome, cert.gap)
+    return EXIT_OK if trace.outcome == "converged" else EXIT_BUDGET
 
 
 def cmd_solve(args):
     games = args.game
-    out_paths = []
     if len(games) > 1:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,47 +123,37 @@ def cmd_solve(args):
                      for g in games]
     else:
         out_paths = [Path(args.out)]
-
-    worst_exit = EXIT_OK
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(games) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_solve_worker,
-                                  [(g, args) for g in games]))
-    else:
-        results = [_solve_worker((g, args)) for g in games]
-    for (payload, trace_csv, outcome, gap), out in zip(results, out_paths):
-        _write_json(out, payload)
-        if args.format == "csv":
-            Path(str(out) + ".trace.csv").write_text(trace_csv)
-        log.info("%s: %s gap=%.6g", out, outcome, gap)
-        if outcome != "converged":
-            worst_exit = max(worst_exit, EXIT_BUDGET)
-    return worst_exit
+    jobs = [(g, out, args) for g, out in zip(games, out_paths)]
+    if args.jobs > 1 and len(games) > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as ex:
+            return max(ex.map(_solve_worker, jobs))
+    return max(map(_solve_worker, jobs))
 
 
 def _solve_worker(job):
-    game_path, args = job
-    payload, trace, cert = _solve_one(game_path, args)
-    if args.format == "json":
-        payload["trace"] = [
-            {"t": r.t, "potential_g": r.potential_g, "ne_gap": r.ne_gap,
-             "step_norm": r.step_norm, "br_action": r.br_action}
-            for r in trace.iterations]
-    return payload, trace.to_csv(), trace.outcome, cert.gap
+    """Solve one game file and write its result; returns the exit code."""
+    game_path, out, args = job
+    game = _load_game(game_path, two_team=False)
+    config = GdConfig(epsilon=args.epsilon, eta=args.eta,
+                      max_iters=args.max_iters, seed=args.seed,
+                      check_every=args.check_every)
+    profile, cert, trace = gradient_descent_max(game, config)
+    return _write_result(out, profile_to_dict(profile), cert, trace, args,
+                         embed_trace=True)
 
 
 def cmd_verify(args):
-    kind, game = _load_game_any(args.game)
+    game = _load_game(args.game)
     doc = _read_json(args.profile)
     try:
-        if kind == "team":
-            profile = profile_from_dict(doc)
-            cert = ne_gap(game, profile, epsilon_claimed=args.epsilon)
-        else:
+        if isinstance(game, TwoTeamGame):
             profile = two_team_profile_from_dict(doc)
             cert = ne_gap_two_team(game, profile,
                                    epsilon_claimed=args.epsilon)
+        else:
+            profile = profile_from_dict(doc)
+            cert = ne_gap(game, profile, epsilon_claimed=args.epsilon)
     except (SchemaError, GameError) as exc:
         raise InputError(f"{args.profile}: {exc}") from exc
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
@@ -170,31 +164,20 @@ def cmd_gen(args):
     spec = _read_json(args.spec)
     try:
         if args.family == "random":
-            for key in ("n", "actions", "adversary_actions"):
-                if key not in spec:
-                    raise SchemaError("missing required field", key)
-            game = random_game(spec["n"], spec["actions"],
-                               spec["adversary_actions"], seed=args.seed,
-                               value_range=tuple(spec.get("value_range",
-                                                          (-1, 1))))
-            doc = game.document
+            game = random_spec_to_game(spec, args.seed)
         elif args.family == "congestion":
             game = congestion_to_team_game(CongestionSpec.from_dict(spec))
-            doc = game.document
         else:
-            game = potential_spec_to_two_team(spec, seed=args.seed)
-            doc = game.document
+            game = potential_spec_to_two_team(spec, args.seed)
     except (SchemaError, GameError) as exc:
         raise InputError(f"{args.spec}: {exc}") from exc
-    _write_json(args.out, doc)
+    _write_json(args.out, game.document)
     log.info("wrote %s", args.out)
     return EXIT_OK
 
 
 def cmd_prox(args):
-    kind, game = _load_game_any(args.game)
-    if kind != "team":
-        raise InputError("prox expects a single-adversary game")
+    game = _load_game(args.game, two_team=False)
     doc = _read_json(args.center)
     try:
         team = [np.asarray(x, dtype=float) for x in doc["team"]]
@@ -226,22 +209,13 @@ def cmd_prox(args):
 
 
 def cmd_gdmm(args):
-    kind, game = _load_game_any(args.game)
-    if kind != "two_team":
-        raise InputError("gdmm expects a two-team game (a 'teams' field)")
+    game = _load_game(args.game, two_team=True)
     config = GdConfig(epsilon=args.epsilon, eta=args.eta,
                       max_iters=args.max_iters, seed=args.seed)
     profile, cert, trace = gd_mm(game, config, oracle_method=args.oracle,
                                  grid_step=args.grid_step)
-    payload = {
-        "profile": two_team_profile_to_dict(profile),
-        "certificate": cert.to_dict(),
-        "summary": trace.summary(),
-    }
-    _write_json(args.out, payload)
-    if args.format == "csv":
-        Path(str(args.out) + ".trace.csv").write_text(trace.to_csv())
-    return EXIT_OK if trace.outcome == "converged" else EXIT_BUDGET
+    return _write_result(args.out, two_team_profile_to_dict(profile), cert,
+                         trace, args, embed_trace=False)
 
 
 def build_parser():
@@ -299,7 +273,8 @@ def build_parser():
                       default="grid")
     gdmm.add_argument("--grid-step", type=float, default=0.02)
     gdmm.add_argument("--out", required=True)
-    gdmm.add_argument("--format", choices=("json", "csv"), default="json")
+    gdmm.add_argument("--format", choices=("json", "csv"), default="json",
+                      help="csv also writes the trace as a sidecar csv")
     gdmm.set_defaults(func=cmd_gdmm, check_epsilon=True)
     return parser
 

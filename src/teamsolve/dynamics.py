@@ -18,14 +18,13 @@ from time import perf_counter
 import numpy as np
 
 from ._simplex import project_simplex
-from .extension import extend_ne, ne_gap
+from .extension import _deviation_gaps, _extend
 from .games import (
     MixedProfile,
-    adversary_best_response,
+    _validate_mixed_team,
     analytic_bounds,
     contract_game,
     contract_players,
-    team_gradients,
     uniform_profile,
 )
 from .moreau import proximal_point
@@ -89,24 +88,24 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Per-iteration audit trail of one solver run.
+    """Per-iteration audit trail of one solver run, and the loop skeleton
+    that :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm`
+    share: :meth:`extend`, :meth:`record` and :meth:`finish`.
 
     ``iterations`` holds one record per equilibrium check; the potential
     is present on every ``check_every``-th record.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
-    pivots; duality statistics aggregate over the same calls (see
-    :meth:`record_extension`).  ``prox_lp_pivots`` sums the pivots of the
-    Kelley LPs inside every proximal-point call, backed-off ones included,
-    and ``prox_kelley_faults`` counts those that raised ``LpFault``;
+    pivots; duality statistics aggregate over the same calls.
+    ``prox_lp_pivots`` sums the pivots of the Kelley LPs inside every
+    proximal-point call, backed-off ones included, and
+    ``prox_kelley_faults`` counts those that raised ``LpFault``;
     ``prox_inner_solves`` sums the inner solves of the same calls.
     Monotonicity fields summarize the recorded potential decreases
-    against the allowance ``2 * max_prox_tolerance + 1e-9``.
-    ``final_profile`` and ``final_ne_gap`` are the returned profile and
-    its certified gap.  ``phase_s`` maps each of :data:`PHASES` to the
-    wall seconds the run spent in it, filled by
-    :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm` (a
-    phase a solver lacks stays zero); being timings, they are left out of
-    the bit-identical ``iterations``.
+    against the allowance ``2 * max_prox_tolerance + 1e-9``.  The
+    ``final_*`` fields hold the returned profile, its certified gap and
+    the step size in force at the end.  ``phase_s`` maps each of
+    :data:`PHASES` to the wall seconds the run spent in it (a phase a
+    solver lacks stays zero), left out of the bit-identical ``iterations``.
     """
 
     epsilon: float
@@ -127,6 +126,9 @@ class RunTrace:
     eta_backoffs: int = 0
     final_eta: float | None = None
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    # The best record's (gap, profile, certificate) and the last iterate.
+    _best: tuple = field(default=(math.inf, None, None), init=False)
+    _point: np.ndarray | None = field(default=None, init=False)
 
     @property
     def potential_pairs(self):
@@ -155,11 +157,21 @@ class RunTrace:
         self.max_sd_residual = max(self.max_sd_residual, audit.sd_residual)
         self.min_duality_margin = min(self.min_duality_margin, audit.margin)
 
-    def record_prox(self, result):
-        """Fold in the counters of one proximal-point call."""
+    def extend(self, game, team, minimizers):
+        """Solve, time and record :func:`teamsolve.extension._extend` of an
+        unvalidated team; returns the adversary's mixture."""
+        y, audit = self.timed("extend", _extend, game, team, minimizers)
+        self.record_extension(audit)
+        return y
+
+    def prox(self, game, center, ell, tol, warm_start=None):
+        """Time :func:`~teamsolve.moreau.proximal_point`; add its counters."""
+        result = self.timed("prox", proximal_point, game, center, ell, tol,
+                            warm_start=warm_start)
         self.prox_lp_pivots += result.lp_pivots
         self.prox_kelley_faults += result.kelley_faults
         self.prox_inner_solves += result.inner_solves
+        return result
 
     def timed(self, phase, fn, *args, **kwargs):
         """Call ``fn`` and add its wall seconds to ``phase_s[phase]``."""
@@ -169,12 +181,27 @@ class RunTrace:
         finally:
             self.phase_s[phase] += perf_counter() - began
 
-    def finish(self, outcome, profile, cert):
-        """Record the outcome and the returned profile with its certificate.
+    def record(self, profile, cert, point, br_action, potential_g=None):
+        """Append one iteration's record, keep the best-gap ``profile``
+        and return whether ``cert`` meets epsilon.  ``step_norm`` is the
+        distance from the last ``point``, the iterate as one flat vector."""
+        step_norm = (0.0 if self._point is None
+                     else float(np.linalg.norm(point - self._point)))
+        self._point = point
+        self.iterations.append(IterationRecord(
+            t=len(self.iterations), potential_g=potential_g,
+            ne_gap=cert.gap, step_norm=step_norm, br_action=br_action))
+        if cert.gap < self._best[0]:
+            self._best = (cert.gap, profile, cert)
+        return cert.gap <= self.epsilon
 
-        Returns ``(profile, cert, trace)``, the solvers' return value.
-        """
-        self.outcome = outcome
+    def finish(self, profile=None, cert=None):
+        """Converge on ``profile``, or without one exhaust the budget on the
+        best record; returns ``(profile, cert, trace)``."""
+        if profile is None:
+            _, profile, cert = self._best
+        else:
+            self.outcome = "converged"
         self.final_profile = profile
         self.final_ne_gap = cert.gap
         return profile, cert, self
@@ -241,16 +268,21 @@ def default_max_iters(game, epsilon):
                             / epsilon ** 4))
 
 
-def _certified_extension(game, team, epsilon, trace):
+def _certified_extension(game, team, trace):
     """Extend a candidate team strategy and certify it; None if over eps."""
-    y, audit = trace.timed("extend", extend_ne, game, team, with_audit=True)
-    trace.record_extension(audit)
-    candidate = MixedProfile(team, y)
-    cert = trace.timed("certify", ne_gap, game, candidate,
-                       epsilon_claimed=epsilon)
-    if cert.gap <= epsilon:
-        return candidate, cert
-    return None
+    y = trace.extend(game, team, game.n)
+    cert = trace.timed("certify", _deviation_gaps, game, team, y, game.n,
+                       trace.epsilon)
+    return (MixedProfile(team, y), cert) if cert.gap <= trace.epsilon else None
+
+
+def _descent(game, team):
+    """:func:`gd_step` on an unvalidated team: the adversary's first best
+    pure reply and the step map ``eta -> new team`` against it."""
+    br_action = int(np.argmax(contract_game(game, team, None, (game.n,))))
+    grads = contract_players(game, team, br_action)
+    return br_action, lambda eta: tuple(project_simplex(x - eta * g)
+                                        for x, g in zip(team, grads))
 
 
 def gd_step(game, team, eta):
@@ -262,11 +294,8 @@ def gd_step(game, team, eta):
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    br_action, _ = adversary_best_response(game, team)
-    grads = team_gradients(game, team, br_action)
-    new_team = tuple(project_simplex(x - eta * g)
-                     for x, g in zip(team, grads))
-    return new_team, br_action
+    br_action, step = _descent(game, _validate_mixed_team(game, team))
+    return step(eta), br_action
 
 
 def gradient_descent_max(game, config):
@@ -276,7 +305,9 @@ def gradient_descent_max(game, config):
     the brute-force deviation check of the returned profile; ``converged``
     outcomes therefore carry a certified gap at most ``config.epsilon``.
     On budget exhaustion the best profile seen (by certified gap) is
-    returned instead, flagged in ``trace.outcome``.
+    returned instead, flagged in ``trace.outcome``.  Iterates stay on the
+    simplex by construction, so the loop validates nothing: it steps
+    through :func:`gd_step`'s core and runs :class:`RunTrace`'s skeleton.
 
     Two safeguards shape the endgame.  The proximal point computed for
     the potential is also extended and certified (it is the
@@ -301,26 +332,21 @@ def gradient_descent_max(game, config):
         team = uniform_profile(game).team
     adversary = np.full(game.adversary_actions, 1.0 / game.adversary_actions)
 
-    trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol)
-    best = (math.inf, None, None)
+    trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol,
+                     final_eta=eta)
     prox_state = None
     last_potential = None
-    prev_team = team
-    converged = False
 
     def prox_due(step_index):
         return config.check_every and step_index % config.check_every == 0
 
     if prox_due(0):
-        prox_state = trace.timed("prox", proximal_point, game, team, ell,
-                                 prox_tol)
-        trace.record_prox(prox_state)
+        prox_state = trace.prox(game, team, ell, prox_tol)
 
-    t = 0
-    while t < max_iters:
+    for t in range(max_iters):
         profile = MixedProfile(team, adversary)
-        cert = trace.timed("certify", ne_gap, game, profile,
-                           epsilon_claimed=config.epsilon)
+        cert = trace.timed("certify", _deviation_gaps, game, team, adversary,
+                           game.n, config.epsilon)
         potential = None
         smoothed = None
         if prox_due(t):
@@ -331,52 +357,32 @@ def gradient_descent_max(game, config):
             near_end = cert.gap <= 2.0 * config.epsilon or t % 10 == 0
             if cert.gap > config.epsilon and near_end:
                 smoothed = _certified_extension(game, prox_state.prox_point,
-                                                config.epsilon, trace)
-        step_norm = float(np.linalg.norm(
-            np.concatenate(team) - np.concatenate(prev_team)))
-        br_action = int(np.argmax(trace.timed(
-            "step", contract_game, game, team, None, (game.n,))))
-        trace.iterations.append(IterationRecord(
-            t=t, potential_g=potential, ne_gap=cert.gap,
-            step_norm=step_norm, br_action=br_action))
-        if cert.gap < best[0]:
-            best = (cert.gap, profile, cert)
-        if cert.gap <= config.epsilon:
-            converged = True
-            break
+                                                trace)
+        br_action, step = trace.timed("step", _descent, game, team)
+        if trace.record(profile, cert, np.concatenate(team), br_action,
+                        potential):
+            return trace.finish(profile, cert)
         if smoothed is not None:
-            profile, cert = smoothed
-            converged = True
-            break
+            return trace.finish(*smoothed)
 
-        grads = trace.timed("step", contract_players, game, team, br_action)
         while True:
-            new_team = trace.timed("step", lambda: tuple(
-                project_simplex(x - eta * g) for x, g in zip(team, grads)))
+            new_team = trace.timed("step", step, eta)
             new_prox = None
             if prox_due(t + 1):
-                new_prox = trace.timed("prox", proximal_point, game, new_team,
-                                       ell, prox_tol, warm_start=prox_state)
-                trace.record_prox(new_prox)
+                new_prox = trace.prox(game, new_team, ell, prox_tol,
+                                      warm_start=prox_state)
                 rise = (new_prox.potential_g - last_potential
                         if last_potential is not None else -math.inf)
                 if (rise > prox_tol and eta > 1e-12
                         and trace.eta_backoffs < _MAX_BACKOFFS):
                     eta *= 0.5
                     trace.eta_backoffs += 1
+                    trace.final_eta = eta
                     continue
             break
-        prev_team = team
         team = new_team
         if new_prox is not None:
             prox_state = new_prox
-        adversary, audit = trace.timed("extend", extend_ne, game, team,
-                                       with_audit=True)
-        trace.record_extension(audit)
-        t += 1
+        adversary = trace.extend(game, team, game.n)
 
-    trace.final_eta = eta
-    if converged:
-        return trace.finish("converged", profile, cert)
-    _, profile, cert = best
-    return trace.finish("budget_exhausted", profile, cert)
+    return trace.finish()

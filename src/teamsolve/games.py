@@ -110,8 +110,9 @@ class TeamGame:
 
     Construct through :meth:`dense`, :meth:`polytensor` or
     :func:`game_from_dict`.  ``v_max`` bounds ``|U(a, b)|`` over all pure
-    profiles and is audited at construction (exhaustively for dense games,
-    on sampled profiles for polytensor games).
+    profiles.  The default (``max |T|``, or the sum of block maxima) is a
+    proven bound; a declared one is audited at construction (exhaustively
+    for dense games, on sampled profiles for polytensor games).
     """
 
     __slots__ = ("action_sets", "adversary_actions", "v_max",
@@ -133,7 +134,8 @@ class TeamGame:
         self.v_max = float(v_max) if v_max is not None else self._default_v_max()
         if not math.isfinite(self.v_max) or self.v_max < 0:
             raise GameError("v_max must be finite and nonnegative")
-        self._audit_v_max()
+        if v_max is not None:
+            self._audit_v_max()
 
     # -- constructors -------------------------------------------------
 
@@ -208,7 +210,7 @@ class TeamGame:
                          for b in self._blocks))
 
     def _audit_v_max(self):
-        """Check ``v_max`` against the payoffs, raising ``GameError`` if low.
+        """Check a declared ``v_max``, raising ``GameError`` if it is low.
 
         Dense games are checked on every entry.  Polytensor games are
         checked on ``_VMAX_SAMPLES`` pure profiles drawn from
@@ -220,7 +222,7 @@ class TeamGame:
         """
         slack = 1e-12 * (1.0 + self.v_max)
         if self._tensor is not None:
-            worst = float(np.max(np.abs(self._tensor), initial=0.0))
+            worst = self._default_v_max()
             if worst > self.v_max + slack:
                 raise GameError(
                     f"payoff magnitude {worst} exceeds v_max {self.v_max}")

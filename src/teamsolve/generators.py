@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import (GameError, SchemaError, TeamGame, game_from_dict,
-                    game_to_dict)
+from .games import (GameError, SchemaError, TeamGame, _is_int,
+                    game_from_dict, game_to_dict)
 from .two_team import TwoTeamGame, two_team_from_dict
 
 MENU_PRODUCT_CAP = 64
@@ -29,16 +29,51 @@ class CapacityError(GameError):
     """A generator refused to materialize an oversized action space."""
 
 
-def _rat(value):
+def _rat(value, path=""):
+    """A ``Fraction``, a JSON integer, a finite float or a ``[num, den]``
+    pair of JSON integers, as an exact ``Fraction``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(*value.as_integer_ratio())
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
-    raise SchemaError(f"expected a rational, got {value!r}")
+        num, den = _ints(value, path, depth=1)
+        if den == 0:
+            raise SchemaError(f"zero denominator in {value!r}", path)
+        return Fraction(num, den)
+    if _is_int(value):
+        return Fraction(value)
+    raise SchemaError(f"expected a rational, got {value!r}", path)
+
+
+def _ints(value, path, depth=0):
+    """``value``, checked to be JSON integers (the schema's rule,
+    :func:`~teamsolve.games._is_int`) nested ``depth`` lists deep."""
+    if depth and isinstance(value, (list, tuple)):
+        return [_ints(v, f"{path}[{i}]", depth - 1)
+                for i, v in enumerate(value)]
+    if not depth and _is_int(value):
+        return value
+    raise SchemaError(f"expected {'a list' if depth else 'an integer'}, "
+                      f"got {value!r}", path)
+
+
+def _field(doc, key, depth=0):
+    """A spec object's required field, checked as :func:`_ints`."""
+    if not isinstance(doc, dict):
+        raise SchemaError("spec must be an object")
+    if key not in doc:
+        raise SchemaError("missing required field", key)
+    return _ints(doc[key], key, depth)
+
+
+def _value_range(value_range):
+    """``(lo, hi)`` as Fractions from a two-entry list of rationals."""
+    if not isinstance(value_range, (list, tuple)) or len(value_range) != 2:
+        raise SchemaError(f"expected [low, high], got {value_range!r}",
+                          "value_range")
+    return tuple(_rat(v, f"value_range[{i}]")
+                 for i, v in enumerate(value_range))
 
 
 def _pair(frac):
@@ -58,7 +93,7 @@ def random_game(n, sizes, adversary_size, seed, value_range=(-1, 1)):
         raise GameError("need n >= 1 positive action counts")
     if adversary_size < 1:
         raise GameError("adversary needs >= 1 action")
-    lo, hi = _rat(value_range[0]), _rat(value_range[1])
+    lo, hi = _value_range(value_range)
     if hi < lo:
         raise GameError("empty value range")
     rng = np.random.default_rng(seed)
@@ -89,6 +124,13 @@ def random_game(n, sizes, adversary_size, seed, value_range=(-1, 1)):
                        "value_range": [_pair(lo), _pair(hi)]},
     }
     return game_from_dict(doc)
+
+
+def random_spec_to_game(doc, seed):
+    """CLI path: :func:`random_game` from a size spec."""
+    return random_game(_field(doc, "n"), _field(doc, "actions", depth=1),
+                       _field(doc, "adversary_actions"), seed,
+                       doc.get("value_range", (-1, 1)))
 
 
 # -- congestion games with an adversarial cost picker --------------------
@@ -142,22 +184,24 @@ class CongestionSpec:
 
     @staticmethod
     def from_dict(doc):
-        if not isinstance(doc, dict):
-            raise SchemaError("congestion spec must be an object")
-        for key in ("n_players", "edges", "strategies"):
-            if key not in doc:
-                raise SchemaError("missing required field", key)
+        n_players = _field(doc, "n_players")
+        strategies = _field(doc, "strategies", depth=3)
+        edges = doc.get("edges")
+        if not isinstance(edges, list):
+            raise SchemaError("expected a list of edges", "edges")
         menus = []
-        for e, edge in enumerate(doc["edges"]):
-            if not isinstance(edge, dict) or "menu" not in edge:
-                raise SchemaError("edge needs a 'menu'", f"edges[{e}]")
+        for e, edge in enumerate(edges):
+            if (not isinstance(edge, dict)
+                    or not isinstance(edge.get("menu"), list)
+                    or not all(isinstance(t, list) for t in edge["menu"])):
+                raise SchemaError("edge needs a 'menu' list of cost tables",
+                                  f"edges[{e}]")
             menus.append(tuple(
-                tuple(_rat(v) for v in table) for table in edge["menu"]))
-        strategies = tuple(
-            tuple(tuple(int(e) for e in subset) for subset in per_player)
-            for per_player in doc["strategies"])
-        return CongestionSpec(n_players=int(doc["n_players"]),
-                              menus=tuple(menus), strategies=strategies)
+                tuple(_rat(v, f"edges[{e}].menu[{k}][{j}]")
+                      for j, v in enumerate(table))
+                for k, table in enumerate(edge["menu"])))
+        return CongestionSpec(n_players, tuple(menus), tuple(
+            tuple(map(tuple, actions)) for actions in strategies))
 
     def to_dict(self):
         return {
@@ -294,7 +338,7 @@ def random_potential_triple(minimizers, maximizers, actions,
     Returns float tables ready for :func:`potential_game_embed`.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = float(value_range[0]), float(value_range[1])
+    lo, hi = map(float, _value_range(value_range))
     shape = tuple(actions) + tuple(adversary_actions)
     potential = rng.uniform(lo, hi, size=shape)
     costs = []
@@ -312,20 +356,18 @@ def random_potential_triple(minimizers, maximizers, actions,
 
 def potential_spec_to_two_team(doc, seed):
     """CLI path: build a seeded valid triple from a size spec and embed it."""
-    for key in ("minimizers", "maximizers", "actions", "adversary_actions"):
-        if key not in doc:
-            raise SchemaError("missing required field", key)
+    n, m = _field(doc, "minimizers"), _field(doc, "maximizers")
+    actions = _field(doc, "actions", depth=1)
+    adversary_actions = _field(doc, "adversary_actions", depth=1)
     costs, utils, potential = random_potential_triple(
-        int(doc["minimizers"]), int(doc["maximizers"]),
-        [int(k) for k in doc["actions"]],
-        [int(k) for k in doc["adversary_actions"]],
-        seed, tuple(doc.get("value_range", (-1, 1))))
+        n, m, actions, adversary_actions, seed,
+        doc.get("value_range", (-1, 1)))
     game = potential_game_embed(costs, utils, potential)
     joint = game_to_dict(game.joint)  # the two-team axis order
     document = {
         "teams": {"minimizers": game.n, "maximizers": game.m},
-        "actions": [int(k) for k in doc["actions"]],
-        "adversary_actions": [int(k) for k in doc["adversary_actions"]],
+        "actions": actions,
+        "adversary_actions": adversary_actions,
         "payoff": joint["payoff"],
         "v_max": joint["v_max"],
         "provenance": {"generator": "potential", "seed": int(seed)},

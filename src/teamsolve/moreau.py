@@ -325,7 +325,9 @@ class _DualCertifier:
 
     def propose(self):
         """Maximizer of the cut model over the simplex (Kelley step)."""
-        from .linprog import LinearProgram, LpFault, solve_lp  # avoid cycle
+        # Looked up per call, so that replacing teamsolve.linprog.solve_lp
+        # reaches the Kelley LPs only (extension binds its own at import).
+        from .linprog import LinearProgram, LpFault, solve_lp
 
         n_b = self.game.adversary_actions
         n_cuts = len(self.cut_intercepts)

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import project_simplex
-from .dynamics import (
-    GdConfig,
-    IterationRecord,
-    RunTrace,
-    default_eta,
-    gradient_descent_max,
-)
+from .dynamics import GdConfig, RunTrace, default_eta, gradient_descent_max
 from .extension import (
     ExtensionAudit,
     _deviation_gaps,
@@ -370,7 +364,8 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     Stops at the first certified ``epsilon``-equilibrium (checked after
     the update, so the first check sees a fully formed profile).  Returns
     ``(profile, certificate, trace)`` with the budget-exhausted best-seen
-    fallback.
+    fallback, both through :class:`~teamsolve.dynamics.RunTrace`; the
+    loop validates nothing.
     """
     if not game.extendibility_hypothesis():
         warnings.warn(
@@ -382,10 +377,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
-    best = (math.inf, None, None)
-    prev_stack = None
-
-    for t in range(max_iters):
+    for _ in range(max_iters):
         oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
                              method=oracle_method, grid_step=grid_step,
                              inner_config=_inner_config(config))
@@ -397,27 +389,15 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         trace.record_extension(oracle.audit)
         y_m = oracle.adversary
         if ascended:
-            y_m, audit = trace.timed("extend", _extend, game.joint,
-                                     (*x, *ascended), game.n)
-            trace.record_extension(audit)
+            y_m = trace.extend(game.joint, (*x, *ascended), game.n)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
         cert = trace.timed("certify", _deviation_gaps, game.joint,
                            (*x, *ascended), y_m, game.n, config.epsilon)
-        stack = np.concatenate([np.concatenate(x), np.concatenate(y)])
-        step_norm = (0.0 if prev_stack is None
-                     else float(np.linalg.norm(stack - prev_stack)))
-        prev_stack = stack
-        trace.iterations.append(IterationRecord(
-            t=t, potential_g=None, ne_gap=cert.gap, step_norm=step_norm,
-            br_action=oracle.best_response))
-        if cert.gap < best[0]:
-            best = (cert.gap, profile, cert)
-        if cert.gap <= config.epsilon:
-            return trace.finish("converged", profile, cert)
-
-    _, profile, cert = best
-    return trace.finish("budget_exhausted", profile, cert)
+        point = np.concatenate([np.concatenate(x), np.concatenate(y)])
+        if trace.record(profile, cert, point, oracle.best_response):
+            return trace.finish(profile, cert)
+    return trace.finish()
 
 
 def _inner_config(config):

@@ -1,9 +1,27 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from teamsolve import cli
+from teamsolve import (
+    CongestionSpec,
+    GdConfig,
+    cli,
+    congestion_to_team_game,
+    game_from_dict,
+    gradient_descent_max,
+    profile_to_dict,
+    random_game,
+    two_team_from_dict,
+)
+from teamsolve.dynamics import TRACE_COLUMNS
+from teamsolve.games import GameError
+from teamsolve.generators import (
+    potential_game_embed,
+    potential_spec_to_two_team,
+    random_potential_triple,
+)
 
 from conftest import poly_two_team_doc
 
@@ -158,4 +176,194 @@ def test_rational_out_of_float_range_exits_input(tmp_path, capsys, command,
     printed, err = capsys.readouterr()
     assert err.startswith("error: ") and not printed
     assert f"{path}: rational out of float range" in err
+    assert not out.exists()
+
+
+# -- solve and gen runs --------------------------------------------------
+
+# Two small draws that GD certifies at epsilon 0.1 in 41 and 47 steps.
+SOLVE_DRAWS = {"pair": (2, [2, 2], 2, 4), "single": (1, [2], 3, 0)}
+
+
+def _game_file(tmp_path, name):
+    return _write(tmp_path, f"{name}.json",
+                  random_game(*SOLVE_DRAWS[name]).document)
+
+
+def _solve(game_files, out, *extra):
+    argv = ["solve", "--epsilon", "0.1", "--out", str(out), *extra]
+    for game in game_files:
+        argv += ["--game", game]
+    return cli.main(argv)
+
+
+def _expected_result(name, **config):
+    """The API run that ``solve`` reports, with its JSON payload."""
+    profile, cert, trace = gradient_descent_max(
+        random_game(*SOLVE_DRAWS[name]), GdConfig(epsilon=0.1, **config))
+    payload = {"profile": profile_to_dict(profile),
+               "certificate": cert.to_dict(), "summary": trace.summary()}
+    return payload, trace
+
+
+def _dump(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _drop_phase_times(payload):
+    del payload["summary"]["phase_s"]
+    return payload
+
+
+def test_solve_writes_json_with_the_embedded_trace(tmp_path):
+    out = tmp_path / "out.json"
+    assert _solve([_game_file(tmp_path, "pair")], out) == cli.EXIT_OK
+    result = json.loads(out.read_text())
+    expected, trace = _expected_result("pair")
+    assert len(result["trace"]) == len(trace.iterations) == 41
+    for row, record in zip(result["trace"], trace.iterations):
+        assert row == {c: getattr(record, c) for c in TRACE_COLUMNS}
+    del result["trace"]
+    assert _drop_phase_times(result) == _drop_phase_times(expected)
+    assert result["summary"]["outcome"] == "converged"
+    assert result["certificate"]["gap"] <= 0.1
+
+
+def test_solve_csv_sidecar_is_the_trace_csv(tmp_path):
+    out = tmp_path / "out.json"
+    assert _solve([_game_file(tmp_path, "single")], out,
+                  "--format", "csv") == cli.EXIT_OK
+    _, trace = _expected_result("single")
+    sidecar = tmp_path / "out.json.trace.csv"
+    assert sidecar.read_text() == trace.to_csv()
+    assert "trace" not in json.loads(out.read_text())
+
+
+def test_solve_batch_writes_one_result_per_game(tmp_path):
+    games = [_game_file(tmp_path, name) for name in sorted(SOLVE_DRAWS)]
+    out_dir = tmp_path / "results"
+    assert _solve(games, out_dir, "--jobs", "1",
+                  "--format", "csv") == cli.EXIT_OK
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "pair.result.json", "pair.result.json.trace.csv",
+        "single.result.json", "single.result.json.trace.csv"]
+    for name in SOLVE_DRAWS:
+        expected, trace = _expected_result(name)
+        written = json.loads((out_dir / f"{name}.result.json").read_text())
+        assert _drop_phase_times(written) == _drop_phase_times(expected)
+        assert ((out_dir / f"{name}.result.json.trace.csv").read_text()
+                == trace.to_csv())
+
+
+def test_solve_exits_budget_with_the_best_profile(tmp_path):
+    out = tmp_path / "out.json"
+    code = cli.main(["solve", "--game", _game_file(tmp_path, "pair"),
+                     "--epsilon", "1e-9", "--max-iters", "3",
+                     "--out", str(out)])
+    assert code == cli.EXIT_BUDGET
+    result = json.loads(out.read_text())
+    assert result["summary"]["outcome"] == "budget_exhausted"
+    assert len(result["trace"]) == result["summary"]["iterations"] == 3
+    best = min(row["ne_gap"] for row in result["trace"])
+    assert result["certificate"]["gap"] == best
+
+
+def _gen(tmp_path, family, spec, seed=0):
+    out = tmp_path / f"{family}.json"
+    code = cli.main(["gen", family, "--spec",
+                     _write(tmp_path, f"{family}.spec.json", spec),
+                     "--seed", str(seed), "--out", str(out)])
+    return code, out
+
+
+def test_gen_random_writes_the_seeded_document(tmp_path):
+    code, out = _gen(tmp_path, "random", {
+        "n": 2, "actions": [2, 3], "adversary_actions": 2,
+        "value_range": [[-1, 2], 1]}, seed=5)
+    assert code == cli.EXIT_OK
+    expected = random_game(2, [2, 3], 2, 5, value_range=(Fraction(-1, 2), 1))
+    assert out.read_text() == _dump(expected.document)
+    game = game_from_dict(json.loads(out.read_text()))
+    assert (game.payoff_tensor().tobytes()
+            == expected.payoff_tensor().tobytes())
+
+
+def test_gen_congestion_writes_a_loadable_document(tmp_path):
+    spec = {"n_players": 2,
+            "edges": [{"menu": [[[1, 2], 1, 2], [0, [3, 4], 5]]},
+                      {"menu": [[1, 1, 1]]}],
+            "strategies": [[[0], [1]], [[0, 1]]]}
+    code, out = _gen(tmp_path, "congestion", spec)
+    assert code == cli.EXIT_OK
+    expected = congestion_to_team_game(CongestionSpec.from_dict(spec))
+    assert out.read_text() == _dump(expected.document)
+    game = game_from_dict(json.loads(out.read_text()))
+    assert game.action_sets == (2, 1) and game.adversary_actions == 2
+    # Loads (1, 2) on menus (1, 0): edge 0 adds 0 + 3/4, edge 1 adds 1 + 1 + 1.
+    assert game.payoff((1, 0), 1) == 3 / 4 + 3
+
+
+def test_gen_potential_writes_a_loadable_two_team_document(tmp_path):
+    spec = {"minimizers": 2, "maximizers": 2, "actions": [2, 3],
+            "adversary_actions": [2, 2]}
+    code, out = _gen(tmp_path, "potential", spec, seed=4)
+    assert code == cli.EXIT_OK
+    expected = potential_spec_to_two_team(spec, seed=4)
+    assert out.read_text() == _dump(expected.document)
+    game = two_team_from_dict(json.loads(out.read_text()))
+    assert (game.n, game.m) == (2, 2)
+    assert game.maximizer_actions == (2, 2)
+    assert game.tensor.tobytes() == expected.tensor.tobytes()
+    result = tmp_path / "result.json"
+    code = _gdmm(str(out), result, "--max-iters", "2")
+    assert code in (cli.EXIT_OK, cli.EXIT_BUDGET)
+
+
+def test_potential_game_embed_names_the_first_violating_profile():
+    costs, utils, potential = random_potential_triple(2, 1, [2, 3], [2],
+                                                      seed=1)
+    assert potential_game_embed(costs, utils, potential).tensor.shape \
+        == (2, 3, 2)
+    # Moving one entry of player 1's cost breaks its identity along axis 1
+    # at exactly one slice of the other axes: (a_0, b) = (1, 0).
+    bad_cost = costs[1].copy()
+    bad_cost[1, 2, 0] += 0.5
+    with pytest.raises(GameError, match=r"cost\[1\]: difference identity "
+                       r"violated by 0\.5 at profile slice \(1, 0\) along "
+                       r"axis 1"):
+        potential_game_embed([costs[0], bad_cost], utils, potential)
+    # Two broken slices of the maximizer's table: the first in C order is
+    # named.
+    bad_util = utils[0].copy()
+    bad_util[1, 1, 0] -= 0.25
+    bad_util[0, 2, 1] += 0.25
+    with pytest.raises(GameError, match=r"util\[0\]: difference identity "
+                       r"violated by 0\.25 at profile slice \(0, 2\) along "
+                       r"axis 2"):
+        potential_game_embed(costs, [bad_util], potential)
+
+
+@pytest.mark.parametrize("family, spec, field", [
+    ("random", {"n": 1, "actions": [2], "adversary_actions": 2,
+                "value_range": [["a", 1], 1]}, "value_range[0]"),
+    ("random", {"n": 1, "actions": [2], "adversary_actions": 2,
+                "value_range": [[1.5, 2], 1]}, "value_range[0]"),
+    ("random", {"n": "1", "actions": [2], "adversary_actions": 2}, "n"),
+    ("random", {"n": 1, "actions": [2.0], "adversary_actions": 2},
+     "actions"),
+    ("random", [1, [2], 2], "spec must be an object"),
+    ("potential", {"minimizers": 1, "maximizers": "x", "actions": [2],
+                   "adversary_actions": [2]}, "maximizers"),
+    ("potential", {"minimizers": 1, "maximizers": 1, "actions": [2],
+                   "adversary_actions": [2], "value_range": 3},
+     "value_range"),
+    ("congestion", {"n_players": 1, "edges": [{"menu": [[0, [1, 0]]]}],
+                    "strategies": [[[0]]]}, "edges[0].menu[0][1]"),
+])
+def test_gen_rejects_a_malformed_spec(tmp_path, capsys, family, spec,
+                                      field):
+    code, out = _gen(tmp_path, family, spec)
+    assert code == cli.EXIT_INPUT
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and field in err and not printed
     assert not out.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import time
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamsolve
 import teamsolve.extension as extension
+import teamsolve.games as games
 import teamsolve.linprog as linprog
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
 from teamsolve.dynamics import (
@@ -331,3 +334,33 @@ class TestPhaseTimes:
         assert set(phases) == set(PHASES)
         assert all(v >= 0.0 for v in phases.values())
         assert 0.8 * wall <= sum(phases.values()) <= wall
+
+
+class TestValidateOnce:
+    def test_gradient_descent_max_validates_no_strategy(self, monkeypatch):
+        # Wrap MixedProfile.validate, and extend_ne and ne_gap wherever a
+        # teamsolve module binds them; the run must reach none of them.
+        calls = []
+
+        def spy(name, real):
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        monkeypatch.setattr(games.MixedProfile, "validate",
+                            spy("validate", games.MixedProfile.validate))
+        for name in ("extend_ne", "ne_gap"):
+            real = getattr(extension, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("teamsolve")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, spy(name, real))
+        game = random_game(2, [2, 2], 2, 4)
+        profile, cert, trace = gradient_descent_max(game,
+                                                    GdConfig(epsilon=0.1))
+        assert trace.outcome == "converged" and len(trace.iterations) == 41
+        _, _, exhausted = gradient_descent_max(
+            game, GdConfig(epsilon=1e-9, max_iters=12))
+        assert exhausted.outcome == "budget_exhausted" and calls == []
+        # The wrappers are live at the entry points.
+        assert teamsolve.ne_gap(game, profile).gap == cert.gap
+        teamsolve.extend_ne(game, profile.team)
+        assert calls == ["ne_gap", "validate", "extend_ne"]

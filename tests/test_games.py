@@ -293,6 +293,39 @@ class TestVmaxAudit:
         self.game(action_sets, adversary, 7, v_max=values[-1])
 
 
+class TestDefaultVmax:
+    """The default v_max is a proven bound, so only a declared one is
+    audited."""
+
+    @staticmethod
+    def count_audits(monkeypatch):
+        calls = []
+        real = TeamGame._audit_v_max
+        monkeypatch.setattr(TeamGame, "_audit_v_max",
+                            lambda self: calls.append(self) or real(self))
+        return calls
+
+    def test_only_a_declared_v_max_is_audited(self, monkeypatch):
+        calls = self.count_audits(monkeypatch)
+        rng = np.random.default_rng(5)
+        ring = ring_game(rng, 12, 3)
+        dense = random_team_game(rng)
+        assert calls == []
+        TeamGame.polytensor(ring.action_sets, 3, ring._blocks,
+                            v_max=ring.v_max)
+        TeamGame.dense(dense.payoff_tensor(), v_max=dense.v_max)
+        assert len(calls) == 2
+
+    def test_default_bounds_every_payoff(self):
+        rng = np.random.default_rng(6)
+        for game in (ring_game(rng, 5, 3), mixed_ring_game(rng, 4, 2),
+                     random_team_game(rng)):
+            tensor = game.payoff_tensor()
+            assert np.abs(tensor).max() <= game.v_max
+        dense = random_team_game(rng)
+        assert dense.v_max == np.abs(dense.payoff_tensor()).max()
+
+
 class TestJsonSchema:
     def doc(self):
         return {

@@ -13,6 +13,7 @@ from teamsolve import (
     game_to_dict,
     random_game,
 )
+from teamsolve.games import SchemaError
 from teamsolve.generators import (
     congestion_player_cost,
     congestion_potential,
@@ -116,3 +117,54 @@ class TestCongestion:
         with pytest.raises(CapacityError):
             congestion_to_team_game(spec, menu_cap=7)
         assert congestion_to_team_game(spec, menu_cap=8).adversary_actions == 8
+
+
+class TestSpecRationals:
+    """Spec rationals follow the schema: integer members, no booleans."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ([1.5, 2], r"value_range\[0\]\[0\]: expected an integer, got 1\.5"),
+        (["1", 2], r"value_range\[0\]\[0\]: expected an integer, got '1'"),
+        ([True, 2], r"value_range\[0\]\[0\]: expected an integer, got True"),
+        ([1, False], r"value_range\[0\]\[1\]: expected an integer, got False"),
+        ([1, 0], r"value_range\[0\]: zero denominator in \[1, 0\]"),
+        (True, r"value_range\[0\]: expected a rational, got True"),
+        (float("nan"), r"value_range\[0\]: expected a rational, got nan"),
+        ("1/2", r"value_range\[0\]: expected a rational, got '1/2'"),
+    ])
+    def test_random_game_value_range_is_checked(self, bad, message):
+        with pytest.raises(SchemaError, match=message):
+            random_game(1, [2], 2, 0, value_range=(bad, 1))
+
+    def test_pair_members_keep_working(self):
+        game = random_game(2, [2, 2], 3, 0, value_range=([1, 2], 1))
+        assert game.document["provenance"]["value_range"] == [[1, 2], [1, 1]]
+        tensor = game.payoff_tensor()
+        assert tensor.min() >= 0.5 and tensor.max() <= 1.0
+        same = random_game(2, [2, 2], 3, 0,
+                           value_range=(Fraction(1, 2), Fraction(1)))
+        assert game_to_dict(same) == game_to_dict(game)
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d.update(n_players="3"), "n_players"),
+        (lambda d: d.update(n_players=True), "n_players"),
+        (lambda d: d["strategies"][0][0].__setitem__(0, 1.0),
+         r"strategies\[0\]\[0\]\[0\]: expected an integer, got 1\.0"),
+        (lambda d: d["strategies"][1].__setitem__(0, 2),
+         r"strategies\[1\]\[0\]: expected a list, got 2"),
+        (lambda d: d.update(edges={"menu": []}), "edges: expected a list"),
+        (lambda d: d["edges"][0]["menu"].__setitem__(0, 5),
+         r"edges\[0\]: edge needs"),
+        (lambda d: d["edges"][1]["menu"][0].__setitem__(2, [1, 0]),
+         r"edges\[1\]\.menu\[0\]\[2\]: zero denominator in \[1, 0\]"),
+        (lambda d: d["edges"][2]["menu"][1].__setitem__(0, [2.5, 7]),
+         r"edges\[2\]\.menu\[1\]\[0\]\[0\]: expected an integer, "
+         r"got 2\.5"),
+        (lambda d: d["edges"][0]["menu"][1].__setitem__(3, True),
+         r"edges\[0\]\.menu\[1\]\[3\]: expected a rational, got True"),
+    ])
+    def test_congestion_spec_fields_are_checked(self, edit, path):
+        doc = _json_round_trip(seeded_spec(0).to_dict())
+        edit(doc)
+        with pytest.raises(SchemaError, match=path):
+            CongestionSpec.from_dict(doc)

@@ -159,10 +159,12 @@ class RunTrace:
 
     def extend(self, game, team, minimizers):
         """Solve, time and record :func:`teamsolve.extension._extend` of an
-        unvalidated team; returns the adversary's mixture."""
-        y, audit = self.timed("extend", _extend, game, team, minimizers)
+        unvalidated team; returns ``(y, values)``, the adversary's mixture
+        and the team's adversary payoff vector."""
+        y, audit, values = self.timed("extend", _extend, game, team,
+                                      minimizers)
         self.record_extension(audit)
-        return y
+        return y, values
 
     def prox(self, game, center, ell, tol, warm_start=None):
         """Time :func:`~teamsolve.moreau.proximal_point`; add its counters."""
@@ -270,16 +272,17 @@ def default_max_iters(game, epsilon):
 
 def _certified_extension(game, team, trace):
     """Extend a candidate team strategy and certify it; None if over eps."""
-    y = trace.extend(game, team, game.n)
-    cert = trace.timed("certify", _deviation_gaps, game, team, y, game.n,
-                       trace.epsilon)
+    y, values = trace.extend(game, team, game.n)
+    cert = trace.timed("certify", _deviation_gaps, game, team, y, values,
+                       game.n, trace.epsilon)
     return (MixedProfile(team, y), cert) if cert.gap <= trace.epsilon else None
 
 
-def _descent(game, team):
-    """:func:`gd_step` on an unvalidated team: the adversary's first best
-    pure reply and the step map ``eta -> new team`` against it."""
-    br_action = int(np.argmax(contract_game(game, team, None, (game.n,))))
+def _descent(game, team, values):
+    """:func:`gd_step` on an unvalidated team with adversary payoff vector
+    ``values``: the adversary's first best pure reply and the step map
+    ``eta -> new team`` against it."""
+    br_action = int(np.argmax(values))
     grads = contract_players(game, team, br_action)
     return br_action, lambda eta: tuple(project_simplex(x - eta * g)
                                         for x, g in zip(team, grads))
@@ -294,7 +297,9 @@ def gd_step(game, team, eta):
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    br_action, step = _descent(game, _validate_mixed_team(game, team))
+    team = _validate_mixed_team(game, team)
+    br_action, step = _descent(game, team,
+                               contract_game(game, team, None, (game.n,)))
     return step(eta), br_action
 
 
@@ -331,6 +336,8 @@ def gradient_descent_max(game, config):
     else:
         team = uniform_profile(game).team
     adversary = np.full(game.adversary_actions, 1.0 / game.adversary_actions)
+    # Later iterates take this vector from their extension LP.
+    values = contract_game(game, team, None, (game.n,))
 
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol,
                      final_eta=eta)
@@ -346,7 +353,7 @@ def gradient_descent_max(game, config):
     for t in range(max_iters):
         profile = MixedProfile(team, adversary)
         cert = trace.timed("certify", _deviation_gaps, game, team, adversary,
-                           game.n, config.epsilon)
+                           values, game.n, config.epsilon)
         potential = None
         smoothed = None
         if prox_due(t):
@@ -358,7 +365,7 @@ def gradient_descent_max(game, config):
             if cert.gap > config.epsilon and near_end:
                 smoothed = _certified_extension(game, prox_state.prox_point,
                                                 trace)
-        br_action, step = trace.timed("step", _descent, game, team)
+        br_action, step = trace.timed("step", _descent, game, team, values)
         if trace.record(profile, cert, np.concatenate(team), br_action,
                         potential):
             return trace.finish(profile, cert)
@@ -383,6 +390,6 @@ def gradient_descent_max(game, config):
         team = new_team
         if new_prox is not None:
             prox_state = new_prox
-        adversary = trace.extend(game, team, game.n)
+        adversary, values = trace.extend(game, team, game.n)
 
     return trace.finish()

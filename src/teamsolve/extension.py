@@ -127,14 +127,15 @@ def ne_gap(game, profile, epsilon_claimed=math.nan):
     exact.
     """
     profile.validate(game)
-    return _deviation_gaps(game, profile.team, profile.adversary, game.n,
+    adv = contract_game(game, profile.team, None, (game.n,))
+    return _deviation_gaps(game, profile.team, profile.adversary, adv, game.n,
                            epsilon_claimed)
 
 
-def _deviation_gaps(game, team, y, minimizers, epsilon_claimed):
-    """:func:`ne_gap` unvalidated; team players from ``minimizers`` on
-    gain, like the adversary, by raising the payoff."""
-    adv = contract_game(game, team, None, (game.n,))
+def _deviation_gaps(game, team, y, adv, minimizers, epsilon_claimed):
+    """:func:`ne_gap` unvalidated, given the adversary payoff vector
+    ``adv`` of ``team``; team players from ``minimizers`` on gain, like
+    the adversary, by raising the payoff."""
     value = float(adv @ y)
     devs = contract_players(game, team, y)
     gap_team = max(value - float(np.min(d)) for d in devs[:minimizers])
@@ -237,13 +238,15 @@ def extend_ne(game, team, with_audit=False):
     near-equilibrium; quality should be read off :func:`ne_gap`, not
     assumed.
     """
-    y, audit = _extend(game, _validate_mixed_team(game, team), game.n)
+    y, audit, _ = _extend(game, _validate_mixed_team(game, team), game.n)
     return (y, audit) if with_audit else y
 
 
 def _extend(game, team, minimizers):
-    """:func:`extend_ne` unvalidated, returning ``(y, audit)``.  Team
-    players from index ``minimizers`` on are co-maximizers."""
+    """:func:`extend_ne` unvalidated, returning ``(y, audit, values)``
+    with ``values`` the adversary payoff vector of ``team``, bitwise
+    ``contract_game(game, team, None, (game.n,))``.  Team players from
+    index ``minimizers`` on are co-maximizers."""
     coeffs, values = extension_coefficients(game, team)
-    return solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
-                                values)
+    return (*solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
+                                  values), values)

@@ -100,7 +100,8 @@ class LocalBlock:
 
 
 def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=float)
+    # ``np.ascontiguousarray`` would lift a 0-d constant table to 1-d.
+    arr = np.asarray(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -115,11 +116,11 @@ class TeamGame:
     for dense games, on sampled profiles for polytensor games).
     """
 
-    __slots__ = ("action_sets", "adversary_actions", "v_max",
-                 "representation", "_tensor", "_blocks", "document")
+    __slots__ = ("action_sets", "adversary_actions", "v_max", "_tensor",
+                 "_blocks", "document")
 
-    def __init__(self, action_sets, adversary_actions, v_max, representation,
-                 tensor=None, blocks=None, document=None):
+    def __init__(self, action_sets, adversary_actions, v_max, tensor=None,
+                 blocks=None, document=None):
         action_sets = tuple(int(k) for k in action_sets)
         if len(action_sets) < 1 or any(k < 1 for k in action_sets):
             raise GameError("need n >= 1 team players with >= 1 action each")
@@ -127,7 +128,6 @@ class TeamGame:
             raise GameError("adversary needs >= 1 action")
         self.action_sets = action_sets
         self.adversary_actions = int(adversary_actions)
-        self.representation = representation
         self._tensor = tensor
         self._blocks = blocks
         self.document = document
@@ -149,8 +149,8 @@ class TeamGame:
         if tensor.ndim < 2:
             raise GameError("dense tensor needs at least one team axis and "
                             "the adversary axis")
-        return cls(tensor.shape[:-1], tensor.shape[-1], v_max,
-                   "dense_tensor", tensor=tensor, document=document)
+        return cls(tensor.shape[:-1], tensor.shape[-1], v_max, tensor=tensor,
+                   document=document)
 
     @classmethod
     def polytensor(cls, action_sets, adversary_actions, blocks, v_max=None,
@@ -172,7 +172,7 @@ class TeamGame:
                 raise GameError(
                     f"block {pos}: table shape {table.shape} != {expect}")
             frozen.append(LocalBlock(players, bool(blk.includes_adversary), table))
-        return cls(action_sets, adversary_actions, v_max, "polytensor",
+        return cls(action_sets, adversary_actions, v_max,
                    blocks=tuple(frozen), document=document)
 
     # -- basic structure ---------------------------------------------
@@ -180,6 +180,11 @@ class TeamGame:
     @property
     def n(self):
         return len(self.action_sets)
+
+    @property
+    def representation(self):
+        """How the payoff is stored: ``"dense_tensor"`` or ``"polytensor"``."""
+        return "dense_tensor" if self._tensor is not None else "polytensor"
 
     def payoff(self, team_actions, adversary_action):
         """Utility of one pure joint profile."""
@@ -203,10 +208,12 @@ class TeamGame:
                              tuple(range(self.n + 1)))
 
     def _default_v_max(self):
+        # The ndarray method skips np.max's Python wrapper; every
+        # fix_adversary call computes this bound.
         if self._tensor is not None:
-            return float(np.max(np.abs(self._tensor), initial=0.0))
+            return float(np.abs(self._tensor).max(initial=0.0))
         # Sum of per-block maxima is a valid (possibly loose) bound.
-        return float(sum(np.max(np.abs(b.table), initial=0.0)
+        return float(sum(np.abs(b.table).max(initial=0.0)
                          for b in self._blocks))
 
     def _audit_v_max(self):
@@ -329,11 +336,13 @@ def contract(table, vectors, keep=()):
     axis.  A 2-D entry stacks several strategies for its axis, one per
     row, and its stacking axis leads the result.  The kept axes follow in
     increasing order.  Axes are labelled by number, so no subscript
-    alphabet caps the rank below numpy's own limit of 52 labels.  The
-    grid minmax oracle's ``tensordot`` screen (``two_team._grid_argmin``)
-    is the one other payoff contraction; it picks a grid point only where
-    its error bound proves it the one this function's full-grid scores
-    pick, and defers to those scores otherwise.
+    alphabet caps the rank below numpy's own limit of 52 labels.  Every
+    payoff evaluation reaches it through :func:`contract_game` or
+    :func:`contract_players`.  The grid minmax oracle's ``tensordot``
+    screen (``two_team._grid_argmin``) is the one other payoff
+    contraction; it picks a grid point only where its error bound proves
+    it the one this function's full-grid scores pick, and defers to those
+    scores otherwise.
 
     The subscripts depend only on the table's rank, the kept axes and
     each operand's rank, so they are built once per such layout
@@ -404,14 +413,14 @@ def contract_game(game, team, adversary, keep):
     strategies they built themselves.  A polytensor game's blocks are
     summed in block order, starting from zero; :func:`contract_players`
     keeps that order, so its per-player vectors equal this function's
-    bitwise.
+    bitwise.  A game from :func:`fix_adversary` is evaluated here too,
+    at its one adversary action ``0``.
     """
     if game._tensor is not None:
         if isinstance(adversary, (int, np.integer)):
             return contract(game._tensor[..., adversary], team, keep)
         return contract(game._tensor, (*team, adversary), keep)
-    return _sum_blocks(game._blocks, team, adversary,
-                       game.action_sets + (game.adversary_actions,), keep)
+    return _sum_blocks(game, team, adversary, keep)
 
 
 def contract_players(game, team, adversary, keep_adversary=False,
@@ -434,10 +443,8 @@ def contract_players(game, team, adversary, keep_adversary=False,
         extra = (game.n,) if keep_adversary else ()
         return [contract_game(game, team, adversary, (i,) + extra)
                 for i in players]
-    return _sum_blocks_per_player(
-        game._blocks, team, adversary,
-        game.action_sets + (game.adversary_actions,), players,
-        keep_adversary)
+    return _sum_blocks_per_player(game, team, adversary, players,
+                                  keep_adversary)
 
 
 def _block_operands(blk, team, adversary, pure):
@@ -463,18 +470,19 @@ def _block_term(operands, sizes, keep):
         [sizes[axis] if axis in axes else 1 for axis in keep])
 
 
-def _sum_blocks(blocks, team, adversary, sizes, keep):
+def _sum_blocks(game, team, adversary, keep):
     """:func:`contract_game` summed block by block over local tables."""
     pure = isinstance(adversary, (int, np.integer))
+    sizes = game.action_sets + (game.adversary_actions,)
     out = np.zeros([sizes[axis] for axis in keep])
-    for blk in blocks:
+    for blk in game._blocks:
         out += _block_term(_block_operands(blk, team, adversary, pure),
                            sizes, keep)
     return out
 
 
-def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
-                           keep_adversary, with_total=False):
+def _sum_blocks_per_player(game, team, adversary, players, keep_adversary,
+                           with_total=False):
     """:func:`_sum_blocks` with ``keep = (i,)`` (and the adversary axis
     when ``keep_adversary``) for every ``i`` in ``players``, in one pass.
 
@@ -490,6 +498,7 @@ def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
     bitwise :func:`_sum_blocks` with no team axis kept.
     """
     pure = isinstance(adversary, (int, np.integer))
+    sizes = game.action_sets + (game.adversary_actions,)
     extra = (len(team),) if keep_adversary else ()
     starts = list(itertools.accumulate((sizes[i] for i in players),
                                        initial=0))
@@ -497,7 +506,7 @@ def _sum_blocks_per_player(blocks, team, adversary, sizes, players,
     stacked = np.zeros([starts[-1]] + [sizes[axis] for axis in extra])
     total = np.zeros([sizes[axis] for axis in extra]) if with_total else None
     addend = np.empty_like(stacked)
-    for blk in blocks:
+    for blk in game._blocks:
         operands = _block_operands(blk, team, adversary, pure)
         touched = [i for i in blk.players if i in rows]
         if with_total or len(touched) < len(rows):
@@ -528,61 +537,34 @@ def extension_coefficients(game, team):
     if game._tensor is not None:
         return (contract_players(game, team, None, keep_adversary=True),
                 contract_game(game, team, None, (game.n,)))
-    return _sum_blocks_per_player(
-        game._blocks, team, None,
-        game.action_sets + (game.adversary_actions,), range(game.n), True,
-        with_total=True)
-
-
-@dataclass(frozen=True)
-class TeamPayoff:
-    """The team-only payoff ``x -> U(x, y)`` at one fixed mixed ``y``.
-
-    ``tensor`` holds it for a dense game.  For a polytensor game
-    ``blocks`` holds the game's blocks, each block with an adversary axis
-    replaced by its table with that axis contracted.  Build it with
-    :func:`fix_adversary` and evaluate it with :func:`contract_team`.
-    """
-
-    action_sets: tuple
-    tensor: np.ndarray | None
-    blocks: tuple
+    return _sum_blocks_per_player(game, team, None, range(game.n), True,
+                                  with_total=True)
 
 
 def fix_adversary(game, adversary):
-    """Contract a mixed adversary vector out of the game, once.
+    """The game ``x -> U(x, y)`` at one fixed mixed ``y = adversary``: a
+    :class:`TeamGame` whose adversary has one action, the mixture ``y``.
 
-    A caller that evaluates many team strategies against one mixture
-    then contracts team axes only, on smaller tables.  The result agrees
-    with :func:`contract_game` up to the order of float additions.
+    A dense tensor is contracted on its adversary axis, kept with length
+    one; a polytensor game's blocks with an adversary axis are contracted
+    on it, the others reused as they are.  A caller that evaluates many
+    team strategies against one mixture then contracts team axes only,
+    e.g. ``contract_game(fixed, team, 0, keep)``; results agree with
+    ``contract_game(game, team, y, keep)`` up to the order of float
+    additions.  ``game`` is already validated, so the result is built
+    directly and only the new tables are frozen.
     """
     def fixed(table, k):
-        return contract(table, (None,) * k + (adversary,), tuple(range(k)))
+        return _freeze(contract(table, (None,) * k + (adversary,),
+                                tuple(range(k))))
 
     if game._tensor is not None:
-        return TeamPayoff(game.action_sets, fixed(game._tensor, game.n), ())
+        return TeamGame(game.action_sets, 1, None,
+                        tensor=fixed(game._tensor, game.n)[..., None])
     blocks = tuple(
         LocalBlock(blk.players, False, fixed(blk.table, len(blk.players)))
         if blk.includes_adversary else blk for blk in game._blocks)
-    return TeamPayoff(game.action_sets, None, blocks)
-
-
-def contract_team(payoff, team, keep):
-    """:func:`contract_game` on a :class:`TeamPayoff`; ``keep`` lists
-    team axes only.
-    """
-    if payoff.tensor is not None:
-        return contract(payoff.tensor, team, keep)
-    return _sum_blocks(payoff.blocks, team, None, payoff.action_sets, keep)
-
-
-def contract_team_players(payoff, team, players):
-    """:func:`contract_players` on a :class:`TeamPayoff`: entry ``k`` is
-    bitwise equal to ``contract_team(payoff, team, (players[k],))``."""
-    if payoff.tensor is not None:
-        return [contract(payoff.tensor, team, (i,)) for i in players]
-    return _sum_blocks_per_player(payoff.blocks, team, None,
-                                  payoff.action_sets, players, False)
+    return TeamGame(game.action_sets, 1, None, blocks=blocks)
 
 
 def _check_player(game, player):

@@ -354,12 +354,7 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
             if col_scale > PIVOT_TOL:
                 raise _DegeneratePivot  # only unstable pivots available
             return True
-        pivots.append((enter, basis[leave]))
-        T[leave, :] /= T[leave, enter]
-        out = T[:, enter].copy()
-        out[leave] = 0.0
-        T -= out[:, None] * T[leave, :]
-        basis[leave] = enter
+        _pivot(T, basis, leave, enter, pivots)
         if not float(np.abs(T).max()) <= blowup:
             raise _DegeneratePivot
         if made >= watch:
@@ -384,12 +379,18 @@ def _drive_out_artificials(T, basis, cols, pivots):
             # Redundant row: neutralize it so it can never pivot again.
             T[r, :] = 0.0
             continue
-        pivots.append((pivot_col, basis[r]))
-        T[r, :] /= T[r, pivot_col]
-        col = T[:, pivot_col].copy()
-        col[r] = 0.0
-        T -= col[:, None] * T[r, :]
-        basis[r] = pivot_col
+        _pivot(T, basis, r, pivot_col, pivots)
+
+
+def _pivot(T, basis, row, col, pivots):
+    """Pivot ``T`` on ``(row, col)``: column ``col`` enters the basis in
+    place of ``basis[row]``, and the pair is appended to ``pivots``."""
+    pivots.append((col, basis[row]))
+    T[row, :] /= T[row, col]
+    out = T[:, col].copy()
+    out[row] = 0.0
+    T -= out[:, None] * T[row, :]
+    basis[row] = col
 
 
 def zero_sum_value(payoff_matrix):

@@ -19,8 +19,9 @@ pay that budget: every call maintains a *computable* optimality
 certificate.  Any mixed adversary candidate ``y`` yields a rigorous
 lower bound on the prox value through the strong convexity of
 ``U(., y) + ell ||x - .||^2`` (a smooth inner problem that solves fast;
-each inner solve contracts its fixed ``y`` out of the payoff once and
-sweeps over the team-only payoff), cutting planes steer ``y`` globally,
+each inner solve contracts its fixed ``y`` out of the payoff once, into
+a game whose adversary has that one action, and sweeps over it with the
+same kernels as every other caller), cutting planes steer ``y`` globally,
 and a Newton step equalizing the active payoffs pins the optimal
 mixture superlinearly.  The run stops as soon as the requested value
 tolerance is certified, and the final mixture, active set and Newton
@@ -47,8 +48,6 @@ from .games import (
     analytic_bounds,
     contract_game,
     contract_players,
-    contract_team,
-    contract_team_players,
     fix_adversary,
 )
 
@@ -474,8 +473,10 @@ def _inner_min(game, center, ell, y, z0, inner_tol):
     model at the current gradient certifies a lower bound on the inner
     minimum (hence on the prox value); the sweep loop stops once it is
     within ``inner_tol``.  The mixture ``y`` is fixed for the whole call,
-    so it is contracted out of the payoff once, and every sweep and
-    gradient contracts team axes only.  The per-player vector math runs
+    so it is contracted out of the payoff once (:func:`fix_adversary`),
+    and every sweep and gradient runs :func:`contract_game` and
+    :func:`contract_players` on that game at its one adversary action,
+    contracting team axes only.  The per-player vector math runs
     on Python floats (see :func:`_inner_solve`).  Returns ``(z, f_z,
     lb)`` with ``lb <= f_z``.
     """
@@ -493,7 +494,7 @@ def _inner_solve(game, center, ell, y, z0, inner_tol):
     takes its cut intercept from the returned distance.
     """
     n = game.n
-    payoff = fix_adversary(game, y)
+    fixed = fix_adversary(game, y)
     cen = [c.tolist() for c in center]
     z = list(z0)
     zl = [zi.tolist() for zi in z]
@@ -504,14 +505,14 @@ def _inner_solve(game, center, ell, y, z0, inner_tol):
     dist2 = math.inf
     for _ in range(_INNER_SWEEPS):
         for i in range(n):
-            g_i = contract_team(payoff, z, (i,)).tolist()
+            g_i = contract_game(fixed, z, 0, (i,)).tolist()
             zl[i] = project_list([c - g / two_ell
                                   for c, g in zip(cen[i], g_i)])
             z[i] = np.array(zl[i])
         # The last player's sweep gradient saw every other block at its
         # final value, so it is already the gradient at the new ``z``.
-        grads = [g.tolist()
-                 for g in contract_team_players(payoff, z, range(n - 1))]
+        grads = [g.tolist() for g in
+                 contract_players(fixed, z, 0, players=range(n - 1))]
         grads.append(g_i)
         dist2 = 0.0
         for zi, ci in zip(zl, cen):

@@ -170,8 +170,9 @@ def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
     """
     profile.validate(game)
     team = (*profile.minimizers, *profile.maximizers[:-1])
-    return _deviation_gaps(game.joint, team, profile.maximizers[-1], game.n,
-                           epsilon_claimed)
+    adv = contract_game(game.joint, team, None, (game.joint.n,))
+    return _deviation_gaps(game.joint, team, profile.maximizers[-1], adv,
+                           game.n, epsilon_claimed)
 
 
 def induced_single_adversary_game(game, y_minus_m):
@@ -204,11 +205,12 @@ class MinmaxResult:
 
     ``adversary`` is the certified extension mixture of the induced game
     at ``team`` (``extend_ne(induced, team)``), with ``audit`` its checked
-    duality audit; ``best_response`` is the pure argmax of the induced
-    adversary payoff vector and ``value`` its maximum, the team's worst
-    case.  At a team minmax point the last maximizer is indifferent among
-    several pure replies, so the mixture, not a tie-broken pure action,
-    is the reply that the co-maximizers' ascent must see.
+    duality audit; ``payoffs`` is the induced adversary payoff vector at
+    ``team``, read off that extension, ``best_response`` its first argmax
+    and ``value`` its maximum, the team's worst case.  At a team minmax
+    point the last maximizer is indifferent among several pure replies,
+    so the mixture, not a tie-broken pure action, is the reply that the
+    co-maximizers' ascent must see.
 
     ``bracket`` is a certified interval containing the true minmax value
     when the grid strategy produced the result (via the Lipschitz cover
@@ -224,6 +226,7 @@ class MinmaxResult:
     method: str
     best_response: int
     audit: ExtensionAudit
+    payoffs: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -295,7 +298,6 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     ``y_minus_m`` is checked.
     """
     induced = _induced(game, y_minus_m)
-    tensor = induced.payoff_tensor()
     if method == "grid":
         q = max(1, round(1.0 / grid_step))
         combos = math.prod(math.comb(q + k - 1, k - 1)
@@ -305,14 +307,14 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
                 f"grid of {combos} points exceeds the cap "
                 f"{_GRID_POINT_CAP}; use method='nested'")
         grids = [_simplex_grid(k, q) for k in induced.action_sets]
-        point = _grid_argmin(tensor, grids)
+        point = _grid_argmin(induced.payoff_tensor(), grids)
         team = tuple(g[i].copy() for g, i in zip(grids, point))
     elif method == "nested":
         config = inner_config or GdConfig(epsilon=0.025)
         team = gradient_descent_max(induced, config)[0].team
     else:
         raise ValueError("method must be 'grid' or 'nested'")
-    vec = contract(tensor, (*team, None), (induced.n,))
+    adversary, audit, vec = _extend(induced, team, induced.n)
     b = int(np.argmax(vec))
     value = float(vec[b])
     if method == "grid":
@@ -321,10 +323,9 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
         bracket = (value - lipschitz * radius, value)
     else:
         bracket = (math.nan, value)
-    adversary, audit = _extend(induced, team, induced.n)
     return MinmaxResult(team=team, adversary=adversary, value=value,
                         bracket=bracket, method=method, best_response=b,
-                        audit=audit)
+                        audit=audit, payoffs=vec)
 
 
 def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
@@ -343,7 +344,7 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
     """
     team = (_checked(game, x_star, 0, game.n)
             + _checked(game, y_minus_m, game.n, game.m - 1))
-    y_m, audit = _extend(game.joint, team, game.n)
+    y_m, audit, _ = _extend(game.joint, team, game.n)
     return (y_m, audit) if with_audit else y_m
 
 
@@ -387,13 +388,15 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
                 y[:-1], _maximizer_gradients(game, x, y[:-1],
                                              oracle.adversary))))
         trace.record_extension(oracle.audit)
-        y_m = oracle.adversary
+        # With m = 1 the induced game is the joint game.
+        y_m, values = oracle.adversary, oracle.payoffs
         if ascended:
-            y_m = trace.extend(game.joint, (*x, *ascended), game.n)
+            y_m, values = trace.extend(game.joint, (*x, *ascended), game.n)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
         cert = trace.timed("certify", _deviation_gaps, game.joint,
-                           (*x, *ascended), y_m, game.n, config.epsilon)
+                           (*x, *ascended), y_m, values, game.n,
+                           config.epsilon)
         point = np.concatenate([np.concatenate(x), np.concatenate(y)])
         if trace.record(profile, cert, point, oracle.best_response):
             return trace.finish(profile, cert)

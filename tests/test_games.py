@@ -24,7 +24,7 @@ from teamsolve.games import (
     LocalBlock,
     SchemaError,
     contract,
-    contract_team,
+    contract_game,
     deviation_payoff_matrix,
     fix_adversary,
     team_gradients,
@@ -247,6 +247,22 @@ class TestPolytensor:
         blocks = [LocalBlock((0,), False, np.array([3.0, 0.0]))]
         with pytest.raises(GameError):
             TeamGame.polytensor([2], 2, blocks, v_max=1.0)
+
+    def test_constant_block_keeps_its_rank(self):
+        table = np.array([[0.5, -1.0], [0.25, 2.0]])
+        game = TeamGame.polytensor([2], 2, [
+            LocalBlock((), False, np.array(1.5)),
+            LocalBlock((0,), True, table)])
+        assert game._blocks[0].table.shape == ()
+        tensor = 1.5 + table
+        for a, b in game.pure_profiles():
+            assert game.payoff(a, b) == tensor[a + (b,)]
+        assert np.array_equal(game.payoff_tensor(), tensor)
+        rng = np.random.default_rng(52)
+        for _ in range(5):
+            team, y = random_profile(rng, game)
+            assert expected_utility(game, profile(team, y)) == pytest.approx(
+                exhaustive_expected_utility(tensor, team, y), abs=1e-12)
 
 
 def _scalar_v_max_samples(game):
@@ -483,17 +499,17 @@ class TestFixAdversary:
         y = rng.dirichlet(np.ones(game.adversary_actions))
         vectors = team + [y]
         payoff = fix_adversary(game, y)
-        if payoff.tensor is not None:
-            assert np.allclose(payoff.tensor,
+        if payoff._tensor is not None:
+            assert np.allclose(payoff._tensor[..., 0],
                                tensordot_contract(tensor, vectors, range(n)),
                                rtol=0, atol=1e-12)
         else:
-            assert not any(blk.includes_adversary for blk in payoff.blocks)
+            assert not any(blk.includes_adversary for blk in payoff._blocks)
         for i in range(n):
-            assert np.allclose(contract_team(payoff, team, (i,)),
+            assert np.allclose(contract_game(payoff, team, 0, (i,)),
                                tensordot_contract(tensor, vectors, (i,)),
                                rtol=0, atol=1e-12)
-        value = float(contract_team(payoff, team, ()))
+        value = float(contract_game(payoff, team, 0, ()))
         assert value == pytest.approx(
             float(tensordot_contract(tensor, vectors)), abs=1e-12)
 
@@ -517,10 +533,24 @@ class TestFixAdversary:
             for _ in range(3):
                 self.check(game, rng)
 
+    def test_fixed_game_is_a_team_game(self):
+        rng = np.random.default_rng(53)
+        for game in (TeamGame.dense(rng.uniform(-1, 1, size=(2, 3, 4))),
+                     ring_game(rng, 5, 3), mixed_ring_game(rng, 4, 3)):
+            for _ in range(3):
+                team, y = random_profile(rng, game)
+                fixed = fix_adversary(game, y)
+                assert isinstance(fixed, TeamGame)
+                assert fixed.adversary_actions == 1
+                assert fixed.v_max <= game.v_max
+                assert expected_utility(fixed, profile(team, [1.0])) \
+                    == pytest.approx(expected_utility(game, profile(team, y)),
+                                     abs=1e-12)
+
     def test_blocks_without_adversary_kept_as_they_are(self):
         game = mixed_ring_game(np.random.default_rng(0), 4, 2)
         payoff = fix_adversary(game, np.array([0.3, 0.7]))
-        for blk, fixed in zip(game._blocks, payoff.blocks):
+        for blk, fixed in zip(game._blocks, payoff._blocks):
             assert fixed.players == blk.players
             if not blk.includes_adversary:
                 assert fixed is blk

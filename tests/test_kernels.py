@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teamsolve.dynamics as dynamics
+import teamsolve.extension as extension
 import teamsolve.games as games
 import teamsolve.moreau as moreau
 from teamsolve import (
@@ -33,8 +35,6 @@ from teamsolve.games import (
     contract,
     contract_game,
     contract_players,
-    contract_team,
-    contract_team_players,
     extension_coefficients,
     fix_adversary,
 )
@@ -137,8 +137,8 @@ def _assert_same_bytes(got, want):
 
 def _assert_players_match(game, team, y, players=None):
     """``contract_players`` against per-player ``contract_game`` for a
-    mixed, a pure and a kept adversary, and ``contract_team_players``
-    against ``contract_team`` at ``y``."""
+    mixed, a pure and a kept adversary, and ``contract_players`` against
+    ``contract_game`` on the game fixed at ``y``."""
     players = range(game.n) if players is None else players
     b = game.adversary_actions - 1
     for adversary, keep_adversary in ((y, False), (b, False), (None, True)):
@@ -150,9 +150,9 @@ def _assert_players_match(game, team, y, players=None):
             _assert_same_bytes(
                 vec, contract_game(game, team, adversary, (i,) + extra))
     payoff = fix_adversary(game, y)
-    got = contract_team_players(payoff, team, players)
+    got = contract_players(payoff, team, 0, players=players)
     for i, vec in zip(players, got):
-        _assert_same_bytes(vec, contract_team(payoff, team, (i,)))
+        _assert_same_bytes(vec, contract_game(payoff, team, 0, (i,)))
 
 
 def _adversary_only_game(rng):
@@ -202,7 +202,7 @@ class TestContractPlayers:
         rng = np.random.default_rng(21)
         game = _adversary_only_game(rng)
         payoff = fix_adversary(game, rng.dirichlet(np.ones(3)))
-        assert payoff.blocks[0].table.ndim == 0  # a constant block
+        assert payoff._blocks[0].table.ndim == 0  # a constant block
         for _ in range(5):
             _assert_players_match(game, *random_profile(rng, game))
 
@@ -379,6 +379,27 @@ def _pinned_run():
     # The run TestTrajectoryPin pins in test_dynamics.py.
     return gradient_descent_max(random_game(2, [2, 2], 3, 3),
                                 GdConfig(epsilon=0.05))
+
+
+class TestAdversaryVectorOnce:
+    def test_one_adversary_vector_per_iterate(self, monkeypatch):
+        # The first iterate's vector, then one per extension LP: the
+        # certificate and the best reply reuse the extension's.
+        calls = []
+        real = games.contract_game
+
+        def counted(game, team, adversary, keep):
+            if keep == (game.n,):
+                calls.append(1)
+            return real(game, team, adversary, keep)
+
+        for module in (games, extension, dynamics):
+            monkeypatch.setattr(module, "contract_game", counted)
+        _, _, trace = gradient_descent_max(
+            random_game(2, [2, 2], 3, 3),
+            GdConfig(epsilon=1e-6, check_every=0, max_iters=5))
+        assert len(trace.iterations) == 5
+        assert len(calls) == 5 + 1
 
 
 class TestInnerSolveCounter:

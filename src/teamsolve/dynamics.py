@@ -95,7 +95,9 @@ class RunTrace:
     ``iterations`` holds one record per equilibrium check; the potential
     is present on every ``check_every``-th record.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
-    pivots; duality statistics aggregate over the same calls.
+    pivots; ``lp_warm_kept`` and ``lp_warm_dropped`` count those offered
+    a warm-start basis that kept it (no pivots) or solved cold instead.
+    Duality statistics aggregate over the same calls.
     ``prox_lp_pivots`` sums the pivots of the Kelley LPs inside every
     proximal-point call, backed-off ones included, and
     ``prox_kelley_faults`` counts those that raised ``LpFault``;
@@ -117,6 +119,8 @@ class RunTrace:
     final_ne_gap: float | None = None
     extend_calls: int = 0
     lp_pivots: int = 0
+    lp_warm_kept: int = 0
+    lp_warm_dropped: int = 0
     prox_lp_pivots: int = 0
     prox_kelley_faults: int = 0
     prox_inner_solves: int = 0
@@ -154,17 +158,20 @@ class RunTrace:
         """Count one checked extension call and fold in its audit."""
         self.extend_calls += 1
         self.lp_pivots += audit.pivots
+        self.lp_warm_kept += audit.warm == "kept"
+        self.lp_warm_dropped += audit.warm == "dropped"
         self.max_sd_residual = max(self.max_sd_residual, audit.sd_residual)
         self.min_duality_margin = min(self.min_duality_margin, audit.margin)
 
-    def extend(self, game, team, minimizers):
+    def extend(self, game, team, minimizers, basis=None):
         """Solve, time and record :func:`teamsolve.extension._extend` of an
-        unvalidated team; returns ``(y, values)``, the adversary's mixture
-        and the team's adversary payoff vector."""
+        unvalidated team, its LP offered ``basis``; returns ``(y, values,
+        basis)``, the adversary's mixture, the team's adversary payoff
+        vector and the LP's final basis."""
         y, audit, values = self.timed("extend", _extend, game, team,
-                                      minimizers)
+                                      minimizers, basis)
         self.record_extension(audit)
-        return y, values
+        return y, values, audit.basis
 
     def prox(self, game, center, ell, tol, warm_start=None):
         """Time :func:`~teamsolve.moreau.proximal_point`; add its counters."""
@@ -231,6 +238,8 @@ class RunTrace:
             "max_prox_tolerance": self.max_prox_tolerance,
             "extend_calls": self.extend_calls,
             "lp_pivots": self.lp_pivots,
+            "lp_warm_kept": self.lp_warm_kept,
+            "lp_warm_dropped": self.lp_warm_dropped,
             "prox_lp_pivots": self.prox_lp_pivots,
             "prox_kelley_faults": self.prox_kelley_faults,
             "prox_inner_solves": self.prox_inner_solves,
@@ -272,7 +281,7 @@ def default_max_iters(game, epsilon):
 
 def _certified_extension(game, team, trace):
     """Extend a candidate team strategy and certify it; None if over eps."""
-    y, values = trace.extend(game, team, game.n)
+    y, values, _ = trace.extend(game, team, game.n)
     cert = trace.timed("certify", _deviation_gaps, game, team, y, values,
                        game.n, trace.epsilon)
     return (MixedProfile(team, y), cert) if cert.gap <= trace.epsilon else None
@@ -313,6 +322,9 @@ def gradient_descent_max(game, config):
     returned instead, flagged in ``trace.outcome``.  Iterates stay on the
     simplex by construction, so the loop validates nothing: it steps
     through :func:`gd_step`'s core and runs :class:`RunTrace`'s skeleton.
+    Its extension LPs are solved cold: warm-started solves round
+    differently, and that moves the trajectory ``TestTrajectoryPin`` pins.
+    Warm starts for GD wait for the proximal-point outer loop.
 
     Two safeguards shape the endgame.  The proximal point computed for
     the potential is also extended and certified (it is the
@@ -390,6 +402,6 @@ def gradient_descent_max(game, config):
         team = new_team
         if new_prox is not None:
             prox_state = new_prox
-        adversary, values = trace.extend(game, team, game.n)
+        adversary, values, _ = trace.extend(game, team, game.n)
 
     return trace.finish()

@@ -86,7 +86,14 @@ class ExtensionAudit:
     ``u_opt = u_joint / scale`` is the per-unit optimum, so ``margin =
     scale * (u_star - u_opt)``.  For ``scale <= 0`` there is no per-unit
     reading and ``u_opt`` is NaN; ``u_anchor`` is ``scale * min_b r_b``
-    (0 at scale 0).  ``pivots`` is the extension LP's simplex pivot count.
+    (0 at scale 0).
+
+    ``pivots`` is the extension LP's simplex pivot count and ``basis`` its
+    final simplex basis, which a caller may offer to the next extension
+    LP of the same shape.  ``warm`` is ``"kept"`` when such an offered
+    basis was optimal as it stood (then ``pivots`` is 0), ``"dropped"``
+    when the LP was solved cold despite an offer, and ``"none"`` when no
+    basis was offered (see :mod:`teamsolve.linprog`).
     """
 
     u_star: float
@@ -95,6 +102,8 @@ class ExtensionAudit:
     dual_total: float
     scale: int
     pivots: int = 0
+    basis: tuple | None = None
+    warm: str = "none"
 
     @property
     def u_opt(self):
@@ -180,7 +189,8 @@ def _extension_frame(sizes, n_b):
     return starts, *arrays, ((None, None),) * n_g + ((0.0, None),) * n_b
 
 
-def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
+def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values,
+                         basis=None):
     """Solve the extension dual LP and audit it from its row multipliers.
 
     ``minimizer_coeffs`` lists one ``|A_i| x |B|`` matrix per team player
@@ -195,7 +205,8 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
     has already been checked.  One LP is solved: the multipliers of each
     player's rows, clamped at 0 and normalized, are that player's mixed
     strategy in the joint-deviation program, and ``u_joint`` is the
-    program's objective at that point.
+    program's objective at that point.  ``basis``, an earlier audit's
+    ``basis``, is offered to the LP as a warm start.
     """
     # Co-maximizer rows carry -W: their deviations count against the sum.
     blocks = list(minimizer_coeffs) + [-W for W in maximizer_coeffs]
@@ -208,7 +219,7 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
     rows = np.empty((starts[-1], n_g + n_b))
     rows[:, :n_g] = guarantees
     rows[:, n_g:] = np.concatenate(blocks)
-    dual_lp = LinearProgram(cost, rows, rhs, eq, f, bounds)
+    dual_lp = LinearProgram(cost, rows, rhs, eq, f, bounds, basis)
     dual_sol = solve_lp(dual_lp).require_optimal()
     y = np.maximum(dual_sol.primal[n_g:], 0.0)
     y = y / y.sum()
@@ -225,7 +236,9 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values):
         u_anchor=float((scale * response_values).max()),
         u_joint=float(deviation.max()),
         dual_total=-float(dual_sol.value), scale=scale,
-        pivots=len(dual_sol.pivots)).check()
+        pivots=len(dual_sol.pivots), basis=dual_sol.basis,
+        warm=("none" if basis is None
+              else "kept" if dual_sol.warm else "dropped")).check()
     return y, audit
 
 
@@ -242,11 +255,12 @@ def extend_ne(game, team, with_audit=False):
     return (y, audit) if with_audit else y
 
 
-def _extend(game, team, minimizers):
+def _extend(game, team, minimizers, basis=None):
     """:func:`extend_ne` unvalidated, returning ``(y, audit, values)``
     with ``values`` the adversary payoff vector of ``team``, bitwise
     ``contract_game(game, team, None, (game.n,))``.  Team players from
-    index ``minimizers`` on are co-maximizers."""
+    index ``minimizers`` on are co-maximizers; ``basis`` warm-starts the
+    LP (:func:`solve_extension_pair`)."""
     coeffs, values = extension_coefficients(game, team)
     return (*solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
-                                  values), values)
+                                  values, basis), values)

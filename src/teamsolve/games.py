@@ -153,6 +153,18 @@ class TeamGame:
                    document=document)
 
     @classmethod
+    def _trusted(cls, action_sets, adversary_actions, v_max, tensor=None,
+                 blocks=None):
+        """A game built from the parts of an already validated one, with
+        a known valid ``v_max``: nothing is checked, computed or audited."""
+        game = cls.__new__(cls)
+        game.action_sets = action_sets
+        game.adversary_actions = adversary_actions
+        game._tensor, game._blocks, game.document = tensor, blocks, None
+        game.v_max = v_max
+        return game
+
+    @classmethod
     def polytensor(cls, action_sets, adversary_actions, blocks, v_max=None,
                    document=None):
         """Build a game whose payoff is the sum of the given local blocks."""
@@ -208,8 +220,7 @@ class TeamGame:
                              tuple(range(self.n + 1)))
 
     def _default_v_max(self):
-        # The ndarray method skips np.max's Python wrapper; every
-        # fix_adversary call computes this bound.
+        # The ndarray method skips np.max's Python wrapper.
         if self._tensor is not None:
             return float(np.abs(self._tensor).max(initial=0.0))
         # Sum of per-block maxima is a valid (possibly loose) bound.
@@ -552,19 +563,22 @@ def fix_adversary(game, adversary):
     e.g. ``contract_game(fixed, team, 0, keep)``; results agree with
     ``contract_game(game, team, y, keep)`` up to the order of float
     additions.  ``game`` is already validated, so the result is built
-    directly and only the new tables are frozen.
+    directly and only the new tables are frozen.  It inherits
+    ``game.v_max``, a valid bound since ``|U(x, y)| <= max |U|``, so no
+    bound is computed or audited.
     """
     def fixed(table, k):
         return _freeze(contract(table, (None,) * k + (adversary,),
                                 tuple(range(k))))
 
     if game._tensor is not None:
-        return TeamGame(game.action_sets, 1, None,
-                        tensor=fixed(game._tensor, game.n)[..., None])
+        return TeamGame._trusted(
+            game.action_sets, 1, game.v_max,
+            tensor=fixed(game._tensor, game.n)[..., None])
     blocks = tuple(
         LocalBlock(blk.players, False, fixed(blk.table, len(blk.players)))
         if blk.includes_adversary else blk for blk in game._blocks)
-    return TeamGame(game.action_sets, 1, None, blocks=blocks)
+    return TeamGame._trusted(game.action_sets, 1, game.v_max, blocks=blocks)
 
 
 def _check_player(game, player):

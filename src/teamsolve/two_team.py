@@ -276,7 +276,7 @@ def _grid_argmin(tensor, grids):
 
 
 def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
-                  inner_config=None):
+                  inner_config=None, *, _basis=None):
     """Approximate ``min_x max_{y_m}`` for fixed co-maximizer play.
 
     ``method="grid"`` sweeps products of per-player simplex grids and
@@ -295,7 +295,9 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     mixture of the induced game at the chosen team strategy (one
     extension LP per call), not a pure best response, and ``value`` is
     the worst case at that strategy.  Only the number of strategies in
-    ``y_minus_m`` is checked.
+    ``y_minus_m`` is checked.  The private ``_basis`` is :func:`gd_mm`'s
+    warm start for that extension LP, the previous call's
+    ``audit.basis``.
     """
     induced = _induced(game, y_minus_m)
     if method == "grid":
@@ -314,7 +316,7 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
         team = gradient_descent_max(induced, config)[0].team
     else:
         raise ValueError("method must be 'grid' or 'nested'")
-    adversary, audit, vec = _extend(induced, team, induced.n)
+    adversary, audit, vec = _extend(induced, team, induced.n, _basis)
     b = int(np.argmax(vec))
     value = float(vec[b])
     if method == "grid":
@@ -358,7 +360,11 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     re-extended.  Each iteration thus solves two extension LPs, both
     counted in ``trace.extend_calls`` and ``trace.lp_pivots`` and both
     feeding its duality statistics; with ``m = 1`` the oracle's extension
-    already completes the profile and is the only one.  ``br_action``
+    already completes the profile and is the only one.  Each LP is offered
+    the final basis of the same LP in the previous iteration and keeps it
+    when it is still optimal, at no pivots (:mod:`teamsolve.linprog`);
+    ``trace.lp_warm_kept`` and ``trace.lp_warm_dropped`` count the
+    outcomes.  ``br_action``
     records the oracle's pure best response, and ``trace.phase_s`` the
     wall seconds spent in the oracle, the ascent (``step``), the
     re-extension (``extend``) and the certificate (``certify``).
@@ -378,10 +384,14 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
+    # The last final basis of the oracle's LP and of the re-extension's.
+    oracle_basis = joint_basis = None
     for _ in range(max_iters):
         oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
                              method=oracle_method, grid_step=grid_step,
-                             inner_config=_inner_config(config))
+                             inner_config=_inner_config(config),
+                             _basis=oracle_basis)
+        oracle_basis = oracle.audit.basis
         x = oracle.team
         ascended = trace.timed("step", lambda: tuple(
             project_simplex(yj + eta * g) for yj, g in zip(
@@ -391,7 +401,8 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         # With m = 1 the induced game is the joint game.
         y_m, values = oracle.adversary, oracle.payoffs
         if ascended:
-            y_m, values = trace.extend(game.joint, (*x, *ascended), game.n)
+            y_m, values, joint_basis = trace.extend(
+                game.joint, (*x, *ascended), game.n, joint_basis)
         y = ascended + (y_m,)
         profile = TwoTeamProfile(x, y)
         cert = trace.timed("certify", _deviation_gaps, game.joint,

@@ -157,6 +157,19 @@ def test_gdmm_and_verify_on_a_polytensor_two_team_file(tmp_path, capsys):
                                         abs=1e-12)
 
 
+def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
+    game = _write(tmp_path, "game.json",
+                  poly_two_team_doc(np.random.default_rng(3)))
+    out = tmp_path / "out.json"
+    assert _gdmm(game, out, "--epsilon", "1e-9", "--max-iters", "5") \
+        == cli.EXIT_BUDGET
+    summary = json.loads(out.read_text())["summary"]
+    # Every LP but the first oracle LP and the first re-extension is
+    # offered the previous iteration's basis.
+    assert (summary["lp_warm_kept"] + summary["lp_warm_dropped"] + 2
+            == summary["extend_calls"] == 10)
+
+
 @pytest.mark.parametrize("command", ["solve", "gdmm"])
 @pytest.mark.parametrize("schema", sorted(GAMES))
 @pytest.mark.parametrize("where", ["entry", "v_max"])

@@ -547,6 +547,40 @@ class TestFixAdversary:
                     == pytest.approx(expected_utility(game, profile(team, y)),
                                      abs=1e-12)
 
+    def test_inherits_v_max_without_computing_or_auditing_it(
+            self, monkeypatch):
+        rng = np.random.default_rng(54)
+        games = (TeamGame.dense(rng.uniform(-1, 1, size=(2, 3, 4))),
+                 ring_game(rng, 5, 3), mixed_ring_game(rng, 4, 3))
+        draws = [random_profile(rng, game) for game in games]
+        # References through the validating constructors, built before the
+        # spies go in.
+        references = []
+        for game, (_, y) in zip(games, draws):
+            if game._tensor is not None:
+                references.append(TeamGame.dense(
+                    contract(game._tensor, (None,) * game.n + (y,),
+                             tuple(range(game.n)))[..., None]))
+            else:
+                references.append(TeamGame.polytensor(
+                    game.action_sets, 1, [LocalBlock(
+                        blk.players, False,
+                        contract(blk.table, (None,) * len(blk.players) + (y,),
+                                 tuple(range(len(blk.players)))))
+                        if blk.includes_adversary else blk
+                        for blk in game._blocks]))
+        calls = []
+        for name in ("_default_v_max", "_audit_v_max"):
+            monkeypatch.setattr(TeamGame, name,
+                                lambda self, name=name: calls.append(name))
+        for game, (team, y), reference in zip(games, draws, references):
+            fixed = fix_adversary(game, y)
+            assert fixed.v_max == game.v_max
+            for i in range(game.n):
+                assert (contract_game(fixed, team, 0, (i,)).tobytes()
+                        == contract_game(reference, team, 0, (i,)).tobytes())
+        assert calls == []
+
     def test_blocks_without_adversary_kept_as_they_are(self):
         game = mixed_ring_game(np.random.default_rng(0), 4, 2)
         payoff = fix_adversary(game, np.array([0.3, 0.7]))

@@ -3,8 +3,9 @@
 The descent loops project a handful of short vectors per step, thousands
 of times per run, so the projection works on Python floats: for vectors
 of a few entries numpy's per-call overhead costs more than the
-arithmetic.  The float operations are the ones a numpy sort-and-threshold
-performs, in the same order, so the result is the same to the last bit.
+arithmetic.  From length 3 on, the float operations and their order are
+a numpy sort-and-threshold's, so the result is the same to the last bit;
+lengths 1 and 2 take closed forms, which can differ in the last bit.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .dynamics import TRACE_COLUMNS, GdConfig, gradient_descent_max
 from .extension import ne_gap
 from .games import (
     GameError,
-    SchemaError,
     game_from_dict,
     profile_from_dict,
     profile_to_dict,
@@ -34,9 +33,10 @@ from .generators import (
     random_spec_to_game,
 )
 from .linprog import LpFault
-from .moreau import proximal_point
+from .moreau import _checked_center, proximal_point
 from .two_team import (
     TwoTeamGame,
+    _grid_q,
     gd_mm,
     ne_gap_two_team,
     two_team_from_dict,
@@ -83,7 +83,7 @@ def _load_game(path, two_team=None):
     is_two_team = isinstance(doc, dict) and "teams" in doc
     try:
         game = two_team_from_dict(doc) if is_two_team else game_from_dict(doc)
-    except (SchemaError, GameError) as exc:
+    except GameError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if two_team is not None and is_two_team != two_team:
         wanted = ("a two-team game (a 'teams' field)" if two_team else
@@ -92,10 +92,13 @@ def _load_game(path, two_team=None):
     return game
 
 
-def _positive_epsilon(value):
-    if not value > 0:
-        raise InputError("epsilon must be positive")
-    return value
+def _argument(check, *args, **kwargs):
+    """Call a library argument check, never a solver loop, reporting its
+    ``ValueError`` or ``GameError`` as an input error."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, GameError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _write_result(out, profile_doc, cert, trace, args, embed_trace):
@@ -123,7 +126,9 @@ def cmd_solve(args):
                      for g in games]
     else:
         out_paths = [Path(args.out)]
-    jobs = [(g, out, args) for g, out in zip(games, out_paths)]
+    config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
+                       max_iters=args.max_iters, check_every=args.check_every)
+    jobs = [(g, out, args, config) for g, out in zip(games, out_paths)]
     if args.jobs > 1 and len(games) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
@@ -133,17 +138,16 @@ def cmd_solve(args):
 
 def _solve_worker(job):
     """Solve one game file and write its result; returns the exit code."""
-    game_path, out, args = job
+    game_path, out, args, config = job
     game = _load_game(game_path, two_team=False)
-    config = GdConfig(epsilon=args.epsilon, eta=args.eta,
-                      max_iters=args.max_iters, seed=args.seed,
-                      check_every=args.check_every)
     profile, cert, trace = gradient_descent_max(game, config)
     return _write_result(out, profile_to_dict(profile), cert, trace, args,
                          embed_trace=True)
 
 
 def cmd_verify(args):
+    if not args.epsilon > 0:
+        raise InputError("epsilon must be positive")
     game = _load_game(args.game)
     doc = _read_json(args.profile)
     try:
@@ -154,7 +158,7 @@ def cmd_verify(args):
         else:
             profile = profile_from_dict(doc)
             cert = ne_gap(game, profile, epsilon_claimed=args.epsilon)
-    except (SchemaError, GameError) as exc:
+    except GameError as exc:
         raise InputError(f"{args.profile}: {exc}") from exc
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if cert.gap <= args.epsilon else EXIT_NOT_VERIFIED
@@ -169,7 +173,7 @@ def cmd_gen(args):
             game = congestion_to_team_game(CongestionSpec.from_dict(spec))
         else:
             game = potential_spec_to_two_team(spec, args.seed)
-    except (SchemaError, GameError) as exc:
+    except GameError as exc:
         raise InputError(f"{args.spec}: {exc}") from exc
     _write_json(args.out, game.document)
     log.info("wrote %s", args.out)
@@ -184,12 +188,8 @@ def cmd_prox(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.center}: profile needs a 'team' field "
                          f"with one vector per player") from exc
-    if not args.tol > 0 or not args.ell > 0:
-        raise InputError("ell and tol must be positive")
-    try:
-        result = proximal_point(game, team, args.ell, args.tol)
-    except GameError as exc:
-        raise InputError(str(exc)) from exc
+    _argument(_checked_center, game, team, args.ell, args.tol)
+    result = proximal_point(game, team, args.ell, args.tol)
     payload = {
         "center": [list(map(float, x)) for x in result.center],
         "prox_point": [list(map(float, x)) for x in result.prox_point],
@@ -209,9 +209,11 @@ def cmd_prox(args):
 
 
 def cmd_gdmm(args):
+    config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
+                       max_iters=args.max_iters)
     game = _load_game(args.game, two_team=True)
-    config = GdConfig(epsilon=args.epsilon, eta=args.eta,
-                      max_iters=args.max_iters, seed=args.seed)
+    if args.oracle == "grid":
+        _argument(_grid_q, game, args.grid_step)
     profile, cert, trace = gd_mm(game, config, oracle_method=args.oracle,
                                  grid_step=args.grid_step)
     return _write_result(args.out, two_team_profile_to_dict(profile), cert,
@@ -239,20 +241,20 @@ def build_parser():
                        help="trace format: embedded json or sidecar csv")
     solve.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for batch solves")
-    solve.set_defaults(func=cmd_solve, check_epsilon=True)
+    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="certify a profile")
     verify.add_argument("--game", required=True)
     verify.add_argument("--profile", required=True)
     verify.add_argument("--epsilon", type=float, required=True)
-    verify.set_defaults(func=cmd_verify, check_epsilon=True)
+    verify.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("gen", help="generate a game file")
     gen.add_argument("family", choices=("random", "congestion", "potential"))
     gen.add_argument("--spec", required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen, check_epsilon=False)
+    gen.set_defaults(func=cmd_gen)
 
     prox = sub.add_parser("prox", help="approximate proximal point")
     prox.add_argument("--game", required=True)
@@ -261,7 +263,7 @@ def build_parser():
     prox.add_argument("--ell", type=float, required=True)
     prox.add_argument("--tol", type=float, required=True)
     prox.add_argument("--out", default=None)
-    prox.set_defaults(func=cmd_prox, check_epsilon=False)
+    prox.set_defaults(func=cmd_prox)
 
     gdmm = sub.add_parser("gdmm", help="two-team solver")
     gdmm.add_argument("--game", required=True)
@@ -275,7 +277,7 @@ def build_parser():
     gdmm.add_argument("--out", required=True)
     gdmm.add_argument("--format", choices=("json", "csv"), default="json",
                       help="csv also writes the trace as a sidecar csv")
-    gdmm.set_defaults(func=cmd_gdmm, check_epsilon=True)
+    gdmm.set_defaults(func=cmd_gdmm)
     return parser
 
 
@@ -286,8 +288,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "check_epsilon", False):
-            _positive_epsilon(args.epsilon)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,27 +54,26 @@ class GdConfig:
     tolerance is fixed at ``epsilon^4 / 64``.  ``check_every`` sets how
     often the potential is recorded (every iteration by default; ``0``
     disables it); the equilibrium check itself runs every iteration.
-    ``seed`` only matters for ``init="dirichlet"``.
     """
 
     epsilon: float
     eta: float | None = None
     max_iters: int | None = None
-    seed: int = 0
     check_every: int = 1
-    init: str = "uniform"
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
-        if self.eta is not None and not (self.eta > 0):
-            raise ValueError("eta must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        try:
+            self.epsilon ** 4
+        except OverflowError:
+            raise ValueError("epsilon ** 4 overflows") from None
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.check_every < 0:
             raise ValueError("check_every must be >= 0")
-        if self.init not in ("uniform", "dirichlet"):
-            raise ValueError("init must be 'uniform' or 'dirichlet'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,11 +341,7 @@ def gradient_descent_max(game, config):
     prox_tol = config.epsilon ** 4 / 64.0
     ell = max(analytic_bounds(game).smoothness, 1e-12)
 
-    if config.init == "dirichlet":
-        rng = np.random.default_rng(config.seed)
-        team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
-    else:
-        team = uniform_profile(game).team
+    team = uniform_profile(game).team
     adversary = np.full(game.adversary_actions, 1.0 / game.adversary_actions)
     # Later iterates take this vector from their extension LP.
     values = contract_game(game, team, None, (game.n,))

@@ -110,10 +110,12 @@ class TeamGame:
     """An adversarial team game with ``n`` team players and one adversary.
 
     Construct through :meth:`dense`, :meth:`polytensor` or
-    :func:`game_from_dict`.  ``v_max`` bounds ``|U(a, b)|`` over all pure
-    profiles.  The default (``max |T|``, or the sum of block maxima) is a
-    proven bound; a declared one is audited at construction (exhaustively
-    for dense games, on sampled profiles for polytensor games).
+    :func:`game_from_dict`; ``TeamGame(...)`` stores its parts unchecked,
+    for a game derived from a validated one.  ``v_max`` bounds ``|U(a,
+    b)|`` over all pure profiles.  The default (``max |T|``, or the sum of
+    block maxima) is a proven bound; a declared one is audited at
+    construction (exhaustively for dense games, on sampled profiles for
+    polytensor games).
     """
 
     __slots__ = ("action_sets", "adversary_actions", "v_max", "_tensor",
@@ -121,23 +123,26 @@ class TeamGame:
 
     def __init__(self, action_sets, adversary_actions, v_max, tensor=None,
                  blocks=None, document=None):
-        action_sets = tuple(int(k) for k in action_sets)
+        self.action_sets, self.adversary_actions, self.v_max = (
+            action_sets, adversary_actions, v_max)
+        self._tensor, self._blocks, self.document = tensor, blocks, document
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _checked(cls, action_sets, adversary_actions, v_max, **parts):
+        """The game of ``parts``, its action counts and ``v_max`` checked."""
         if len(action_sets) < 1 or any(k < 1 for k in action_sets):
             raise GameError("need n >= 1 team players with >= 1 action each")
         if adversary_actions < 1:
             raise GameError("adversary needs >= 1 action")
-        self.action_sets = action_sets
-        self.adversary_actions = int(adversary_actions)
-        self._tensor = tensor
-        self._blocks = blocks
-        self.document = document
-        self.v_max = float(v_max) if v_max is not None else self._default_v_max()
-        if not math.isfinite(self.v_max) or self.v_max < 0:
+        game = cls(action_sets, int(adversary_actions), None, **parts)
+        game.v_max = float(v_max) if v_max is not None else game._default_v_max()
+        if not math.isfinite(game.v_max) or game.v_max < 0:
             raise GameError("v_max must be finite and nonnegative")
         if v_max is not None:
-            self._audit_v_max()
-
-    # -- constructors -------------------------------------------------
+            game._audit_v_max()
+        return game
 
     @classmethod
     def dense(cls, tensor, v_max=None, document=None):
@@ -149,20 +154,8 @@ class TeamGame:
         if tensor.ndim < 2:
             raise GameError("dense tensor needs at least one team axis and "
                             "the adversary axis")
-        return cls(tensor.shape[:-1], tensor.shape[-1], v_max, tensor=tensor,
-                   document=document)
-
-    @classmethod
-    def _trusted(cls, action_sets, adversary_actions, v_max, tensor=None,
-                 blocks=None):
-        """A game built from the parts of an already validated one, with
-        a known valid ``v_max``: nothing is checked, computed or audited."""
-        game = cls.__new__(cls)
-        game.action_sets = action_sets
-        game.adversary_actions = adversary_actions
-        game._tensor, game._blocks, game.document = tensor, blocks, None
-        game.v_max = v_max
-        return game
+        return cls._checked(tensor.shape[:-1], tensor.shape[-1], v_max,
+                            tensor=tensor, document=document)
 
     @classmethod
     def polytensor(cls, action_sets, adversary_actions, blocks, v_max=None,
@@ -184,8 +177,8 @@ class TeamGame:
                 raise GameError(
                     f"block {pos}: table shape {table.shape} != {expect}")
             frozen.append(LocalBlock(players, bool(blk.includes_adversary), table))
-        return cls(action_sets, adversary_actions, v_max,
-                   blocks=tuple(frozen), document=document)
+        return cls._checked(action_sets, adversary_actions, v_max,
+                            blocks=tuple(frozen), document=document)
 
     # -- basic structure ---------------------------------------------
 
@@ -563,22 +556,21 @@ def fix_adversary(game, adversary):
     e.g. ``contract_game(fixed, team, 0, keep)``; results agree with
     ``contract_game(game, team, y, keep)`` up to the order of float
     additions.  ``game`` is already validated, so the result is built
-    directly and only the new tables are frozen.  It inherits
-    ``game.v_max``, a valid bound since ``|U(x, y)| <= max |U|``, so no
-    bound is computed or audited.
+    through the unchecked constructor and only the new tables are frozen.
+    It inherits ``game.v_max``, a valid bound since ``|U(x, y)| <= max
+    |U|``, so no bound is computed or audited.
     """
     def fixed(table, k):
         return _freeze(contract(table, (None,) * k + (adversary,),
                                 tuple(range(k))))
 
     if game._tensor is not None:
-        return TeamGame._trusted(
-            game.action_sets, 1, game.v_max,
-            tensor=fixed(game._tensor, game.n)[..., None])
+        return TeamGame(game.action_sets, 1, game.v_max,
+                        tensor=fixed(game._tensor, game.n)[..., None])
     blocks = tuple(
         LocalBlock(blk.players, False, fixed(blk.table, len(blk.players)))
         if blk.includes_adversary else blk for blk in game._blocks)
-    return TeamGame._trusted(game.action_sets, 1, game.v_max, blocks=blocks)
+    return TeamGame(game.action_sets, 1, game.v_max, blocks=blocks)
 
 
 def _check_player(game, player):

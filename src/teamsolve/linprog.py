@@ -158,10 +158,6 @@ def solve_lp(lp):
     """
     # Overflowing programs are refused below anyway; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        if lp.basis is not None:
-            warm = _solve_warm(lp)
-            if warm is not None:
-                return warm
         try:
             return _solve_converted(lp, perturb=False)
         except _DegeneratePivot:
@@ -263,10 +259,9 @@ def _layout(m, bounds, n_a, n_e):
     return _Layout(*arrays, n_x, n_ineq)
 
 
-def _solve_warm(lp):
+def _solve_warm(lp, converted):
     """The solution read off the offered ``lp.basis`` if that basis is
-    optimal as it stands, else None."""
-    converted = _convert(lp, perturb=False)
+    optimal as it stands in the standard form ``converted``, else None."""
     A, b, c = converted[:3]
     rows, cols = A.shape
     basis = list(lp.basis)
@@ -292,6 +287,10 @@ def _solve_warm(lp):
 
 def _solve_converted(lp, perturb):
     converted = _convert(lp, perturb)
+    if lp.basis is not None and not perturb:
+        warm = _solve_warm(lp, converted)
+        if warm is not None:
+            return warm
     A, b, c, _, _, _, art, _ = converted
     rows, cols = A.shape
     n_art = len(art)

@@ -133,6 +133,13 @@ def _dist2(team_a, team_b):
     return total
 
 
+def _checked_center(game, center, ell, tol):
+    """Check ``ell`` and ``tol``, then validate ``center``."""
+    if not (0 < ell < math.inf and 0 < tol < math.inf):
+        raise ValueError("ell and tol must be positive and finite")
+    return _validate_mixed_team(game, center)
+
+
 def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
     """Value-approximate minimizer of ``phi(x') + ell * ||center - x'||^2``.
 
@@ -149,10 +156,8 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         mixture and Newton state typically certifies in a couple of
         inner solves.
     """
-    if ell <= 0 or tol <= 0:
-        raise ValueError("ell and tol must be positive")
     center = tuple(np.array(x, dtype=float)
-                   for x in _validate_mixed_team(game, center))
+                   for x in _checked_center(game, center, ell, tol))
     lipschitz = analytic_bounds(game).lipschitz
     planned = max(1, math.ceil(2.0 * lipschitz * lipschitz / (ell * tol)))
     cap = planned if max_iters is None else min(planned, int(max_iters))

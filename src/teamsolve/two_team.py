@@ -38,6 +38,7 @@ from .games import (
     SchemaError,
     TeamGame,
     _check_strategy,
+    _freeze,
     _is_int,
     analytic_bounds,
     contract,
@@ -194,9 +195,11 @@ def _induced(game, y_minus_m):
         return game.joint
     keep = tuple(range(game.n)) + (game.joint.n,)
     y_minus_m = tuple(np.asarray(y, dtype=float) for y in y_minus_m)
-    tensor = contract_game(game.joint, (None,) * game.n + y_minus_m, None,
-                           keep)
-    return TeamGame.dense(tensor, v_max=game.v_max)
+    tensor = _freeze(contract_game(game.joint, (None,) * game.n + y_minus_m,
+                                   None, keep))
+    # The joint game's v_max bounds every average of its payoffs.
+    return TeamGame(tensor.shape[:-1], tensor.shape[-1], game.v_max,
+                    tensor=tensor)
 
 
 @dataclass(frozen=True)
@@ -275,6 +278,21 @@ def _grid_argmin(tensor, grids):
     return np.unravel_index(int(np.argmin(worst)), worst.shape)
 
 
+def _grid_q(game, grid_step):
+    """The grid's ``q = round(1 / grid_step)`` on the minimizers, every
+    induced game's team; a bad step raises ``ValueError``, a grid over the
+    point cap ``GameError``."""
+    if not (0 < grid_step < math.inf and 1.0 / grid_step < math.inf):
+        raise ValueError("grid_step must be positive and finite")
+    q = max(1, round(1.0 / grid_step))
+    combos = math.prod(math.comb(q + k - 1, k - 1)
+                       for k in game.minimizer_actions)
+    if combos > _GRID_POINT_CAP:
+        raise GameError(f"grid of {combos} points exceeds the cap "
+                        f"{_GRID_POINT_CAP}; use method='nested'")
+    return q
+
+
 def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
                   inner_config=None, *, _basis=None):
     """Approximate ``min_x max_{y_m}`` for fixed co-maximizer play.
@@ -301,13 +319,7 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
     """
     induced = _induced(game, y_minus_m)
     if method == "grid":
-        q = max(1, round(1.0 / grid_step))
-        combos = math.prod(math.comb(q + k - 1, k - 1)
-                           for k in induced.action_sets)
-        if combos > _GRID_POINT_CAP:
-            raise GameError(
-                f"grid of {combos} points exceeds the cap "
-                f"{_GRID_POINT_CAP}; use method='nested'")
+        q = _grid_q(game, grid_step)
         grids = [_simplex_grid(k, q) for k in induced.action_sets]
         point = _grid_argmin(induced.payoff_tensor(), grids)
         team = tuple(g[i].copy() for g, i in zip(grids, point))
@@ -372,7 +384,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     the update, so the first check sees a fully formed profile).  Returns
     ``(profile, certificate, trace)`` with the budget-exhausted best-seen
     fallback, both through :class:`~teamsolve.dynamics.RunTrace`; the
-    loop validates nothing.
+    loop validates nothing but ``grid_step`` (see :func:`_grid_q`).
     """
     if not game.extendibility_hypothesis():
         warnings.warn(
@@ -381,6 +393,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     eta = (config.eta if config.eta is not None
            else default_eta(game, config.epsilon, movers=max(game.m - 1, 1)))
     max_iters = config.max_iters if config.max_iters is not None else 200
+    inner_config = GdConfig(epsilon=max(config.epsilon / 2.0, 1e-4))
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
@@ -389,8 +402,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     for _ in range(max_iters):
         oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
                              method=oracle_method, grid_step=grid_step,
-                             inner_config=_inner_config(config),
-                             _basis=oracle_basis)
+                             inner_config=inner_config, _basis=oracle_basis)
         oracle_basis = oracle.audit.basis
         x = oracle.team
         ascended = trace.timed("step", lambda: tuple(
@@ -412,11 +424,6 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         if trace.record(profile, cert, point, oracle.best_response):
             return trace.finish(profile, cert)
     return trace.finish()
-
-
-def _inner_config(config):
-    return GdConfig(epsilon=max(config.epsilon / 2.0, 1e-4),
-                    seed=config.seed)
 
 
 def _maximizer_gradients(game, x, co_maximizers, y_m):

@@ -170,6 +170,39 @@ def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
             == summary["extend_calls"] == 10)
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("gdmm", ["--grid-step", "0"]),
+    ("gdmm", ["--grid-step", "nan"]),
+    ("gdmm", ["--grid-step", "-1"]),
+    ("gdmm", ["--grid-step", "5e-324"]),
+    ("gdmm", ["--grid-step", "1e-9"]),
+    ("gdmm", ["--eta", "-1"]),
+    ("solve", ["--eta", "-1"]),
+    ("solve", ["--eta", "inf"]),
+    ("gdmm", ["--max-iters", "0"]),
+    ("solve", ["--max-iters", "0"]),
+    ("solve", ["--check-every", "-1"]),
+    ("gdmm", ["--epsilon", "inf"]),
+    ("solve", ["--epsilon", "1e300"]),
+    ("prox", ["--ell", "inf"]),
+    ("prox", ["--tol", "nan"]),
+])
+def test_bad_numeric_arguments_exit_input(tmp_path, capsys, command, extra):
+    schema = "two_team" if command == "gdmm" else "team"
+    argv = [command, "--game", _write(tmp_path, "game.json", GAMES[schema])]
+    if command == "prox":
+        argv += ["--center", _write(tmp_path, "center.json",
+                                    {"team": [[0.5, 0.5]]}),
+                 "--ell", "4.0", "--tol", "1e-6"]
+    else:
+        argv += ["--epsilon", "0.1", "--out", str(tmp_path / "out.json")]
+    # A repeated option takes its last value.
+    assert cli.main(argv + extra) == cli.EXIT_INPUT
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not printed and not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "gdmm"])
 @pytest.mark.parametrize("schema", sorted(GAMES))
 @pytest.mark.parametrize("where", ["entry", "v_max"])

@@ -148,8 +148,10 @@ class TestGdConfig:
             GdConfig(epsilon=0.1, eta=-1.0)
         with pytest.raises(ValueError):
             GdConfig(epsilon=0.1, max_iters=0)
-        with pytest.raises(ValueError):
-            GdConfig(epsilon=0.1, init="sobol")
+        for bad in ({"epsilon": math.inf}, {"epsilon": math.nan},
+                    {"epsilon": 1e300}, {"epsilon": 0.1, "eta": math.inf}):
+            with pytest.raises(ValueError):
+                GdConfig(**bad)
 
     def test_default_budget_scales_with_epsilon(self, matching_pennies):
         t1 = default_max_iters(matching_pennies, 0.2)
@@ -200,7 +202,7 @@ class TestGradientDescentMax:
         rng = np.random.default_rng(15)
         game = random_team_game(rng, max_players=2, max_actions=2)
         runs = [gradient_descent_max(
-            game, GdConfig(epsilon=0.05, seed=3, init="dirichlet"))
+            game, GdConfig(epsilon=0.05))
             for _ in range(2)]
         (p1, _, t1), (p2, _, t2) = runs
         assert len(t1.iterations) == len(t2.iterations)

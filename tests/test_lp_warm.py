@@ -17,6 +17,7 @@ import teamsolve.linprog as linprog
 from teamsolve import (
     GdConfig,
     LinearProgram,
+    TeamGame,
     TwoTeamGame,
     extend_ne,
     extend_ne_multi,
@@ -214,7 +215,8 @@ def _seed9_draws():
 def test_gd_mm_matches_the_cold_reference(monkeypatch):
     config = GdConfig(epsilon=0.1)
     warm = [gd_mm(game, config)[2] for game in _seed9_draws()]
-    monkeypatch.setattr(linprog, "_solve_warm", lambda lp: None)
+    monkeypatch.setattr(linprog, "_solve_warm",
+                        lambda lp, converted: None)
     cold = [gd_mm(game, config)[2] for game in _seed9_draws()]
     for w, c in zip(warm, cold):
         assert len(w.iterations) == len(c.iterations)
@@ -224,6 +226,29 @@ def test_gd_mm_matches_the_cold_reference(monkeypatch):
         assert c.lp_warm_kept == 0
     assert sum(c.lp_pivots for c in cold) >= 3 * sum(w.lp_pivots
                                                      for w in warm)
+
+
+def test_gd_mm_converts_each_lp_once_and_audits_no_bound(monkeypatch):
+    games = _seed9_draws()
+    calls = {"_convert": 0, "solve_lp": 0, "_audit_v_max": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(linprog, "_convert",
+                        counted("_convert", linprog._convert))
+    monkeypatch.setattr(extension, "solve_lp",
+                        counted("solve_lp", extension.solve_lp))
+    monkeypatch.setattr(TeamGame, "_audit_v_max",
+                        counted("_audit_v_max", TeamGame._audit_v_max))
+    traces = [gd_mm(game, GdConfig(epsilon=0.1))[2] for game in games]
+    assert sum(t.lp_warm_dropped for t in traces) > 0
+    assert (calls["_convert"] == calls["solve_lp"]
+            == sum(t.extend_calls for t in traces))
+    assert calls["_audit_v_max"] == 0
 
 
 def test_gd_mm_counts_kept_and_dropped_warm_starts():

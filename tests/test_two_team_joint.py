@@ -115,6 +115,20 @@ class TestPolytensorTwoTeam:
         assert max(o_min, o_max) <= 0.1 + 1e-9
 
 
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_induced_game_inherits_v_max_and_contracts_the_joint(self, copy):
+        _, game = load()
+        game = dense_copy(game) if copy else game
+        y = (np.array([0.3, 0.7]),)
+        induced = induced_single_adversary_game(game, y)
+        assert induced.v_max == game.joint.v_max
+        assert induced.representation == "dense_tensor"
+        expected = games.contract_game(game.joint, (None, None) + y, None,
+                                       (0, 1, 3))
+        assert induced.payoff_tensor().tobytes() == expected.tobytes()
+        assert induced.payoff_tensor().shape == expected.shape
+
+
 class TestEntryPointValidation:
     # One minimizer, a co-maximizer and the last maximizer.
     GAME = TwoTeamGame(np.arange(8.0).reshape(2, 2, 2), n=1, m=2)

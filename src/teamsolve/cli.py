@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import TRACE_COLUMNS, GdConfig, gradient_descent_max
+from .dynamics import (TRACE_COLUMNS, GdConfig, default_max_iters,
+                       gradient_descent_max)
 from .extension import ne_gap
 from .games import (
     GameError,
@@ -140,6 +141,8 @@ def _solve_worker(job):
     """Solve one game file and write its result; returns the exit code."""
     game_path, out, args, config = job
     game = _load_game(game_path, two_team=False)
+    if config.max_iters is None:
+        _argument(default_max_iters, game, config.epsilon)
     profile, cert, trace = gradient_descent_max(game, config)
     return _write_result(out, profile_to_dict(profile), cert, trace, args,
                          embed_trace=True)

@@ -65,9 +65,11 @@ class GdConfig:
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         try:
-            self.epsilon ** 4
+            prox_tol = self.epsilon ** 4 / 64.0
         except OverflowError:
             raise ValueError("epsilon ** 4 overflows") from None
+        if prox_tol == 0.0:
+            raise ValueError("epsilon ** 4 / 64 underflows to 0")
         if self.eta is not None and not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
         if self.max_iters is not None and self.max_iters < 1:
@@ -100,7 +102,9 @@ class RunTrace:
     ``prox_lp_pivots`` sums the pivots of the Kelley LPs inside every
     proximal-point call, backed-off ones included, and
     ``prox_kelley_faults`` counts those that raised ``LpFault``;
-    ``prox_inner_solves`` sums the inner solves of the same calls.
+    ``prox_inner_solves`` sums the inner solves of the same calls, and
+    ``prox_unreached`` counts those that ended without certifying their
+    tolerance (``reached=False``).
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.  The
     ``final_*`` fields hold the returned profile, its certified gap and
@@ -123,6 +127,7 @@ class RunTrace:
     prox_lp_pivots: int = 0
     prox_kelley_faults: int = 0
     prox_inner_solves: int = 0
+    prox_unreached: int = field(default=0, init=False)
     max_sd_residual: float = 0.0
     min_duality_margin: float = math.inf
     max_prox_tolerance: float = 0.0
@@ -179,6 +184,7 @@ class RunTrace:
         self.prox_lp_pivots += result.lp_pivots
         self.prox_kelley_faults += result.kelley_faults
         self.prox_inner_solves += result.inner_solves
+        self.prox_unreached += not result.reached
         return result
 
     def timed(self, phase, fn, *args, **kwargs):
@@ -242,6 +248,7 @@ class RunTrace:
             "prox_lp_pivots": self.prox_lp_pivots,
             "prox_kelley_faults": self.prox_kelley_faults,
             "prox_inner_solves": self.prox_inner_solves,
+            "prox_unreached": self.prox_unreached,
             "max_sd_residual": self.max_sd_residual,
             "min_duality_margin": (None if math.isinf(self.min_duality_margin)
                                    else self.min_duality_margin),
@@ -272,10 +279,17 @@ def default_eta(game, epsilon, movers=None):
 
 
 def default_max_iters(game, epsilon):
+    """The default ``max_iters`` (see :data:`K_BUDGET`); ``ValueError``
+    if ``epsilon ** 4`` is so small that the budget is not finite."""
     potential_range = (2.0 * game.v_max
                        + 2.0 * analytic_bounds(game).smoothness * game.n)
-    return max(1, math.ceil(K_BUDGET * max(potential_range, 1.0)
-                            / epsilon ** 4))
+    quartic = epsilon ** 4
+    try:
+        return max(1, math.ceil(K_BUDGET * max(potential_range, 1.0)
+                                / quartic))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"epsilon {epsilon!r} leaves no finite iteration "
+                         f"budget; set max_iters") from None
 
 
 def _certified_extension(game, team, trace):

@@ -11,22 +11,20 @@ achieved objective value is the potential that strictly decreases along
 solver iterations.  The quadratic makes the objective ``ell``-strongly
 convex, so value-approximate minimizers are all this module ever needs.
 
-The primal method is projected subgradient descent with the classic step
-``2/(ell * (k+1))`` for strongly convex objectives (subgradients come
-from the pure best response plus the quadratic's gradient), budgeted at
-the rate-implied ``2 L^2 / (ell * tol)`` iterations.  Runs almost never
-pay that budget: every call maintains a *computable* optimality
-certificate.  Any mixed adversary candidate ``y`` yields a rigorous
-lower bound on the prox value through the strong convexity of
-``U(., y) + ell ||x - .||^2`` (a smooth inner problem that solves fast;
-each inner solve contracts its fixed ``y`` out of the payoff once, into
-a game whose adversary has that one action, and sweeps over it with the
-same kernels as every other caller), cutting planes steer ``y`` globally,
+Every call is certified from the dual side alone.  Any mixed adversary
+candidate ``y`` yields a rigorous lower bound on the prox value through
+the strong convexity of ``U(., y) + ell ||x - .||^2`` (a smooth inner
+problem that solves fast; each inner solve contracts its fixed ``y`` out
+of the payoff once, into a game whose adversary has that one action,
+and sweeps over it with the same kernels as every other caller), and
+each inner minimizer is itself a feasible candidate whose worst case
+bounds the prox value from above.  Cutting planes steer ``y`` globally,
 and a Newton step equalizing the active payoffs pins the optimal
-mixture superlinearly.  The run stops as soon as the requested value
-tolerance is certified, and the final mixture, active set and Newton
-Jacobian are returned so that the next call at a nearby center
-certifies in a couple of inner solves.
+mixture superlinearly.  A call runs at most ``_DUAL_ROUNDS`` rounds of
+that schedule and stops as soon as the requested value tolerance is
+certified; the final mixture, active set and Newton Jacobian are
+returned so that the next call at a nearby center certifies in a couple
+of inner solves.
 
 Inner solves are the bulk of the work and their vectors have a few
 entries each, so only their contractions use numpy: the Gauss-Seidel
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import project_list, project_simplex
+from ._simplex import project_list
 from .games import (
     _validate_mixed_team,
     analytic_bounds,
@@ -51,11 +49,12 @@ from .games import (
     fix_adversary,
 )
 
-DEFAULT_ITER_CAP = 100_000
+_DUAL_ROUNDS = 2
 _INNER_SWEEPS = 120
 _KELLEY_ROUNDS = 12
 _NEWTON_ROUNDS = 8
 _MAX_CUTS = 32
+_DUPLICATE_CUT = 1e-6
 _POLISH_TOL = 1e-15
 
 
@@ -75,9 +74,10 @@ class ProximalResult:
     x'||^2`` at ``prox_point``; ``tolerance`` is a certified bound on its
     distance from the true minimum; ``potential_g`` is the same achieved
     value, exposed under the name the run traces use.  ``reached`` says
-    whether the requested tolerance was certified within the iteration
-    budget; ``planned_iterations`` is the worst-case budget implied by
-    the strongly-convex subgradient rate for the requested tolerance.
+    whether the tolerance was certified within ``_DUAL_ROUNDS`` certifier
+    rounds; ``iterations`` counts the rounds run.  ``planned_iterations``
+    is the iteration count the strongly-convex subgradient rate would
+    need for the requested tolerance, reported for comparison.
     ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs, and
     ``kelley_faults`` counts the Kelley LPs that raised ``LpFault``; such
     a step is skipped, since only the probes supply bounds.
@@ -140,7 +140,7 @@ def _checked_center(game, center, ell, tol):
     return _validate_mixed_team(game, center)
 
 
-def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
+def proximal_point(game, center, ell, tol, warm_start=None):
     """Value-approximate minimizer of ``phi(x') + ell * ||center - x'||^2``.
 
     Parameters
@@ -148,9 +148,9 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
     ell : float
         Weak-convexity bound for ``phi`` (any upper bound is sound).
     tol : float
-        Requested value suboptimality.  If the budget runs out first, the
-        best iterate is returned with its certified bound and
-        ``reached=False``.
+        Requested value suboptimality.  If ``_DUAL_ROUNDS`` certifier
+        rounds end first, the best candidate is returned with its
+        certified bound and ``reached=False``.
     warm_start : ProximalResult, optional
         Previous result for a nearby center; reusing its prox point,
         mixture and Newton state typically certifies in a couple of
@@ -160,8 +160,6 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
                    for x in _checked_center(game, center, ell, tol))
     lipschitz = analytic_bounds(game).lipschitz
     planned = max(1, math.ceil(2.0 * lipschitz * lipschitz / (ell * tol)))
-    cap = planned if max_iters is None else min(planned, int(max_iters))
-    cap = min(cap, DEFAULT_ITER_CAP)
 
     def objective(team):
         vec = contract_game(game, team, None, (game.n,))
@@ -170,7 +168,8 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
 
     best_val, best_b = objective(center)
     best_x = center
-    y_dual = None
+    y_dual = np.zeros(game.adversary_actions)
+    y_dual[best_b] = 1.0
     memory = None
     if warm_start is not None:
         val_w, _ = objective(warm_start.prox_point)
@@ -178,32 +177,14 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
             best_val, best_x = val_w, warm_start.prox_point
         y_dual = np.asarray(warm_start.adversary_mix, dtype=float)
         memory = warm_start.memory
-    if y_dual is None:
-        y_dual = np.zeros(game.adversary_actions)
-        y_dual[best_b] = 1.0
 
-    counts = np.zeros(game.adversary_actions)
     certifier = _DualCertifier(game, center, ell, best_x, y_dual, memory)
-    x = best_x
-    k = 0
-    next_check = 0
-    while True:
-        if k >= next_check or k >= cap:
-            certifier.run(counts, tol, best_val)
-            if certifier.best_feasible[1] < best_val:
-                best_x, best_val = certifier.best_feasible
-            if best_val - certifier.best_lb <= tol or k >= cap:
-                break
-            next_check = 8 if k == 0 else min(cap, 2 * k)
-        val, b = objective(x)
-        if val < best_val:
-            best_val, best_x = val, x
-        counts[b] += 1.0
-        grads = contract_players(game, x, b)
-        step = 2.0 / (ell * (k + 1))
-        x = tuple(project_simplex(xi - step * (gi + 2.0 * ell * (xi - ci)))
-                  for xi, gi, ci in zip(x, grads, center))
-        k += 1
+    for rounds in range(1, _DUAL_ROUNDS + 1):
+        certifier.run(tol, best_val)
+        if certifier.best_feasible[1] < best_val:
+            best_x, best_val = certifier.best_feasible
+        if best_val - certifier.best_lb <= tol:
+            break
 
     gap = max(best_val - certifier.best_lb, 0.0)
     return ProximalResult(
@@ -213,7 +194,7 @@ def proximal_point(game, center, ell, tol, max_iters=None, warm_start=None):
         tolerance=max(gap, 1e-15),
         potential_g=best_val,
         reached=gap <= tol,
-        iterations=k,
+        iterations=rounds,
         planned_iterations=planned,
         adversary_mix=certifier.best_y,
         memory=certifier.export_memory(),
@@ -271,9 +252,11 @@ class _DualCertifier:
             self.best_feasible = (self.z, feas)
         if lb > self.best_lb:
             self.best_lb, self.best_y = lb, np.asarray(y_cand, dtype=float)
+        # Near-duplicate cuts leave the Kelley LP ill-conditioned; the model
+        # only proposes mixtures, so dropping them keeps every bound sound.
         duplicate = any(
-            abs(intercept - c0) <= 1e-12
-            and float(np.max(np.abs(vec_z - s0))) <= 1e-12
+            abs(intercept - c0) <= _DUPLICATE_CUT
+            and float(np.max(np.abs(vec_z - s0))) <= _DUPLICATE_CUT
             for c0, s0 in zip(self.cut_intercepts[-4:], self.cut_slopes[-4:]))
         if not duplicate:
             self.cut_intercepts.append(intercept)
@@ -284,19 +267,17 @@ class _DualCertifier:
         return vec_z
 
     def _done(self, tol, value_hint):
-        feasible = min(self.best_feasible[1], value_hint)
-        return feasible - self.best_lb <= tol
+        return min(self.best_feasible[1], value_hint) - self.best_lb <= tol
 
     def export_memory(self):
         active = tuple(int(b) for b in np.nonzero(self.best_y > 1e-9)[0])
-        jac = None
-        if self.jac is not None and self.jac_active == active:
-            jac = self.jac
+        # ``_remember`` sets ``jac_active`` only with a Jacobian.
+        jac = self.jac if self.jac_active == active else None
         return _ProxMemory(active=active, jacobian=jac)
 
     # -- the certification schedule -------------------------------------
 
-    def run(self, counts, tol, value_hint):
+    def run(self, tol, value_hint):
         inner_tol = max(tol / 4.0, 1e-14)
         y_probed = self.best_y
         vec = self.probe(y_probed, _POLISH_TOL)
@@ -308,11 +289,6 @@ class _DualCertifier:
         if self.memory is not None and len(self.memory.active) >= 2:
             self._newton(list(self.memory.active), tol, value_hint,
                          jac=self.memory.jacobian, probed=(y_probed, vec))
-            if self._done(tol, value_hint):
-                return
-        total = counts.sum()
-        if total > 0:
-            self.probe(counts / total, inner_tol)
             if self._done(tol, value_hint):
                 return
         self._equalize(tol, value_hint)
@@ -417,7 +393,6 @@ class _DualCertifier:
             try:
                 dw = np.linalg.solve(jac, -r0)
             except np.linalg.LinAlgError:
-                jac = None
                 return False
             step = np.concatenate([dw, [-dw.sum()]])
             limit = 1.0
@@ -433,7 +408,7 @@ class _DualCertifier:
             if self._done(tol, value_hint):
                 self._remember(active, jac)
                 return True
-            moved_free = _free(w_new - w)
+            moved_free = (w_new - w)[:-1]
             denom = float(moved_free @ moved_free)
             if denom > 0:  # Broyden rank-1 refresh from the actual move
                 jac = jac + np.outer(r1 - r0 - jac @ moved_free,
@@ -444,15 +419,20 @@ class _DualCertifier:
         self._remember(active, jac)
         return self._done(tol, value_hint)
 
-    def _fd_jacobian(self, residual, w, r0):
+    @staticmethod
+    def _fd_jacobian(residual, w, r0):
         k = w.size
         h = max(1e-7, 0.01 * float(np.max(np.abs(r0)) if r0.size else 0.0))
         jac = np.zeros((k - 1, k - 1))
         for j in range(k - 1):
             wj = w.copy()
-            shift = min(h, wj[-1])  # keep the mixture on the simplex
+            # Move mass from the last member to member j, or back when the
+            # last has none; either keeps the mixture on the simplex.
+            shift = min(h, wj[-1])
             if shift <= 0:
-                return None
+                shift = -min(h, wj[j])
+                if shift == 0:
+                    return None
             wj[j] += shift
             wj[-1] -= shift
             rj, _ = residual(wj)
@@ -463,10 +443,6 @@ class _DualCertifier:
         if jac is not None:
             self.jac = jac
             self.jac_active = tuple(int(b) for b in active)
-
-
-def _free(moved):
-    return moved[:-1]
 
 
 def _inner_min(game, center, ell, y, z0, inner_tol):

@@ -236,13 +236,17 @@ class MinmaxResult:
 def _simplex_grid(size, q):
     """All probability vectors on a 1/q grid of the (size-1)-simplex.
 
-    Cached and read-only: every oracle call at one grid step shares it.
+    Stars and bars: each point places ``size - 1`` bars in ``q + size - 1``
+    slots, and its counts are the gaps between them.  The bars run in
+    reverse so that the points follow
+    ``itertools.combinations_with_replacement(range(size), q)``.  Cached
+    and read-only: every oracle call at one grid step shares it.
     """
-    points = []
-    for combo in itertools.combinations_with_replacement(range(size), q):
-        counts = np.bincount(np.asarray(combo), minlength=size)
-        points.append(counts / q)
-    grid = np.array(points)
+    slots = q + size - 1
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(slots), size - 1)), dtype=np.int64)
+    bars = bars.reshape(math.comb(slots, size - 1), size - 1)[::-1]
+    grid = (np.diff(bars, prepend=-1, append=slots) - 1) / q
     grid.setflags(write=False)
     return grid
 

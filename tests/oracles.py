@@ -651,3 +651,12 @@ def _reference_drive_out(T, basis, cols, pivots):
         col[r] = 0.0
         T -= np.outer(col, T[r, :])
         basis[r] = pivot_col
+
+
+def reference_simplex_grid(size, q):
+    """The grid minmax oracle's per-player grid, built point by point from
+    each ``combinations_with_replacement`` tuple's counts."""
+    points = []
+    for combo in itertools.combinations_with_replacement(range(size), q):
+        points.append(np.bincount(np.asarray(combo), minlength=size) / q)
+    return np.array(points)

@@ -186,6 +186,10 @@ def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
     ("solve", ["--epsilon", "1e300"]),
     ("prox", ["--ell", "inf"]),
     ("prox", ["--tol", "nan"]),
+    ("solve", ["--epsilon", "1e-100"]),
+    ("solve", ["--epsilon", "1e-80"]),
+    ("solve", ["--epsilon", "1e-100", "--max-iters", "5"]),
+    ("gdmm", ["--epsilon", "1e-100"]),
 ])
 def test_bad_numeric_arguments_exit_input(tmp_path, capsys, command, extra):
     schema = "two_team" if command == "gdmm" else "team"

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teamsolve
+import teamsolve.dynamics as dynamics
 import teamsolve.extension as extension
 import teamsolve.games as games
 import teamsolve.linprog as linprog
+import teamsolve.moreau as moreau
 from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
 from teamsolve.dynamics import (
     PHASES,
@@ -158,6 +160,17 @@ class TestGdConfig:
         t2 = default_max_iters(matching_pennies, 0.1)
         assert t2 / t1 == pytest.approx(16.0, rel=0.01)
 
+    def test_tiny_epsilon_rejected_by_name(self, matching_pennies):
+        # 1e-100 ** 4 is 0, so the prox tolerance would be 0; 1e-80 ** 4
+        # is subnormal and the budget over it is not finite.
+        with pytest.raises(ValueError, match="underflows"):
+            GdConfig(epsilon=1e-100)
+        with pytest.raises(ValueError, match="underflows"):
+            GdConfig(epsilon=1e-100, max_iters=5)
+        GdConfig(epsilon=1e-80)
+        with pytest.raises(ValueError, match="finite iteration budget"):
+            default_max_iters(matching_pennies, 1e-80)
+
     def test_default_eta_positive(self, matching_pennies):
         assert default_eta(matching_pennies, 0.05) > 0
         zero_game = TeamGame.dense(np.zeros((2, 2)))
@@ -284,6 +297,8 @@ class TestProxLpPivots:
     def test_trace_sums_kelley_lp_pivots(self, monkeypatch):
         # Extension LPs bind solve_lp at import; only moreau's Kelley
         # step looks it up on teamsolve.linprog at call time.
+        monkeypatch.setattr(moreau._DualCertifier, "_newton",
+                            lambda self, *args, **kwargs: False)
         seen = []
         real = linprog.solve_lp
         monkeypatch.setattr(linprog, "solve_lp",
@@ -303,6 +318,8 @@ class TestProxKelleyFaults:
             faults.append(lp)
             raise linprog.LpFault("forced")
 
+        monkeypatch.setattr(moreau._DualCertifier, "_newton",
+                            lambda self, *args, **kwargs: False)
         monkeypatch.setattr(linprog, "solve_lp", failing)
         _, cert, trace = gradient_descent_max(
             random_game(1, [3], 3, 2), GdConfig(epsilon=0.05, max_iters=40))
@@ -310,6 +327,41 @@ class TestProxKelleyFaults:
         assert trace.prox_lp_pivots == 0
         assert trace.summary()["prox_kelley_faults"] == len(faults)
         assert trace.summary()["final_ne_gap"] == cert.gap
+
+
+class TestProxUnreached:
+    def test_trace_counts_unreached_prox_calls(self, monkeypatch,
+                                               matching_pennies):
+        # A certifier that only probes its current mixture stalls where
+        # the worst case has a kink, as at the uniform start of pennies.
+        monkeypatch.setattr(
+            moreau._DualCertifier, "run",
+            lambda self, tol, value_hint: self.probe(self.best_y,
+                                                     moreau._POLISH_TOL))
+        results = []
+        real = dynamics.proximal_point
+        monkeypatch.setattr(dynamics, "proximal_point",
+                            lambda *a, **k: results.append(real(*a, **k))
+                            or results[-1])
+        _, _, trace = gradient_descent_max(
+            matching_pennies, GdConfig(epsilon=0.05))
+        unreached = sum(not r.reached for r in results)
+        assert trace.prox_unreached == unreached > 0
+        assert trace.summary()["prox_unreached"] == unreached
+
+
+class TestDualCertifiedRun:
+    def test_every_prox_call_reached_without_kelley_faults(self):
+        # This run meets both certifier defects: Kelley LPs on cuts about
+        # 1e-7 apart, which fault unless near-duplicates are dropped, and
+        # an active set whose last weight is 0.  About four seconds.
+        _, _, trace = gradient_descent_max(random_game(3, [3, 3, 3], 4, 0),
+                                           GdConfig(epsilon=0.05))
+        assert trace.outcome == "converged"
+        assert len(trace.iterations) == 2493
+        assert trace.prox_kelley_faults == 0
+        assert trace.prox_unreached == 0
+        assert trace.max_prox_tolerance <= trace.prox_tol
 
 
 class TestTrajectoryPin:

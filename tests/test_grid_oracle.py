@@ -17,7 +17,7 @@ from teamsolve import GdConfig, TwoTeamGame, extend_ne, gd_mm, minmax_oracle
 from teamsolve.dynamics import PHASES
 from teamsolve.two_team import _simplex_grid, induced_single_adversary_game
 
-from oracles import einsum_contract, reference_grid_argmin
+from oracles import einsum_contract, reference_grid_argmin, reference_simplex_grid
 
 
 def _reference(game, y_minus_m, q):
@@ -105,6 +105,18 @@ class TestGridOracle:
         assert res.team[0].flags.writeable
         res.team[0][:] = 7.0
         assert np.array_equal(_simplex_grid(3, 5), before)
+
+    @pytest.mark.parametrize("size, qs", [(1, (1, 7, 10**6)),
+                                          (2, range(1, 51)),
+                                          (3, range(1, 51)),
+                                          (4, range(1, 31))])
+    def test_grid_matches_point_by_point_reference(self, size, qs):
+        for q in qs:
+            expected = reference_simplex_grid(size, q)
+            got = _simplex_grid(size, q)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            assert got.shape == expected.shape
 
     def test_three_players_three_actions(self):
         # 66**3 = 287,496 grid points against four adversary actions.

@@ -79,7 +79,7 @@ class TestProximalPoint:
 
     def test_iteration_cap_flags_unreached(self, matching_pennies):
         res = proximal_point(matching_pennies, [np.array([1.0, 0.0])],
-                             ell=4.0, tol=1e-13, max_iters=3)
+                             ell=4.0, tol=1e-13)
         assert res.tolerance > 0
         if not res.reached:
             assert res.iterations <= 3
@@ -221,6 +221,8 @@ class TestCenterValidation:
 class TestKelleyFaults:
     def test_faults_counted_and_bounds_from_probes_stay_sound(
             self, monkeypatch):
+        monkeypatch.setattr(moreau._DualCertifier, "_newton",
+                            lambda self, *args, **kwargs: False)
         game = random_game(1, [3], 3, 1)
         center = [np.array([0.2, 0.15, 0.65])]
         clean = proximal_point(game, center, ell=2.0, tol=1e-8)
@@ -243,6 +245,49 @@ class TestKelleyFaults:
             <= res.objective_value + 1e-12
         grid_val, _ = grid_prox_minimum(game.payoff_tensor(), center, 2.0)
         assert lower <= grid_val + 1e-12
+
+
+class TestFdJacobian:
+    @pytest.mark.parametrize("w, backward", [([0.3, 0.2, 0.5], False),
+                                             ([0.3, 0.7, 0.0], True)])
+    def test_matches_linear_residual(self, w, backward):
+        # Column j moves mass between member j and the last member, so the
+        # exact Jacobian of r(w) = M w is M[:, j] - M[:, -1].
+        M = np.random.default_rng(7).uniform(-1, 1, size=(2, 3))
+        moved = []
+
+        def residual(wv):
+            moved.append(wv[-1] - w[-1])
+            return M @ wv, None
+
+        w = np.array(w)
+        jac = moreau._DualCertifier._fd_jacobian(residual, w, M @ w)
+        assert np.allclose(jac, M[:, :-1] - M[:, -1:], rtol=0, atol=1e-8)
+        assert all((m > 0) == backward for m in moved)
+
+    def test_both_weights_zero_gives_none(self):
+        w = np.array([0.0, 1.0, 0.0])
+        assert moreau._DualCertifier._fd_jacobian(
+            lambda wv: (wv[:-1], None), w, w[:-1]) is None
+
+
+class TestDuplicateCuts:
+    def test_cut_within_tolerance_of_a_recent_one_is_dropped(self):
+        game = random_game(1, [3], 3, 1)
+        center = (np.array([0.2, 0.15, 0.65]),)
+        y = np.array([0.5, 0.3, 0.2])
+        cert = moreau._DualCertifier(game, center, 2.0, center, y)
+        cert.probe(y, moreau._POLISH_TOL)
+        near = y + np.array([1e-8, -1e-8, 0.0])
+        cert.probe(near, moreau._POLISH_TOL)
+        z_near = moreau._inner_min(game, center, 2.0, near, center,
+                                   moreau._POLISH_TOL)[0]
+        slope = contract_game(game, z_near, None, (game.n,))
+        differ = float(np.max(np.abs(slope - cert.cut_slopes[0])))
+        assert 1e-12 < differ < moreau._DUPLICATE_CUT
+        assert len(cert.cut_slopes) == 1
+        cert.probe(np.array([0.0, 0.0, 1.0]), moreau._POLISH_TOL)
+        assert len(cert.cut_slopes) == 2
 
 
 def _inner_min_full_game(game, center, ell, y, z0, inner_tol):

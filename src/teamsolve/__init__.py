@@ -14,26 +14,21 @@ from .games import (
     SchemaError,
     SmoothnessBounds,
     TeamGame,
-    adversary_best_response,
-    adversary_payoff_vector,
     analytic_bounds,
     dirichlet_profile,
-    expected_utility,
     game_from_dict,
     game_to_dict,
-    partial_gradient,
     profile_from_dict,
     profile_to_dict,
     uniform_profile,
 )
-from .linprog import LinearProgram, LpFault, LpSolution, solve_lp, zero_sum_value
+from .linprog import LinearProgram, LpFault, LpSolution, solve_lp
 from .extension import (
     DualityError,
     ExtensionAudit,
     NeCertificate,
     extend_ne,
     ne_gap,
-    vi_residual,
 )
 from .dynamics import (
     GdConfig,
@@ -42,18 +37,11 @@ from .dynamics import (
     gradient_descent_max,
     project_simplex,
 )
-from .moreau import (
-    ProximalResult,
-    StationarityReport,
-    potential_g,
-    proximal_point,
-    stationarity,
-)
+from .moreau import ProximalResult, proximal_point
 from .two_team import (
     MinmaxResult,
     TwoTeamGame,
     TwoTeamProfile,
-    TwoTeamStationarity,
     extend_ne_multi,
     gd_mm,
     minmax_oracle,

@@ -197,12 +197,10 @@ def cmd_prox(args):
         "center": [list(map(float, x)) for x in result.center],
         "prox_point": [list(map(float, x)) for x in result.prox_point],
         "objective_value": result.objective_value,
-        "potential_g": result.potential_g,
         "tolerance": result.tolerance,
         "reached": result.reached,
         "prox_distance": result.prox_distance,
         "iterations": result.iterations,
-        "planned_iterations": result.planned_iterations,
     }
     if args.out:
         _write_json(args.out, payload)

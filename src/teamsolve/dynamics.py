@@ -378,7 +378,7 @@ def gradient_descent_max(game, config):
         potential = None
         smoothed = None
         if prox_due(t):
-            potential = prox_state.potential_g
+            potential = prox_state.objective_value
             last_potential = potential
             trace.max_prox_tolerance = max(trace.max_prox_tolerance,
                                            prox_state.tolerance)
@@ -399,7 +399,7 @@ def gradient_descent_max(game, config):
             if prox_due(t + 1):
                 new_prox = trace.prox(game, new_team, ell, prox_tol,
                                       warm_start=prox_state)
-                rise = (new_prox.potential_g - last_potential
+                rise = (new_prox.objective_value - last_potential
                         if last_potential is not None else -math.inf)
                 if (rise > prox_tol and eta > 1e-12
                         and trace.eta_backoffs < _MAX_BACKOFFS):

@@ -49,10 +49,6 @@ class NeCertificate:
     def gap(self):
         return max(self.gap_team, self.gap_adversary)
 
-    def is_epsilon_ne(self, epsilon=None):
-        eps = self.epsilon_claimed if epsilon is None else epsilon
-        return self.gap <= eps
-
     def to_dict(self):
         return {"gap_team": self.gap_team,
                 "gap_adversary": self.gap_adversary,
@@ -151,24 +147,6 @@ def _deviation_gaps(game, team, y, adv, minimizers, epsilon_claimed):
     gap_adversary = max(float(np.max(d)) - value
                         for d in (adv, *devs[minimizers:]))
     return NeCertificate(gap_team, gap_adversary, epsilon_claimed)
-
-
-def vi_residual(game, profile):
-    """Largest first-order improvement available over both strategy sets.
-
-    Maximizing the gradient inner products over the feasible polytopes is
-    a vertex problem, solved here in closed form.  The residual upper
-    bounds both certificate gaps, so a point with residual below epsilon
-    is an epsilon-equilibrium.
-    """
-    profile.validate(game)
-    team, y = profile.team, profile.adversary
-    team_part = 0.0
-    for x, g in zip(team, contract_players(game, team, y)):
-        team_part += float(x @ g) - float(np.min(g))
-    adv = contract_game(game, team, None, (game.n,))
-    adv_part = float(np.max(adv)) - float(adv @ y)
-    return max(team_part, adv_part)
 
 
 @functools.lru_cache(maxsize=64)

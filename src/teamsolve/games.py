@@ -253,12 +253,6 @@ class TeamGame:
                 f"sampled payoff {float(vals[first])} at {profile} exceeds "
                 f"v_max {self.v_max}")
 
-    def pure_profiles(self):
-        """Iterate over all pure joint profiles ``(a, b)``."""
-        for a in itertools.product(*(range(k) for k in self.action_sets)):
-            for b in range(self.adversary_actions):
-                yield a, b
-
 
 @dataclass(frozen=True)
 class MixedProfile:
@@ -413,7 +407,7 @@ def contract_game(game, team, adversary, keep):
     ``keep`` lists the open axes in increasing order.  ``adversary`` is a
     mixed vector, a pure action index (which fixes the adversary axis), or
     ``None`` when axis ``n`` is kept.  Nothing is validated: the public
-    kernels below check their inputs once, and internal callers pass
+    entry points check their inputs once, and internal callers pass
     strategies they built themselves.  A polytensor game's blocks are
     summed in block order, starting from zero; :func:`contract_players`
     keeps that order, so its per-player vectors equal this function's
@@ -571,87 +565,6 @@ def fix_adversary(game, adversary):
         LocalBlock(blk.players, False, fixed(blk.table, len(blk.players)))
         if blk.includes_adversary else blk for blk in game._blocks)
     return TeamGame(game.action_sets, 1, game.v_max, blocks=blocks)
-
-
-def _check_player(game, player):
-    if not 0 <= player < game.n:
-        raise DimensionMismatchError(
-            f"player index {player} out of range for {game.n} players",
-            player=player)
-
-
-def adversary_payoff_vector(game, team):
-    """Expected team payoff against each pure adversary action.
-
-    Returns the length-``|B|`` vector ``b -> U(x, b)``; these are exactly
-    the per-action coefficients the extension LP consumes.
-    """
-    return contract_game(game, _validate_mixed_team(game, team), None,
-                         (game.n,))
-
-
-def expected_utility(game, profile):
-    """``E_(a,b)~profile U(a, b)`` via per-factor marginalization."""
-    profile.validate(game)
-    vec = contract_game(game, profile.team, None, (game.n,))
-    return float(vec @ profile.adversary)
-
-
-def partial_gradient(game, profile, player):
-    """Deviation payoffs of one team player.
-
-    Component ``a`` equals ``E[U(a, a_-i, b)]`` with the other players and
-    the adversary drawn from ``profile``; by multilinearity this is also
-    the gradient of the expected utility in ``x_i``.
-    """
-    _check_player(game, player)
-    profile.validate(game)
-    return contract_game(game, profile.team, profile.adversary, (player,))
-
-
-def deviation_payoff_matrix(game, team, player):
-    """Payoffs of one player's pure deviations against pure adversary acts.
-
-    Returns the ``|A_player| x |B|`` matrix whose ``(a, b)`` entry is the
-    expected payoff when ``player`` commits to ``a``, the other team
-    members play their mixed strategies, and the adversary plays ``b``.
-    Row-averaging with ``x_player`` recovers ``adversary_payoff_vector``;
-    these matrices are the extension LP's coefficients.
-    """
-    team = _validate_mixed_team(game, team)
-    _check_player(game, player)
-    return contract_game(game, team, None, (player, game.n))
-
-
-def adversary_best_response(game, team):
-    """Best pure adversary action against the team, ties to lowest index.
-
-    Returns ``(action, value)`` with ``value = max_y U(x, y)``, attained at
-    a pure action by linearity in ``y``.
-    """
-    vec = adversary_payoff_vector(game, team)
-    action = int(np.argmax(vec))  # first maximizer == lowest index
-    return action, float(vec[action])
-
-
-def team_gradients(game, team, adversary):
-    """All players' expected-utility gradients in one pass.
-
-    ``adversary`` is either a pure action index or a mixed vector over the
-    adversary's actions.  Component ``a`` of entry ``i`` is the expected
-    payoff when player ``i`` commits to ``a``; dotting with ``x_i``
-    recovers the expected utility, whichever ``i`` is used.
-    """
-    team = _validate_mixed_team(game, team)
-    if np.isscalar(adversary) or isinstance(adversary, (int, np.integer)):
-        adversary = int(adversary)
-        if not 0 <= adversary < game.adversary_actions:
-            raise DimensionMismatchError(
-                f"adversary action {adversary} out of range")
-    else:
-        adversary = np.asarray(adversary, dtype=float)
-        _check_strategy(adversary, game.adversary_actions, "adversary")
-    return contract_players(game, team, adversary)
 
 
 @dataclass(frozen=True)

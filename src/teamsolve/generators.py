@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import (GameError, SchemaError, TeamGame, _is_int,
-                    game_from_dict, game_to_dict)
+from .games import (GameError, SchemaError, _is_int, game_from_dict,
+                    game_to_dict)
 from .two_team import TwoTeamGame, two_team_from_dict
 
 MENU_PRODUCT_CAP = 64

@@ -459,52 +459,3 @@ def _pivot(T, basis, row, col, pivots):
     out[row] = 0.0
     T -= out[:, None] * T[row, :]
     basis[row] = col
-
-
-def zero_sum_value(payoff_matrix):
-    """Minimax value and optimal strategies of a two-player zero-sum game.
-
-    The row player minimizes ``x^T M y`` and the column player maximizes
-    it.  Returns ``(value, row_strategy, col_strategy)``.  Among optimal
-    strategies, a second lexicographic pass prefers mass on low-index
-    actions, so ties resolve deterministically toward the lowest index.
-    This is the ``n = 1`` ground-truth oracle for the team solver.
-    """
-    M = np.atleast_2d(np.asarray(payoff_matrix, dtype=float))
-    n_rows, n_cols = M.shape
-    # Variables (u, x): minimize u s.t. u >= (x^T M)_j, sum x = 1, x >= 0.
-    c = np.zeros(1 + n_rows)
-    c[0] = 1.0
-    A = np.hstack([np.ones((n_cols, 1)), -M.T])
-    b = np.zeros(n_cols)
-    E = np.hstack([np.zeros((1, 1)), np.ones((1, n_rows))])
-    f = np.ones(1)
-    bounds = [(None, None)] + [(0.0, None)] * n_rows
-    sol = solve_lp(LinearProgram(c, A, b, E, f, bounds)).require_optimal()
-    value = float(sol.value)
-    # The true optimum stays feasible for any slack >= 0; this margin only
-    # absorbs float noise in the refinement constraints.
-    slack = 1e-9 * (1.0 + abs(value))
-    # Row refinement: cheapest-index point of the near-optimal face.
-    x_lp = LinearProgram(
-        np.arange(n_rows, dtype=float),
-        A=-M.T, b=np.full(n_cols, -(value + slack)),
-        E=np.ones((1, n_rows)), f=np.ones(1),
-        bounds=[(0.0, None)] * n_rows)
-    x = _tidy_simplex(solve_lp(x_lp).require_optimal().primal)
-    # Column refinement: M y >= value on every row keeps y optimal.
-    y_lp = LinearProgram(
-        np.arange(n_cols, dtype=float),
-        A=M, b=np.full(n_rows, value - slack),
-        E=np.ones((1, n_cols)), f=np.ones(1),
-        bounds=[(0.0, None)] * n_cols)
-    y = _tidy_simplex(solve_lp(y_lp).require_optimal().primal)
-    return value, x, y
-
-
-def _tidy_simplex(v):
-    v = np.maximum(np.asarray(v, dtype=float), 0.0)
-    total = float(v.sum())
-    if total <= 0.0:
-        return np.full(v.size, 1.0 / v.size)
-    return v / total

@@ -6,9 +6,9 @@ proximal point anchored at ``x``,
 
     prox(x) = argmin_{x'} phi(x') + ell * ||x - x'||^2,
 
-certifies near-stationarity through its distance from ``x``, and the
-achieved objective value is the potential that strictly decreases along
-solver iterations.  The quadratic makes the objective ``ell``-strongly
+certifies that ``x`` is nearly stationary through its distance from it;
+the achieved objective value is the potential that strictly decreases
+along solver iterations.  The quadratic makes the objective ``ell``-strongly
 convex, so value-approximate minimizers are all this module ever needs.
 
 Every call is certified from the dual side alone.  Any mixed adversary
@@ -43,7 +43,6 @@ import numpy as np
 from ._simplex import project_list
 from .games import (
     _validate_mixed_team,
-    analytic_bounds,
     contract_game,
     contract_players,
     fix_adversary,
@@ -71,28 +70,23 @@ class ProximalResult:
     """An approximate proximal point together with its certificates.
 
     ``objective_value`` is the achieved value of ``phi(x') + ell ||x -
-    x'||^2`` at ``prox_point``; ``tolerance`` is a certified bound on its
-    distance from the true minimum; ``potential_g`` is the same achieved
-    value, exposed under the name the run traces use.  ``reached`` says
-    whether the tolerance was certified within ``_DUAL_ROUNDS`` certifier
-    rounds; ``iterations`` counts the rounds run.  ``planned_iterations``
-    is the iteration count the strongly-convex subgradient rate would
-    need for the requested tolerance, reported for comparison.
-    ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs, and
-    ``kelley_faults`` counts the Kelley LPs that raised ``LpFault``; such
-    a step is skipped, since only the probes supply bounds.
-    ``inner_solves`` counts the inner minimizations the call ran, one per
-    adversary mixture probed.
+    x'||^2`` at ``prox_point``, the potential the run traces record;
+    ``tolerance`` is a certified bound on its distance from the true
+    minimum.  ``reached`` says whether the tolerance was certified within
+    ``_DUAL_ROUNDS`` certifier rounds; ``iterations`` counts the rounds
+    run.  ``lp_pivots`` totals the simplex pivots of the call's Kelley
+    LPs, and ``kelley_faults`` counts the Kelley LPs that raised
+    ``LpFault``; such a step is skipped, since only the probes supply
+    bounds.  ``inner_solves`` counts the inner minimizations the call
+    ran, one per adversary mixture probed.
     """
 
     center: tuple
     prox_point: tuple
     objective_value: float
     tolerance: float
-    potential_g: float
     reached: bool
     iterations: int
-    planned_iterations: int
     adversary_mix: np.ndarray
     memory: _ProxMemory | None = None
     lp_pivots: int = 0
@@ -103,22 +97,6 @@ class ProximalResult:
     def prox_distance(self):
         return float(np.linalg.norm(_stack(self.center)
                                     - _stack(self.prox_point)))
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """Near-stationarity certified through the proximal distance.
-
-    ``measure`` is the epsilon for which the queried point is certified
-    epsilon-near stationary: twice ``ell`` times the proximal distance,
-    plus the recorded ``slack`` induced by the prox solver's value
-    tolerance.
-    """
-
-    measure: float
-    prox_distance: float
-    slack: float
-    tolerance: float
 
 
 def _stack(team):
@@ -158,8 +136,6 @@ def proximal_point(game, center, ell, tol, warm_start=None):
     """
     center = tuple(np.array(x, dtype=float)
                    for x in _checked_center(game, center, ell, tol))
-    lipschitz = analytic_bounds(game).lipschitz
-    planned = max(1, math.ceil(2.0 * lipschitz * lipschitz / (ell * tol)))
 
     def objective(team):
         vec = contract_game(game, team, None, (game.n,))
@@ -192,10 +168,8 @@ def proximal_point(game, center, ell, tol, warm_start=None):
         prox_point=tuple(np.array(v) for v in best_x),
         objective_value=best_val,
         tolerance=max(gap, 1e-15),
-        potential_g=best_val,
         reached=gap <= tol,
         iterations=rounds,
-        planned_iterations=planned,
         adversary_mix=certifier.best_y,
         memory=certifier.export_memory(),
         lp_pivots=certifier.lp_pivots,
@@ -445,7 +419,7 @@ class _DualCertifier:
             self.jac_active = tuple(int(b) for b in active)
 
 
-def _inner_min(game, center, ell, y, z0, inner_tol):
+def _inner_solve(game, center, ell, y, z0, inner_tol):
     """Minimize the smooth inner objective ``U(., y) + ell||center - .||^2``.
 
     Gauss-Seidel sweeps: each player's block subproblem is an exact
@@ -457,22 +431,14 @@ def _inner_min(game, center, ell, y, z0, inner_tol):
     so it is contracted out of the payoff once (:func:`fix_adversary`),
     and every sweep and gradient runs :func:`contract_game` and
     :func:`contract_players` on that game at its one adversary action,
-    contracting team axes only.  The per-player vector math runs
-    on Python floats (see :func:`_inner_solve`).  Returns ``(z, f_z,
-    lb)`` with ``lb <= f_z``.
-    """
-    z, f_z, lb, _ = _inner_solve(game, center, ell, y, z0, inner_tol)
-    return z, f_z, lb
-
-
-def _inner_solve(game, center, ell, y, z0, inner_tol):
-    """:func:`_inner_min`, also returning ``||z - center||^2``.
+    contracting team axes only.
 
     The vectors have a few entries each, so everything but the
     contractions runs on lists of Python floats: the elementwise
     operations numpy would perform, in the same order, and sequential
-    dot products, which round differently from BLAS.  :meth:`probe`
-    takes its cut intercept from the returned distance.
+    dot products, which round differently from BLAS.  Returns ``(z, f_z,
+    lb, dist2)`` with ``lb <= f_z`` and ``dist2 = ||z - center||^2``,
+    from which :meth:`probe` takes its cut intercept.
     """
     n = game.n
     fixed = fix_adversary(game, y)
@@ -520,30 +486,3 @@ def _dot(a, b):
     for x, y in zip(a, b):
         total += x * y
     return total
-
-
-def potential_g(game, team, ell, tol):
-    """The run potential: achieved prox objective value at ``team``.
-
-    Sandwiched between the exact prox value and that value plus the
-    certified tolerance, and never exceeds the worst-case payoff at
-    ``team`` itself (the center is always a feasible candidate).
-    """
-    return proximal_point(game, team, ell, tol).potential_g
-
-
-def stationarity(game, team, ell, tol):
-    """Certified near-stationarity of ``team`` for its worst-case payoff.
-
-    The returned measure is ``2 * ell * prox_distance`` plus an explicit
-    slack for the prox solver's value tolerance (a value error ``tau`` on
-    an ``ell``-strongly convex objective moves the minimizer by at most
-    ``sqrt(2 tau / ell)``).
-    """
-    res = proximal_point(game, team, ell, tol)
-    slack = 2.0 * math.sqrt(2.0 * res.tolerance * ell)
-    measure = 2.0 * ell * res.prox_distance + slack
-    return StationarityReport(measure=measure,
-                              prox_distance=res.prox_distance,
-                              slack=slack,
-                              tolerance=res.tolerance)

@@ -46,7 +46,6 @@ from .games import (
     contract_players,
     game_from_dict,
 )
-from .moreau import stationarity
 
 # The grid oracle's largest product grid.  Its screen holds one worst case
 # per point and adversary action, so the cap bounds that array's memory
@@ -54,10 +53,6 @@ from .moreau import stationarity
 # number of products in each worst case, at most the number of points, small
 # enough for the screen's error bound (see _grid_argmin).
 _GRID_POINT_CAP = 2_000_000
-# stationarity_diagnostics: the prox-solver value tolerance behind both
-# slacks, and the co-maximizer side's supergradient ascent steps.
-_DIAGNOSTIC_TOL = 1e-6
-_ASCENT_ROUNDS = 6
 
 
 class TwoTeamGame:
@@ -137,31 +132,6 @@ def _checked(game, vectors, first, count):
     return vectors
 
 
-@dataclass(frozen=True)
-class TwoTeamStationarity:
-    """Diagnostic stationarity measures at a two-team profile.
-
-    ``x_measure`` certifies near-stationarity of the minimizer profile
-    for the induced single-adversary game (holding the co-maximizers
-    fixed); ``y_measure`` is the proximal-distance surrogate for the
-    co-maximizers' side of the extension hypothesis, computed with the
-    (approximate) minmax oracle inside the prox objective.  Both carry
-    explicit slack terms; the y side is diagnostic only and never gates
-    convergence.
-    """
-
-    x_measure: float
-    x_slack: float
-    y_measure: float
-    y_slack: float
-
-
-def expected_value(game, profile):
-    """Expected payoff of mixed team profiles (full contraction)."""
-    team = (*profile.minimizers, *profile.maximizers[:-1])
-    return float(contract_game(game.joint, team, profile.maximizers[-1], ()))
-
-
 def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
     """Brute-force deviation certificate over both teams.
 
@@ -176,18 +146,13 @@ def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
                            game.n, epsilon_claimed)
 
 
-def induced_single_adversary_game(game, y_minus_m):
+def _induced(game, y_minus_m):
     """The team game seen by the minimizers and the last maximizer.
 
-    Co-maximizer strategies ``y_minus_m``, validated, are averaged out.
-    With ``m = 1`` this is the joint game itself, so downstream results
-    agree bitwise with the single-adversary code path.
+    Co-maximizer strategies ``y_minus_m`` are averaged out; only their
+    number is checked.  With ``m = 1`` this is the joint game itself, so
+    downstream results agree bitwise with the single-adversary code path.
     """
-    return _induced(game, _checked(game, y_minus_m, game.n, game.m - 1))
-
-
-def _induced(game, y_minus_m):
-    """:func:`induced_single_adversary_game` on unvalidated strategies."""
     if len(y_minus_m) != game.m - 1:
         raise DimensionMismatchError(f"need {game.m - 1} co-maximizer "
                                      f"strategies, got {len(y_minus_m)}")
@@ -442,54 +407,6 @@ def _maximizer_gradients(game, x, co_maximizers, y_m):
     """
     return contract_players(game.joint, (*x, *co_maximizers), y_m,
                             players=range(game.n, game.joint.n))
-
-
-def stationarity_diagnostics(game, profile, oracle_method="grid",
-                             grid_step=0.02):
-    """Approximate stationarity measures for both sides of a profile.
-
-    The minimizer side is the certified single-adversary measure on the
-    induced game.  The co-maximizer side maximizes the minmax value
-    function minus a proximity term by a few supergradient ascent steps,
-    with every value query answered by the (approximate) minmax oracle
-    and each supergradient taken against the oracle's team reply and its
-    extension mixture for the last maximizer; its slack records only the
-    prox-solver contribution, since oracle error cannot be bounded
-    rigorously at this scale.
-    """
-    ell = analytic_bounds(game).smoothness
-    induced = induced_single_adversary_game(game, profile.maximizers[:-1])
-    x_report = stationarity(induced, profile.minimizers,
-                            max(analytic_bounds(induced).smoothness, 1e-9),
-                            _DIAGNOSTIC_TOL)
-    if game.m == 1:
-        return TwoTeamStationarity(
-            x_measure=x_report.measure, x_slack=x_report.slack,
-            y_measure=0.0, y_slack=0.0)
-
-    anchor = profile.maximizers[:-1]
-    current = tuple(np.array(v) for v in anchor)
-    best_point, best_val = current, -math.inf
-    step = 1.0 / (2.0 * ell)
-    for _ in range(_ASCENT_ROUNDS):
-        oracle = minmax_oracle(game, current, method=oracle_method,
-                               grid_step=grid_step)
-        penalty = sum(float((c - a) @ (c - a))
-                      for c, a in zip(current, anchor))
-        value = oracle.value - ell * penalty
-        if value > best_val:
-            best_val, best_point = value, current
-        grads = _maximizer_gradients(game, oracle.team, current,
-                                     oracle.adversary)
-        current = tuple(
-            project_simplex(c + step * (g - 2.0 * ell * (c - a)))
-            for c, g, a in zip(current, grads, anchor))
-    distance = math.sqrt(sum(float((b - a) @ (b - a))
-                             for b, a in zip(best_point, anchor)))
-    slack = 2.0 * math.sqrt(2.0 * _DIAGNOSTIC_TOL * ell)
-    return TwoTeamStationarity(
-        x_measure=x_report.measure, x_slack=x_report.slack,
-        y_measure=2.0 * ell * distance + slack, y_slack=slack)
 
 
 # -- JSON schema --------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def random_profile(rng, game):
     team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
     adversary = rng.dirichlet(np.ones(game.adversary_actions))
     return team, adversary
+
+
+def stationarity_measure(res, ell):
+    """``(measure, slack)`` at a prox result's center: ``2 * ell`` times
+    the prox distance plus the slack ``2 sqrt(2 tau ell)`` of its value
+    tolerance ``tau``, since a value error ``tau`` on an ``ell``-strongly
+    convex objective moves the minimizer by at most ``sqrt(2 tau / ell)``.
+    """
+    slack = 2.0 * math.sqrt(2.0 * res.tolerance * ell)
+    return 2.0 * ell * res.prox_distance + slack, slack
 
 
 def ring_game(rng, players, adversary_actions):

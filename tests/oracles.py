@@ -175,23 +175,21 @@ def two_team_deviation_gaps(tensor, n, minimizers, maximizers):
 
 
 def support_enumeration_zero_sum(matrix, tol=1e-9):
-    """Minimax value of a zero-sum matrix game by support enumeration.
+    """Minimax value and optimal strategies of a zero-sum matrix game.
 
-    Row player minimizes.  Checks every support pair for an equalizing
-    mixed pair satisfying the equilibrium inequalities; pure saddle
-    points are covered by singleton supports.
+    Row player minimizes ``x^T M y``.  Checks every support pair, smallest
+    first, for an equalizing mixed pair satisfying the equilibrium
+    inequalities; pure saddle points are covered by singleton supports.
+    Returns ``(value, row_strategy, col_strategy)`` of the first pair found.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
     n_rows, n_cols = M.shape
-    best = None
     for k in range(1, min(n_rows, n_cols) + 1):
         for rows in itertools.combinations(range(n_rows), k):
             for cols in itertools.combinations(range(n_cols), k):
                 sol = _equalizer(M, rows, cols, tol)
                 if sol is not None:
-                    return sol[0]
-        if best is not None:
-            return best
+                    return sol
     raise AssertionError("no equilibrium found (impossible for finite games)")
 
 

@@ -98,6 +98,30 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def test_prox_with_a_subnormal_tolerance_exits_ok(tmp_path, capsys):
+    code = cli.main(["prox", "--game", _write(tmp_path, "game.json",
+                                              GAMES["team"]),
+                     "--center", _write(tmp_path, "center.json",
+                                        {"team": [[0.5, 0.5]]}),
+                     "--ell", "4", "--tol", "1e-320"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_OK and not err
+    assert sorted(json.loads(out)) == [
+        "center", "iterations", "objective_value", "prox_distance",
+        "prox_point", "reached", "tolerance"]
+
+
+def test_solve_with_a_tiny_epsilon_and_a_budget_exits_ok(tmp_path, capsys):
+    # epsilon ** 4 / 64 is about 6e-322, the run's prox tolerance.
+    out = tmp_path / "out.json"
+    code = cli.main(["solve", "--game", _write(tmp_path, "game.json",
+                                               GAMES["team"]),
+                     "--epsilon", "1e-80", "--max-iters", "5",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK and not capsys.readouterr().err
+    assert json.loads(out.read_text())["certificate"]["gap"] <= 1e-80
+
+
 def _gdmm(game, out, *extra):
     return cli.main(["gdmm", "--game", game, "--epsilon", "0.1", "--out",
                      str(out), *extra])

@@ -10,24 +10,21 @@ from teamsolve import (
     GameError,
     MixedProfile,
     TeamGame,
-    adversary_best_response,
-    adversary_payoff_vector,
     analytic_bounds,
-    expected_utility,
+    extend_ne,
     gd_step,
     game_from_dict,
     game_to_dict,
     ne_gap,
-    partial_gradient,
+    proximal_point,
 )
 from teamsolve.games import (
     LocalBlock,
     SchemaError,
     contract,
     contract_game,
-    deviation_payoff_matrix,
+    contract_players,
     fix_adversary,
-    team_gradients,
 )
 
 from conftest import mixed_ring_game, random_profile, random_team_game, ring_game
@@ -42,14 +39,27 @@ def profile(team, adversary):
     return MixedProfile.of(team, adversary)
 
 
+def arrays(vectors):
+    return tuple(np.asarray(x, dtype=float) for x in vectors)
+
+
+def utility(game, team, adversary):
+    """The expected payoff at a mixed profile: every axis contracted."""
+    return float(contract_game(game, arrays(team),
+                               np.asarray(adversary, dtype=float), ()))
+
+
+def adversary_vector(game, team):
+    """The expected payoff against each pure adversary action."""
+    return contract_game(game, arrays(team), None, (game.n,))
+
+
 class TestExpectedUtility:
     def test_pure_profile_reads_tensor_entry(self, matching_pennies):
-        assert expected_utility(
-            matching_pennies, profile([[1, 0]], [0, 1])) == -1.0
+        assert utility(matching_pennies, [[1, 0]], [0, 1]) == -1.0
 
     def test_uniform_symmetry(self, matching_pennies):
-        assert expected_utility(
-            matching_pennies, profile([[0.5, 0.5]], [0.5, 0.5])) == 0.0
+        assert utility(matching_pennies, [[0.5, 0.5]], [0.5, 0.5]) == 0.0
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(42)
@@ -57,20 +67,19 @@ class TestExpectedUtility:
         team, adversary = random_profile(rng, game)
         expected = exhaustive_expected_utility(game.payoff_tensor(), team,
                                                adversary)
-        got = expected_utility(game, profile(team, adversary))
+        got = utility(game, team, adversary)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch_names_player(self, matching_pennies):
         with pytest.raises(DimensionMismatchError) as err:
-            expected_utility(matching_pennies,
-                             profile([[0.5, 0.25, 0.25]], [0.5, 0.5]))
+            profile([[0.5, 0.25, 0.25]], [0.5, 0.5]).validate(
+                matching_pennies)
         assert err.value.player == 0
         assert "player 0" in str(err.value)
 
     def test_invalid_simplex_rejected(self, matching_pennies):
         with pytest.raises(DimensionMismatchError):
-            expected_utility(matching_pennies,
-                             profile([[0.7, 0.7]], [0.5, 0.5]))
+            profile([[0.7, 0.7]], [0.5, 0.5]).validate(matching_pennies)
 
     @settings(max_examples=50, deadline=None)
     @given(lam=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
@@ -82,25 +91,25 @@ class TestExpectedUtility:
         for i in range(game.n):
             blend = list(team)
             blend[i] = lam * team[i] + (1 - lam) * other[i]
-            left = expected_utility(game, profile(blend, adversary))
-            a = list(team)
+            left = utility(game, blend, adversary)
             b = list(team)
             b[i] = other[i]
-            right = (lam * expected_utility(game, profile(a, adversary))
-                     + (1 - lam) * expected_utility(game,
-                                                    profile(b, adversary)))
+            right = (lam * utility(game, team, adversary)
+                     + (1 - lam) * utility(game, b, adversary))
             assert left == pytest.approx(right, abs=1e-9)
 
 
 class TestPartialGradient:
+    """Deviation payoffs of one player, the gradient in its strategy."""
+
     def test_uniform_adversary_zeroes_pennies(self, matching_pennies):
-        grad = partial_gradient(
-            matching_pennies, profile([[0.3, 0.7]], [0.5, 0.5]), 0)
+        grad = contract_game(matching_pennies, arrays([[0.3, 0.7]]),
+                             np.array([0.5, 0.5]), (0,))
         assert np.allclose(grad, [0.0, 0.0])
 
     def test_row_expectations(self, matching_pennies):
-        grad = partial_gradient(
-            matching_pennies, profile([[0.5, 0.5]], [1.0, 0.0]), 0)
+        grad = contract_game(matching_pennies, arrays([[0.5, 0.5]]),
+                             np.array([1.0, 0.0]), (0,))
         assert np.allclose(grad, [1.0, -1.0])
 
     def test_matches_central_finite_differences(self):
@@ -111,35 +120,38 @@ class TestPartialGradient:
             player = int(rng.integers(game.n))
             fd = finite_difference_gradient(game.payoff_tensor(), team,
                                             adversary, player)
-            grad = partial_gradient(game, profile(team, adversary), player)
+            grad = contract_players(game, team, adversary)[player]
             assert np.max(np.abs(grad - fd)) < 1e-5
 
     def test_fixing_pure_action_reproduces_components(self):
         rng = np.random.default_rng(12)
         game = random_team_game(rng)
         team, adversary = random_profile(rng, game)
-        grad = partial_gradient(game, profile(team, adversary), 0)
+        grad = contract_game(game, team, adversary, (0,))
         for a in range(game.action_sets[0]):
             pinned = list(team)
             pinned[0] = np.zeros(game.action_sets[0])
             pinned[0][a] = 1.0
-            val = expected_utility(game, profile(pinned, adversary))
+            val = utility(game, pinned, adversary)
             assert grad[a] == pytest.approx(val, abs=1e-12)
-
-    def test_player_out_of_range(self, matching_pennies):
-        with pytest.raises(DimensionMismatchError):
-            partial_gradient(matching_pennies,
-                             profile([[0.5, 0.5]], [0.5, 0.5]), 1)
 
 
 class TestAdversaryBestResponse:
+    """The adversary payoff vector and the pure best response that a
+    descent step reads off it."""
+
+    @staticmethod
+    def best_response(game, team):
+        _, action = gd_step(game, team, 0.0)
+        return action, float(adversary_vector(game, team)[action])
+
     def test_column_read(self, matching_pennies):
-        assert adversary_best_response(matching_pennies,
-                                       [np.array([1.0, 0.0])]) == (0, 1.0)
+        assert self.best_response(matching_pennies,
+                                  [np.array([1.0, 0.0])]) == (0, 1.0)
 
     def test_tie_breaks_to_lowest_index(self, matching_pennies):
-        action, value = adversary_best_response(matching_pennies,
-                                                [np.array([0.5, 0.5])])
+        action, value = self.best_response(matching_pennies,
+                                           [np.array([0.5, 0.5])])
         assert action == 0 and value == 0.0
 
     def test_value_matches_enumeration(self):
@@ -147,7 +159,7 @@ class TestAdversaryBestResponse:
         for _ in range(20):
             game = random_team_game(rng)
             team, _ = random_profile(rng, game)
-            action, value = adversary_best_response(game, team)
+            action, value = self.best_response(game, team)
             per_action = []
             for b in range(game.adversary_actions):
                 one_hot = np.zeros(game.adversary_actions)
@@ -161,8 +173,8 @@ class TestAdversaryBestResponse:
         rng = np.random.default_rng(22)
         game = random_team_game(rng)
         team, _ = random_profile(rng, game)
-        _, value = adversary_best_response(game, team)
-        vec = adversary_payoff_vector(game, team)
+        _, value = self.best_response(game, team)
+        vec = adversary_vector(game, team)
         for _ in range(100):
             mixed = rng.dirichlet(np.ones(game.adversary_actions))
             assert float(vec @ mixed) <= value + 1e-9
@@ -189,8 +201,8 @@ class TestAnalyticBounds:
             for _ in range(200):
                 t1, a1 = random_profile(rng, game)
                 t2, a2 = random_profile(rng, game)
-                u1 = expected_utility(game, profile(t1, a1))
-                u2 = expected_utility(game, profile(t2, a2))
+                u1 = utility(game, t1, a1)
+                u2 = utility(game, t2, a2)
                 dist = math.sqrt(
                     sum(float((x - y) @ (x - y))
                         for x, y in zip(t1, t2))
@@ -204,10 +216,11 @@ class TestDeviationMatrix:
         rng = np.random.default_rng(41)
         game = random_team_game(rng)
         team, _ = random_profile(rng, game)
-        vec = adversary_payoff_vector(game, team)
-        for i in range(game.n):
-            C = deviation_payoff_matrix(game, team, i)
-            assert np.allclose(team[i] @ C, vec, atol=1e-12)
+        vec = adversary_vector(game, team)
+        for x, C in zip(team, contract_players(game, team, None,
+                                               keep_adversary=True)):
+            assert C.shape == (x.size, game.adversary_actions)
+            assert np.allclose(x @ C, vec, atol=1e-12)
 
 
 class TestPolytensor:
@@ -226,21 +239,21 @@ class TestPolytensor:
         rng = np.random.default_rng(51)
         for _ in range(20):
             team, adversary = random_profile(rng, game)
-            p = profile(team, adversary)
-            assert expected_utility(game, p) == pytest.approx(
-                expected_utility(dense, p), abs=1e-12)
-            for i in range(2):
-                assert np.allclose(partial_gradient(game, p, i),
-                                   partial_gradient(dense, p, i),
-                                   atol=1e-12)
-                assert np.allclose(
-                    deviation_payoff_matrix(game, team, i),
-                    deviation_payoff_matrix(dense, team, i), atol=1e-12)
+            assert utility(game, team, adversary) == pytest.approx(
+                utility(dense, team, adversary), abs=1e-12)
+            for mine, theirs in zip(
+                    contract_players(game, team, adversary),
+                    contract_players(dense, team, adversary)):
+                assert np.allclose(mine, theirs, atol=1e-12)
+            for mine, theirs in zip(
+                    contract_players(game, team, None, keep_adversary=True),
+                    contract_players(dense, team, None, keep_adversary=True)):
+                assert np.allclose(mine, theirs, atol=1e-12)
 
     def test_v_max_default_bounds_samples(self):
         game = self.blocks_game()
         # The default bound sums per-block maxima, so every sample obeys it.
-        for a, b in game.pure_profiles():
+        for *a, b in np.ndindex(*game.action_sets, game.adversary_actions):
             assert abs(game.payoff(a, b)) <= game.v_max + 1e-12
 
     def test_explicit_v_max_violation_rejected(self):
@@ -255,13 +268,13 @@ class TestPolytensor:
             LocalBlock((0,), True, table)])
         assert game._blocks[0].table.shape == ()
         tensor = 1.5 + table
-        for a, b in game.pure_profiles():
-            assert game.payoff(a, b) == tensor[a + (b,)]
+        for *a, b in np.ndindex(2, 2):
+            assert game.payoff(a, b) == tensor[(*a, b)]
         assert np.array_equal(game.payoff_tensor(), tensor)
         rng = np.random.default_rng(52)
         for _ in range(5):
             team, y = random_profile(rng, game)
-            assert expected_utility(game, profile(team, y)) == pytest.approx(
+            assert utility(game, team, y) == pytest.approx(
                 exhaustive_expected_utility(tensor, team, y), abs=1e-12)
 
 
@@ -402,11 +415,11 @@ class TestSeventeenPlayers:
             2, size=self.N))
         team = [np.eye(2)[ai] for ai in a]
         y = np.array([0.25, 0.75])
-        assert np.array_equal(adversary_payoff_vector(wide, team), tensor[a])
+        assert np.array_equal(adversary_vector(wide, team), tensor[a])
         for p in (0, 8, self.N - 1):
             rows = tensor[a[:p] + (slice(None),) + a[p + 1:]]
-            assert np.array_equal(deviation_payoff_matrix(wide, team, p),
-                                  rows)
+            assert np.array_equal(
+                contract_game(wide, team, None, (p, self.N)), rows)
         value = float(tensor[a] @ y)
         deviations = [float(tensor[a[:p] + (c,) + a[p + 1:]] @ y)
                       for p in range(self.N) for c in range(2)]
@@ -423,10 +436,10 @@ class TestSeventeenPlayers:
         y = rng.dirichlet(np.ones(2))
         vectors = team + [y]
         adv = tensordot_contract(tensor, vectors, (self.N,))
-        assert np.allclose(adversary_payoff_vector(wide, team), adv,
+        assert np.allclose(adversary_vector(wide, team), adv,
                            rtol=0, atol=1e-12)
         for p in (0, 8, self.N - 1):
-            assert np.allclose(deviation_payoff_matrix(wide, team, p),
+            assert np.allclose(contract_game(wide, team, None, (p, self.N)),
                                tensordot_contract(tensor, vectors,
                                                   (p, self.N)),
                                rtol=0, atol=1e-12)
@@ -466,24 +479,21 @@ class TestKernelsRejectNonDistributions:
 
     @BAD
     def test_adversary_payoff_vector(self, bad):
+        # The prox objective starts from this vector at its center.
         with pytest.raises(DimensionMismatchError, match="player 1"):
-            adversary_payoff_vector(self.game(), [[0.5, 0.5], bad])
-        # The best response reads the same vector.
-        with pytest.raises(DimensionMismatchError, match="player 1"):
-            adversary_best_response(self.game(), [[0.5, 0.5], bad])
+            proximal_point(self.game(), [[0.5, 0.5], bad], ell=1.0, tol=1e-6)
 
     @BAD
     def test_deviation_payoff_matrix(self, bad):
+        # These matrices are the extension LP's coefficients.
         with pytest.raises(DimensionMismatchError, match="player 0"):
-            deviation_payoff_matrix(self.game(), [bad, [0.5, 0.5]], 1)
+            extend_ne(self.game(), [bad, [0.5, 0.5]])
 
     @BAD
     def test_team_gradients(self, bad):
-        with pytest.raises(DimensionMismatchError, match="player 0"):
-            team_gradients(self.game(), [bad, [0.5, 0.5]], 0)
         with pytest.raises(DimensionMismatchError, match="adversary"):
-            team_gradients(self.game(), [[0.5, 0.5], [0.5, 0.5]], bad)
-        # A descent step starts from the same gradients.
+            ne_gap(self.game(), profile([[0.5, 0.5], [0.5, 0.5]], bad))
+        # A descent step starts from the team's gradients.
         with pytest.raises(DimensionMismatchError, match="player 0"):
             gd_step(self.game(), (np.array(bad), np.array([0.5, 0.5])), 0.1)
 
@@ -543,9 +553,8 @@ class TestFixAdversary:
                 assert isinstance(fixed, TeamGame)
                 assert fixed.adversary_actions == 1
                 assert fixed.v_max <= game.v_max
-                assert expected_utility(fixed, profile(team, [1.0])) \
-                    == pytest.approx(expected_utility(game, profile(team, y)),
-                                     abs=1e-12)
+                assert utility(fixed, team, [1.0]) == pytest.approx(
+                    utility(game, team, y), abs=1e-12)
 
     def test_inherits_v_max_without_computing_or_auditing_it(
             self, monkeypatch):

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 import teamsolve.two_team as two_team
 from teamsolve import GdConfig, TwoTeamGame, extend_ne, gd_mm, minmax_oracle
 from teamsolve.dynamics import PHASES
-from teamsolve.two_team import _simplex_grid, induced_single_adversary_game
+from teamsolve.two_team import _induced, _simplex_grid
 
 from oracles import einsum_contract, reference_grid_argmin, reference_simplex_grid
 
 
 def _reference(game, y_minus_m, q):
     """Team, value, best response and adversary of the full-grid oracle."""
-    induced = induced_single_adversary_game(game, y_minus_m)
+    induced = _induced(game, y_minus_m)
     tensor = induced.payoff_tensor()
     team = reference_grid_argmin(tensor, q)
     vec = einsum_contract(tensor, (*team, None), (induced.n,))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamsolve import LinearProgram, solve_lp, zero_sum_value
+from teamsolve import LinearProgram, solve_lp
 
 from oracles import enumerate_lp_vertices, support_enumeration_zero_sum
 
@@ -95,15 +95,36 @@ class TestSolutionQuality:
         assert np.allclose(scaled.primal, base.primal, atol=1e-9)
 
 
+def minimax_lp(matrix):
+    """The row player's program of a zero-sum game ``x^T M y``: minimize
+    ``u`` s.t. ``u >= (x^T M)_j`` for every column ``j``, ``x`` a
+    distribution.  Variables are ``(u, x)``."""
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    rows, cols = M.shape
+    return LinearProgram(np.r_[1.0, np.zeros(rows)],
+                         A=np.hstack([np.ones((cols, 1)), -M.T]),
+                         b=np.zeros(cols),
+                         E=np.r_[0.0, np.ones(rows)][None, :], f=np.ones(1),
+                         bounds=[(None, None)] + [(0.0, None)] * rows)
+
+
+def zero_sum_solution(matrix):
+    """Value, row strategy and column strategy of :func:`minimax_lp`; the
+    column player's strategy is the multipliers of the column rows."""
+    cols = np.atleast_2d(matrix).shape[1]
+    sol = solve_lp(minimax_lp(matrix)).require_optimal()
+    return sol.value, sol.primal[1:], sol.dual[:cols]
+
+
 class TestZeroSum:
     def test_matching_pennies(self):
-        value, x, y = zero_sum_value([[1, -1], [-1, 1]])
+        value, x, y = zero_sum_solution([[1, -1], [-1, 1]])
         assert value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(x, [0.5, 0.5], atol=1e-7)
         assert np.allclose(y, [0.5, 0.5], atol=1e-7)
 
     def test_constant_game_lowest_index_tie_break(self):
-        value, x, y = zero_sum_value([[2, 2], [2, 2]])
+        value, x, y = zero_sum_solution([[2, 2], [2, 2]])
         assert value == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(x, [1.0, 0.0], atol=1e-7)
         assert np.allclose(y, [1.0, 0.0], atol=1e-7)
@@ -112,8 +133,8 @@ class TestZeroSum:
         rng = np.random.default_rng(6)
         for _ in range(15):
             M = rng.uniform(-1, 1, size=(3, 3))
-            value, x, y = zero_sum_value(M)
-            oracle = support_enumeration_zero_sum(M)
+            value, x, y = zero_sum_solution(M)
+            oracle, _, _ = support_enumeration_zero_sum(M)
             assert value == pytest.approx(oracle, abs=1e-7)
             # The returned strategies actually guarantee the value.
             assert np.max(x @ M) <= value + 1e-7
@@ -124,7 +145,7 @@ class TestZeroSum:
            cols=st.integers(1, 4))
     def test_value_sandwich_property(self, seed, rows, cols):
         M = np.random.default_rng(seed).uniform(-2, 2, size=(rows, cols))
-        value, x, y = zero_sum_value(M)
+        value, x, y = zero_sum_solution(M)
         # Pure guarantees sandwich the value: the maximizer can secure the
         # best column floor, the minimizer can cap at the best row ceiling.
         assert M.min(axis=0).max() <= value + 1e-7

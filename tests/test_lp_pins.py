@@ -26,11 +26,10 @@ from teamsolve import (
     extend_ne_multi,
     random_game,
     solve_lp,
-    zero_sum_value,
 )
 
 from conftest import ring_game
-from test_linprog import random_feasible_lp
+from test_linprog import minimax_lp, random_feasible_lp
 
 
 def _extension_lp(extend, game, *strategies):
@@ -166,15 +165,11 @@ class TestAgainstHighs:
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(13)
         for rows, cols in [(2, 2), (3, 4), (5, 3), (4, 6)]:
-            M = rng.uniform(-1, 1, size=(rows, cols))
-            value, _, _ = zero_sum_value(M)
             # min u s.t. u >= (x^T M)_j for every column j, x a distribution.
-            res = linprog(np.r_[1.0, np.zeros(rows)],
-                          A_ub=np.hstack([-np.ones((cols, 1)), M.T]),
-                          b_ub=np.zeros(cols),
-                          A_eq=np.r_[0.0, np.ones(rows)][None, :], b_eq=[1.0],
-                          bounds=[(None, None)] + [(0, None)] * rows,
-                          method="highs")
+            lp = minimax_lp(rng.uniform(-1, 1, size=(rows, cols)))
+            value = solve_lp(lp).require_optimal().value
+            res = linprog(lp.objective, A_ub=-lp.A, b_ub=-lp.b, A_eq=lp.E,
+                          b_eq=lp.f, bounds=lp.bounds, method="highs")
             assert res.status == 0
             assert value == pytest.approx(res.fun, abs=1e-7)
 

@@ -5,18 +5,18 @@ import pytest
 
 import teamsolve.linprog as linprog
 import teamsolve.moreau as moreau
-from teamsolve import DimensionMismatchError, TeamGame, zero_sum_value
-from teamsolve.games import (
-    LocalBlock,
-    adversary_payoff_vector,
-    analytic_bounds,
-    contract_game,
-)
+from teamsolve import DimensionMismatchError, TeamGame
+from teamsolve.games import LocalBlock, analytic_bounds, contract_game
 from teamsolve.generators import random_game
-from teamsolve.moreau import potential_g, proximal_point, stationarity
+from teamsolve.moreau import proximal_point
 
-from conftest import mixed_ring_game, random_profile, random_team_game, ring_game
-from oracles import grid_prox_minimum, sort_threshold_projection
+from conftest import (mixed_ring_game, random_profile, ring_game,
+                      stationarity_measure)
+from oracles import (
+    grid_prox_minimum,
+    sort_threshold_projection,
+    support_enumeration_zero_sum,
+)
 
 
 def small_games(seed, count, two_player=False):
@@ -38,7 +38,7 @@ class TestProximalPoint:
         center = [np.array([0.3, 0.7])]
         res = proximal_point(constant_game, center, ell=4.0, tol=1e-6)
         assert np.allclose(res.prox_point[0], center[0], atol=1e-9)
-        assert res.potential_g == pytest.approx(2.0, abs=1e-9)
+        assert res.objective_value == pytest.approx(2.0, abs=1e-9)
         assert res.reached
 
     def test_pennies_vertex_matches_grid(self, matching_pennies):
@@ -52,7 +52,7 @@ class TestProximalPoint:
         rng = np.random.default_rng(23)
         for _ in range(5):
             M = rng.uniform(-1, 1, size=(3, 3))
-            _, x, _ = zero_sum_value(M)
+            _, x, _ = support_enumeration_zero_sum(M)
             game = TeamGame.dense(M)
             ell = analytic_bounds(game).smoothness
             res = proximal_point(game, [x], ell=ell, tol=1e-10)
@@ -64,17 +64,15 @@ class TestProximalPoint:
             team, _ = random_profile(rng, game)
             ell = analytic_bounds(game).smoothness
             res = proximal_point(game, team, ell=ell, tol=1e-5)
-            phi_center = float(np.max(adversary_payoff_vector(game, team)))
+            phi_center = float(np.max(contract_game(game, team, None,
+                                                    (game.n,))))
             assert res.objective_value <= phi_center + 1e-9
             assert res.tolerance > 0
 
     def test_planned_budget_matches_rate_formula(self, matching_pennies):
-        lip = analytic_bounds(matching_pennies).lipschitz
         tol = 1e-4
         res = proximal_point(matching_pennies, [np.array([0.6, 0.4])],
                              ell=4.0, tol=tol)
-        assert res.planned_iterations == math.ceil(
-            2.0 * lip * lip / (4.0 * tol))
         assert res.reached and res.tolerance <= tol
 
     def test_iteration_cap_flags_unreached(self, matching_pennies):
@@ -111,17 +109,19 @@ class TestProximalPoint:
 
 
 class TestPotential:
+    """The run potential: the achieved prox objective value."""
+
     def test_constant_game_everywhere(self, constant_game):
         rng = np.random.default_rng(31)
         for _ in range(5):
             team, _ = random_profile(rng, constant_game)
-            val = potential_g(constant_game, team, ell=4.0, tol=1e-8)
-            assert val == pytest.approx(2.0, abs=1e-8)
+            res = proximal_point(constant_game, team, ell=4.0, tol=1e-8)
+            assert res.objective_value == pytest.approx(2.0, abs=1e-8)
 
     def test_pennies_at_equilibrium_is_zero(self, matching_pennies):
-        val = potential_g(matching_pennies, [np.array([0.5, 0.5])],
-                          ell=4.0, tol=1e-6)
-        assert abs(val) <= 1e-6 + 1e-6
+        res = proximal_point(matching_pennies, [np.array([0.5, 0.5])],
+                             ell=4.0, tol=1e-6)
+        assert abs(res.objective_value) <= 1e-6 + 1e-6
 
     def test_bounded_by_payoff_and_diameter(self):
         rng = np.random.default_rng(32)
@@ -130,38 +130,45 @@ class TestPotential:
             bound = game.v_max + ell * 2.0 * game.n
             for _ in range(20):
                 team, _ = random_profile(rng, game)
-                val = potential_g(game, team, ell=ell, tol=1e-4)
-                assert abs(val) <= bound + 1e-9
+                res = proximal_point(game, team, ell=ell, tol=1e-4)
+                assert abs(res.objective_value) <= bound + 1e-9
 
 
 class TestStationarity:
+    """Near-stationarity certified through the prox distance and the
+    prox value tolerance (``conftest.stationarity_measure``)."""
+
     def test_minimax_center_nearly_stationary(self):
         rng = np.random.default_rng(41)
         M = rng.uniform(-1, 1, size=(3, 3))
-        _, x, _ = zero_sum_value(M)
+        _, x, _ = support_enumeration_zero_sum(M)
         game = TeamGame.dense(M)
         ell = analytic_bounds(game).smoothness
-        report = stationarity(game, [x], ell=ell, tol=1e-10)
-        assert report.measure <= report.slack + 1e-4
+        measure, slack = stationarity_measure(
+            proximal_point(game, [x], ell=ell, tol=1e-10), ell)
+        assert measure <= slack + 1e-4
 
     def test_pennies_vertex_far_from_stationary(self, matching_pennies):
-        report = stationarity(matching_pennies, [np.array([1.0, 0.0])],
-                              ell=4.0, tol=1e-8)
-        assert report.measure > 0.5
+        measure, _ = stationarity_measure(
+            proximal_point(matching_pennies, [np.array([1.0, 0.0])],
+                           ell=4.0, tol=1e-8), 4.0)
+        assert measure > 0.5
 
     def test_constant_game_slack_only(self, constant_game):
-        report = stationarity(constant_game, [np.array([0.3, 0.7])],
-                              ell=4.0, tol=1e-8)
-        assert report.measure == pytest.approx(report.slack)
-        assert report.prox_distance == pytest.approx(0.0, abs=1e-12)
+        res = proximal_point(constant_game, [np.array([0.3, 0.7])],
+                             ell=4.0, tol=1e-8)
+        measure, slack = stationarity_measure(res, 4.0)
+        assert measure == pytest.approx(slack)
+        assert res.prox_distance == pytest.approx(0.0, abs=1e-12)
 
     def test_close_prox_relation_by_construction(self):
         rng = np.random.default_rng(42)
         for game in small_games(43, 5):
             team, _ = random_profile(rng, game)
             ell = analytic_bounds(game).smoothness
-            report = stationarity(game, team, ell=ell, tol=1e-6)
-            assert report.prox_distance <= report.measure / (2 * ell) + 1e-12
+            res = proximal_point(game, team, ell=ell, tol=1e-6)
+            measure, _ = stationarity_measure(res, ell)
+            assert res.prox_distance <= measure / (2 * ell) + 1e-12
 
 
 class TestSummedDeviationTransfer:
@@ -185,8 +192,7 @@ class TestSummedDeviationTransfer:
             team, _ = random_profile(rng, game)
             res = proximal_point(game, team, ell=ell, tol=1e-9)
             anchor = res.prox_point
-            measure = 2.0 * ell * res.prox_distance + 2.0 * math.sqrt(
-                2.0 * res.tolerance * ell)
+            measure, _ = stationarity_measure(res, ell)
             blocks = []
             tensor = game.payoff_tensor()
             for i in range(game.n):
@@ -280,8 +286,8 @@ class TestDuplicateCuts:
         cert.probe(y, moreau._POLISH_TOL)
         near = y + np.array([1e-8, -1e-8, 0.0])
         cert.probe(near, moreau._POLISH_TOL)
-        z_near = moreau._inner_min(game, center, 2.0, near, center,
-                                   moreau._POLISH_TOL)[0]
+        z_near = moreau._inner_solve(game, center, 2.0, near, center,
+                                     moreau._POLISH_TOL)[0]
         slope = contract_game(game, z_near, None, (game.n,))
         differ = float(np.max(np.abs(slope - cert.cut_slopes[0])))
         assert 1e-12 < differ < moreau._DUPLICATE_CUT
@@ -332,8 +338,8 @@ class TestInnerMinFixedAdversary:
             ell = analytic_bounds(game).smoothness
             center, y = random_profile(rng, game)
             z0 = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
-            z, f_z, lb = moreau._inner_min(game, center, ell, y, z0,
-                                           inner_tol)
+            z, f_z, lb, _ = moreau._inner_solve(game, center, ell, y, z0,
+                                                inner_tol)
             z_ref, f_ref, lb_ref = _inner_min_full_game(
                 game, center, ell, y, z0, inner_tol)
             assert max(float(np.max(np.abs(a - b)))

@@ -1,0 +1,60 @@
+"""The public names of ``teamsolve``, pinned so that any change to them
+shows up as a diff here.  Submodules are left out: importing one adds
+it to the package namespace."""
+
+import types
+
+import teamsolve
+
+PUBLIC_NAMES = [
+    "CapacityError",
+    "CongestionSpec",
+    "DimensionMismatchError",
+    "DualityError",
+    "ExtensionAudit",
+    "GameError",
+    "GdConfig",
+    "LinearProgram",
+    "LocalBlock",
+    "LpFault",
+    "LpSolution",
+    "MinmaxResult",
+    "MixedProfile",
+    "NeCertificate",
+    "ProximalResult",
+    "RunTrace",
+    "SchemaError",
+    "SmoothnessBounds",
+    "TeamGame",
+    "TwoTeamGame",
+    "TwoTeamProfile",
+    "analytic_bounds",
+    "congestion_to_team_game",
+    "dirichlet_profile",
+    "extend_ne",
+    "extend_ne_multi",
+    "game_from_dict",
+    "game_to_dict",
+    "gd_mm",
+    "gd_step",
+    "gradient_descent_max",
+    "minmax_oracle",
+    "ne_gap",
+    "ne_gap_two_team",
+    "potential_game_embed",
+    "profile_from_dict",
+    "profile_to_dict",
+    "project_simplex",
+    "proximal_point",
+    "random_game",
+    "solve_lp",
+    "two_team_from_dict",
+    "uniform_profile",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, obj in vars(teamsolve).items()
+                    if not name.startswith("_")
+                    and not isinstance(obj, types.ModuleType))
+    assert public == PUBLIC_NAMES

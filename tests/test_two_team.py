@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,20 +17,26 @@ from teamsolve import (
     minmax_oracle,
     ne_gap_two_team,
     two_team_from_dict,
-    zero_sum_value,
 )
 from teamsolve.dynamics import default_eta
-from teamsolve.games import DimensionMismatchError, GameError, SchemaError
+from teamsolve.games import (
+    DimensionMismatchError,
+    GameError,
+    SchemaError,
+    contract_game,
+)
 from teamsolve.two_team import (
-    expected_value,
-    induced_single_adversary_game,
-    stationarity_diagnostics,
+    _induced,
     two_team_profile_from_dict,
     two_team_profile_to_dict,
 )
 
 from conftest import poly_two_team_doc
-from oracles import tensordot_contract, two_team_deviation_gaps
+from oracles import (
+    support_enumeration_zero_sum,
+    tensordot_contract,
+    two_team_deviation_gaps,
+)
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -39,6 +44,12 @@ MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def random_two_team(rng, n=2, m=2, size=2):
     shape = (size,) * (n + m)
     return TwoTeamGame(rng.uniform(-1, 1, size=shape), n=n, m=m)
+
+
+def expected_value(game, profile):
+    """The expected payoff: the joint game with every axis contracted."""
+    team = (*profile.minimizers, *profile.maximizers[:-1])
+    return float(contract_game(game.joint, team, profile.maximizers[-1], ()))
 
 
 def _last_axis_pair_matrices(tensor, vecs):
@@ -102,7 +113,7 @@ class TestMinmaxOracle:
     def test_pennies_single_maximizer(self):
         game = TwoTeamGame(MP, n=1, m=1)
         res = minmax_oracle(game, (), method="grid", grid_step=0.02)
-        value, x, _ = zero_sum_value(MP)
+        value, x, _ = support_enumeration_zero_sum(MP)
         assert res.value == pytest.approx(value, abs=1e-9)
         assert np.allclose(res.team[0], x, atol=0.02)
         assert res.bracket[0] <= value <= res.bracket[1] + 1e-12
@@ -240,14 +251,6 @@ class TestGdMm:
                 assert max(o_min, o_max) <= 0.1 + 1e-9
         assert converged >= 5
 
-    def test_diagnostics_report_slacks(self):
-        rng = np.random.default_rng(10)
-        game = random_two_team(rng)
-        profile, _, _ = gd_mm(game, GdConfig(epsilon=0.15))
-        diag = stationarity_diagnostics(game, profile)
-        assert diag.x_measure >= 0 and diag.y_measure >= 0
-        assert diag.x_slack >= 0 and diag.y_slack >= 0
-
 
 class TestSchema:
     def doc(self):
@@ -282,7 +285,7 @@ class TestSchema:
         rng = np.random.default_rng(11)
         tensor = rng.uniform(-1, 1, size=(2, 2))
         game = TwoTeamGame(tensor, n=1, m=1)
-        induced = induced_single_adversary_game(game, ())
+        induced = _induced(game, ())
         assert np.array_equal(induced.payoff_tensor(), tensor)
 
 

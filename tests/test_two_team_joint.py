@@ -26,7 +26,6 @@ from teamsolve import (
     two_team_from_dict,
 )
 from teamsolve.games import DimensionMismatchError
-from teamsolve.two_team import induced_single_adversary_game
 
 from conftest import poly_two_team_doc
 from oracles import two_team_deviation_gaps
@@ -120,7 +119,7 @@ class TestPolytensorTwoTeam:
         _, game = load()
         game = dense_copy(game) if copy else game
         y = (np.array([0.3, 0.7]),)
-        induced = induced_single_adversary_game(game, y)
+        induced = two_team._induced(game, y)
         assert induced.v_max == game.joint.v_max
         assert induced.representation == "dense_tensor"
         expected = games.contract_game(game.joint, (None, None) + y, None,
@@ -154,12 +153,6 @@ class TestEntryPointValidation:
         with pytest.raises(DimensionMismatchError, match="maximizer vectors"):
             extend_ne_multi(self.GAME, ([0.5, 0.5],), ())
 
-    def test_induced_game_rejects_a_co_maximizer_off_the_simplex(self):
-        with pytest.raises(DimensionMismatchError,
-                           match="maximizer 0: negative") as err:
-            induced_single_adversary_game(self.GAME, ([1.5, -0.5],))
-        assert err.value.player == 1
-
     def test_gd_mm_validates_no_strategy(self, monkeypatch):
         calls = []
         real = two_team._check_strategy
@@ -186,8 +179,7 @@ class TestEntryPointValidation:
         assert trace.extend_calls > 0 and calls == []
         oracle = two_team.minmax_oracle(game, (np.full(2, 0.5),) * (m - 1))
         assert calls == []
-        induced = induced_single_adversary_game(
-            game, (np.full(2, 0.5),) * (m - 1))
+        induced = two_team._induced(game, (np.full(2, 0.5),) * (m - 1))
         y, audit = extend_ne(induced, oracle.team, with_audit=True)
         assert calls  # the public extension still validates
         assert y.tobytes() == oracle.adversary.tobytes()

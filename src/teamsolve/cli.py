@@ -60,11 +60,16 @@ class InputError(Exception):
     """CLI-level input problem; message is printed, exit code 1."""
 
 
-def _read_json(path):
+def _on_path(path, method, *args, **kwargs):
+    """``Path(path).method(*args, **kwargs)``; ``OSError`` is input error."""
     try:
-        text = Path(path).read_text()
+        return getattr(Path(path), method)(*args, **kwargs)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path):
+    text = _on_path(path, "read_text")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -73,8 +78,13 @@ def _read_json(path):
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
+    _on_path(path, "write_text",
+             json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _check_out_dir(path):
+    if not Path(path).parent.is_dir():  # before a run, not after it
+        raise InputError(f"{path}: no such directory")
 
 
 def _load_game(path, two_team=None):
@@ -109,7 +119,7 @@ def _write_result(out, profile_doc, cert, trace, args, embed_trace):
     payload = {"profile": profile_doc, "certificate": cert.to_dict(),
                "summary": trace.summary()}
     if args.format == "csv":
-        Path(f"{out}.trace.csv").write_text(trace.to_csv())
+        _on_path(f"{out}.trace.csv", "write_text", trace.to_csv())
     elif embed_trace:
         payload["trace"] = [{c: getattr(r, c) for c in TRACE_COLUMNS}
                             for r in trace.iterations]
@@ -122,10 +132,11 @@ def cmd_solve(args):
     games = args.game
     if len(games) > 1:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _on_path(out_dir, "mkdir", parents=True, exist_ok=True)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
                      for g in games]
     else:
+        _check_out_dir(args.out)
         out_paths = [Path(args.out)]
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters, check_every=args.check_every)
@@ -213,6 +224,7 @@ def cmd_gdmm(args):
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
     game = _load_game(args.game, two_team=True)
+    _check_out_dir(args.out)
     if args.oracle == "grid":
         _argument(_grid_q, game, args.grid_step)
     profile, cert, trace = gd_mm(game, config, oracle_method=args.oracle,

@@ -27,7 +27,7 @@ from .games import (
     contract_players,
     uniform_profile,
 )
-from .moreau import proximal_point
+from .moreau import _proximal_point
 
 TRACE_VERSION = "teamsolve-trace-v1"
 TRACE_COLUMNS = ("t", "potential_g", "ne_gap", "step_norm", "br_action")
@@ -116,24 +116,25 @@ class RunTrace:
     epsilon: float
     eta: float
     prox_tol: float
-    iterations: list = field(default_factory=list)
-    outcome: str = "budget_exhausted"
-    final_profile: MixedProfile | None = None
-    final_ne_gap: float | None = None
-    extend_calls: int = 0
-    lp_pivots: int = 0
-    lp_warm_kept: int = 0
-    lp_warm_dropped: int = 0
-    prox_lp_pivots: int = 0
-    prox_kelley_faults: int = 0
-    prox_inner_solves: int = 0
+    iterations: list = field(default_factory=list, init=False)
+    outcome: str = field(default="budget_exhausted", init=False)
+    final_profile: MixedProfile | None = field(default=None, init=False)
+    final_ne_gap: float | None = field(default=None, init=False)
+    extend_calls: int = field(default=0, init=False)
+    lp_pivots: int = field(default=0, init=False)
+    lp_warm_kept: int = field(default=0, init=False)
+    lp_warm_dropped: int = field(default=0, init=False)
+    prox_lp_pivots: int = field(default=0, init=False)
+    prox_kelley_faults: int = field(default=0, init=False)
+    prox_inner_solves: int = field(default=0, init=False)
     prox_unreached: int = field(default=0, init=False)
-    max_sd_residual: float = 0.0
-    min_duality_margin: float = math.inf
-    max_prox_tolerance: float = 0.0
-    eta_backoffs: int = 0
-    final_eta: float | None = None
-    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    max_sd_residual: float = field(default=0.0, init=False)
+    min_duality_margin: float = field(default=math.inf, init=False)
+    max_prox_tolerance: float = field(default=0.0, init=False)
+    eta_backoffs: int = field(default=0, init=False)
+    final_eta: float | None = field(default=None, init=False)
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0),
+                          init=False)
     # The best record's (gap, profile, certificate) and the last iterate.
     _best: tuple = field(default=(math.inf, None, None), init=False)
     _point: np.ndarray | None = field(default=None, init=False)
@@ -178,9 +179,9 @@ class RunTrace:
         return y, values, audit.basis
 
     def prox(self, game, center, ell, tol, warm_start=None):
-        """Time :func:`~teamsolve.moreau.proximal_point`; add its counters."""
-        result = self.timed("prox", proximal_point, game, center, ell, tol,
-                            warm_start=warm_start)
+        """Time :func:`~teamsolve.moreau.proximal_point`, unchecked."""
+        result = self.timed("prox", _proximal_point, game, center, ell, tol,
+                            warm_start)
         self.prox_lp_pivots += result.lp_pivots
         self.prox_kelley_faults += result.kelley_faults
         self.prox_inner_solves += result.inner_solves
@@ -360,8 +361,8 @@ def gradient_descent_max(game, config):
     # Later iterates take this vector from their extension LP.
     values = contract_game(game, team, None, (game.n,))
 
-    trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol,
-                     final_eta=eta)
+    trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol)
+    trace.final_eta = eta
     prox_state = None
     last_potential = None
 

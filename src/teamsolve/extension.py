@@ -5,6 +5,8 @@ by handing the adversary the optimum of a small dual linear program whose
 coefficients are the team's pure-deviation payoffs.  Nothing here trusts
 the theory's hidden constants: every extension is re-certified by
 brute-force deviation enumeration (:func:`ne_gap`) before being reported.
+That program is the guarantee program of :func:`_guarantee_program`, which
+the Kelley model of :mod:`teamsolve.moreau` shares with one block of cuts.
 """
 
 from __future__ import annotations
@@ -78,11 +80,9 @@ class ExtensionAudit:
     ``sd_residual = |dual_total - u_joint|`` must vanish, both up to
     ``1e-7``, so passing :meth:`check` certifies both bounds optimal.  All
     of these are finite at every scale.  For ``scale >= 1`` the program
-    is ``min scale * u`` in disguise: ``u_anchor = scale * u_star`` and
-    ``u_opt = u_joint / scale`` is the per-unit optimum, so ``margin =
-    scale * (u_star - u_opt)``.  For ``scale <= 0`` there is no per-unit
-    reading and ``u_opt`` is NaN; ``u_anchor`` is ``scale * min_b r_b``
-    (0 at scale 0).
+    is ``min scale * u`` in disguise and ``u_anchor = scale * u_star``;
+    for ``scale <= 0``, ``u_anchor`` is ``scale * min_b r_b`` (0 at scale
+    0).
 
     ``pivots`` is the extension LP's simplex pivot count and ``basis`` its
     final simplex basis, which a caller may offer to the next extension
@@ -100,10 +100,6 @@ class ExtensionAudit:
     pivots: int = 0
     basis: tuple | None = None
     warm: str = "none"
-
-    @property
-    def u_opt(self):
-        return self.u_joint / self.scale if self.scale >= 1 else math.nan
 
     @property
     def margin(self):
@@ -150,10 +146,9 @@ def _deviation_gaps(game, team, y, adv, minimizers, epsilon_claimed):
 
 
 @functools.lru_cache(maxsize=64)
-def _extension_frame(sizes, n_b):
-    """The parts of an extension LP fixed by its block sizes and ``|B|``:
-    block offsets, the guarantee columns, cost, zero right-hand side,
-    equality row and right-hand side, and bounds."""
+def _guarantee_frame(sizes, n_b):
+    """What a guarantee program's block sizes and ``|B|`` fix: offsets,
+    guarantee columns, cost, equality row and right-hand side, bounds."""
     n_g = len(sizes)
     starts = tuple(itertools.accumulate(sizes, initial=0))
     guarantees = np.zeros((starts[-1], n_g))
@@ -161,10 +156,23 @@ def _extension_frame(sizes, n_b):
         guarantees[starts[k]:starts[k + 1], k] = -1.0
     cost = np.concatenate([-np.ones(n_g), np.zeros(n_b)])  # solve_lp minimizes
     eq = np.concatenate([np.zeros(n_g), np.ones(n_b)])[None, :]
-    arrays = (guarantees, cost, np.zeros(starts[-1]), eq, np.ones(1))
+    arrays = (guarantees, cost, eq, np.ones(1))
     for arr in arrays:
         arr.setflags(write=False)
     return starts, *arrays, ((None, None),) * n_g + ((0.0, None),) * n_b
+
+
+def _guarantee_program(blocks, n_b, rhs, basis):
+    """``(starts, lp)``: block offsets and the LP ``max sum_k g_k`` over
+    ``(g, y)`` s.t. ``g_k <= M_k[a] . y - rhs[a]`` on every stacked row
+    ``a`` of each block ``M_k``, ``y`` a mixture; ``basis`` warm-starts."""
+    n_g = len(blocks)
+    starts, guarantees, cost, eq, f, bounds = _guarantee_frame(
+        tuple(M.shape[0] for M in blocks), n_b)
+    rows = np.empty((starts[-1], n_g + n_b))
+    rows[:, :n_g] = guarantees
+    rows[:, n_g:] = np.concatenate(blocks)
+    return starts, LinearProgram(cost, rows, rhs, eq, f, bounds, basis)
 
 
 def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values,
@@ -189,15 +197,9 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values,
     # Co-maximizer rows carry -W: their deviations count against the sum.
     blocks = list(minimizer_coeffs) + [-W for W in maximizer_coeffs]
     n_g, n_b = len(blocks), response_values.size
-    starts, guarantees, cost, rhs, eq, f, bounds = _extension_frame(
-        tuple(M.shape[0] for M in blocks), n_b)
     scale = len(minimizer_coeffs) - len(maximizer_coeffs)
-    # Dual variables (g_1..g_K, y), one guarantee per block: maximize sum g
-    # s.t. g_k <= M_k[a] . y on every row of every block.
-    rows = np.empty((starts[-1], n_g + n_b))
-    rows[:, :n_g] = guarantees
-    rows[:, n_g:] = np.concatenate(blocks)
-    dual_lp = LinearProgram(cost, rows, rhs, eq, f, bounds, basis)
+    starts, dual_lp = _guarantee_program(
+        blocks, n_b, np.zeros(sum(M.shape[0] for M in blocks)), basis)
     dual_sol = solve_lp(dual_lp).require_optimal()
     y = np.maximum(dual_sol.primal[n_g:], 0.0)
     y = y / y.sum()

@@ -308,19 +308,20 @@ def dirichlet_profile(game, rng):
 
 
 def _validate_mixed_team(game, team):
-    """Check every vector's length, then that each is a distribution."""
-    team = tuple(np.asarray(x, dtype=float) for x in team)
-    if len(team) != game.n:
+    return _checked_strategies(team, game.action_sets, "team", "player", 0)
+
+
+def _checked_strategies(vectors, sizes, what, label, first):
+    """``vectors`` as float arrays, after checking their number (naming the
+    ``what`` vectors), then each one's length and simplex in turn: vector
+    ``i`` of size ``sizes[i]`` is ``"{label} i"``, player ``first + i``."""
+    vectors = tuple(np.asarray(x, dtype=float) for x in vectors)
+    if len(vectors) != len(sizes):
         raise DimensionMismatchError(
-            f"got {len(team)} team vectors for {game.n} players")
-    for i, x in enumerate(team):
-        if x.shape != (game.action_sets[i],):
-            raise DimensionMismatchError(
-                f"player {i}: strategy length {x.shape[0] if x.ndim == 1 else x.shape}"
-                f" does not match {game.action_sets[i]} actions", player=i)
-    for i, x in enumerate(team):
-        _check_simplex(x, f"player {i}", player=i)
-    return team
+            f"got {len(vectors)} {what} vectors, need {len(sizes)}")
+    for i, (x, size) in enumerate(zip(vectors, sizes)):
+        _check_strategy(x, size, f"{label} {i}", first + i)
+    return vectors
 
 
 # -- expected utility and gradients ------------------------------------

@@ -18,13 +18,14 @@ problem that solves fast; each inner solve contracts its fixed ``y`` out
 of the payoff once, into a game whose adversary has that one action,
 and sweeps over it with the same kernels as every other caller), and
 each inner minimizer is itself a feasible candidate whose worst case
-bounds the prox value from above.  Cutting planes steer ``y`` globally,
-and a Newton step equalizing the active payoffs pins the optimal
-mixture superlinearly.  A call runs at most ``_DUAL_ROUNDS`` rounds of
-that schedule and stops as soon as the requested value tolerance is
-certified; the final mixture, active set and Newton Jacobian are
-returned so that the next call at a nearby center certifies in a couple
-of inner solves.
+bounds the prox value from above.  Cutting planes steer ``y`` globally
+(the Kelley model over the cuts is the guarantee program of
+:mod:`teamsolve.extension`), and a Newton step equalizing the active
+payoffs pins the optimal mixture superlinearly.  A call runs at most
+``_DUAL_ROUNDS`` rounds of that schedule and stops as soon as the
+requested value tolerance is certified; the final mixture, active set
+and Newton Jacobian are returned so that the next call at a nearby
+center certifies in a couple of inner solves.
 
 Inner solves are the bulk of the work and their vectors have a few
 entries each, so only their contractions use numpy: the Gauss-Seidel
@@ -41,12 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import project_list
+from .extension import _guarantee_program
 from .games import (
     _validate_mixed_team,
     contract_game,
     contract_players,
     fix_adversary,
 )
+from .linprog import LpFault, solve_lp
 
 _DUAL_ROUNDS = 2
 _INNER_SWEEPS = 120
@@ -72,13 +75,14 @@ class ProximalResult:
     ``objective_value`` is the achieved value of ``phi(x') + ell ||x -
     x'||^2`` at ``prox_point``, the potential the run traces record;
     ``tolerance`` is a certified bound on its distance from the true
-    minimum.  ``reached`` says whether the tolerance was certified within
-    ``_DUAL_ROUNDS`` certifier rounds; ``iterations`` counts the rounds
-    run.  ``lp_pivots`` totals the simplex pivots of the call's Kelley
-    LPs, and ``kelley_faults`` counts the Kelley LPs that raised
-    ``LpFault``; such a step is skipped, since only the probes supply
-    bounds.  ``inner_solves`` counts the inner minimizations the call
-    ran, one per adversary mixture probed.
+    minimum, never below 1e-15.  ``reached`` says whether that bound is
+    at most the requested ``tol``, certified within ``_DUAL_ROUNDS``
+    certifier rounds; ``iterations`` counts the rounds run.
+    ``lp_pivots`` totals the simplex pivots of the call's Kelley LPs, and
+    ``kelley_faults`` counts the Kelley LPs that raised ``LpFault``; such
+    a step is skipped, since only the probes supply bounds.
+    ``inner_solves`` counts the inner minimizations the call ran, one per
+    adversary mixture probed.
     """
 
     center: tuple
@@ -136,6 +140,11 @@ def proximal_point(game, center, ell, tol, warm_start=None):
     """
     center = tuple(np.array(x, dtype=float)
                    for x in _checked_center(game, center, ell, tol))
+    return _proximal_point(game, center, ell, tol, warm_start)
+
+
+def _proximal_point(game, center, ell, tol, warm_start):
+    """:func:`proximal_point` at a checked ``center`` tuple it keeps."""
 
     def objective(team):
         vec = contract_game(game, team, None, (game.n,))
@@ -162,13 +171,13 @@ def proximal_point(game, center, ell, tol, warm_start=None):
         if best_val - certifier.best_lb <= tol:
             break
 
-    gap = max(best_val - certifier.best_lb, 0.0)
+    tolerance = max(best_val - certifier.best_lb, 1e-15)
     return ProximalResult(
         center=center,
         prox_point=tuple(np.array(v) for v in best_x),
         objective_value=best_val,
-        tolerance=max(gap, 1e-15),
-        reached=gap <= tol,
+        tolerance=tolerance,
+        reached=tolerance <= tol,
         iterations=rounds,
         adversary_mix=certifier.best_y,
         memory=certifier.export_memory(),
@@ -278,23 +287,13 @@ class _DualCertifier:
         self._equalize(tol, value_hint)
 
     def propose(self):
-        """Maximizer of the cut model over the simplex (Kelley step)."""
-        # Looked up per call, so that replacing teamsolve.linprog.solve_lp
-        # reaches the Kelley LPs only (extension binds its own at import).
-        from .linprog import LinearProgram, LpFault, solve_lp
-
-        n_b = self.game.adversary_actions
-        n_cuts = len(self.cut_intercepts)
-        cost = np.zeros(1 + n_b)
-        cost[0] = -1.0
-        rows = np.hstack([-np.ones((n_cuts, 1)), np.array(self.cut_slopes)])
-        rhs = -np.asarray(self.cut_intercepts)
-        eq = np.zeros((1, 1 + n_b))
-        eq[0, 1:] = 1.0
-        bounds = [(None, None)] + [(0.0, None)] * n_b
+        """Maximizer of the cut model over the simplex (Kelley step): the
+        guarantee program of the cuts' slopes and negated intercepts."""
+        _, lp = _guarantee_program([np.array(self.cut_slopes)],
+                                   self.game.adversary_actions,
+                                   -np.asarray(self.cut_intercepts), None)
         try:
-            sol = solve_lp(LinearProgram(cost, rows, rhs, eq, np.ones(1),
-                                         bounds))
+            sol = solve_lp(lp)
         except LpFault:
             self.kelley_faults += 1
             return None, math.inf  # model is advisory; probes stay rigorous

@@ -37,7 +37,7 @@ from .games import (
     GameError,
     SchemaError,
     TeamGame,
-    _check_strategy,
+    _checked_strategies,
     _freeze,
     _is_int,
     analytic_bounds,
@@ -111,25 +111,11 @@ class TwoTeamProfile:
         Raises :class:`~teamsolve.games.DimensionMismatchError`, whose
         ``player`` is the offender's payoff axis (minimizers first).
         """
-        _checked(game, self.minimizers, 0, game.n)
-        _checked(game, self.maximizers, game.n, game.m)
+        _checked_strategies(self.minimizers, game.minimizer_actions,
+                            "minimizer", "minimizer", 0)
+        _checked_strategies(self.maximizers, game.maximizer_actions,
+                            "maximizer", "maximizer", game.n)
         return self
-
-
-def _checked(game, vectors, first, count):
-    """The ``count`` strategies of the payoff axes from ``first`` on, as
-    float arrays, checked as :meth:`TwoTeamProfile.validate` documents."""
-    if len(vectors) != count:
-        who = "minimizer" if first < game.n else "maximizer"
-        raise DimensionMismatchError(
-            f"got {len(vectors)} {who} vectors, need {count}")
-    sizes = game.minimizer_actions + game.maximizer_actions
-    vectors = tuple(np.asarray(v, dtype=float) for v in vectors)
-    for axis, x in enumerate(vectors, first):
-        who = (f"minimizer {axis}" if axis < game.n
-               else f"maximizer {axis - game.n}")
-        _check_strategy(x, sizes[axis], who, player=axis)
-    return vectors
 
 
 def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
@@ -191,7 +177,6 @@ class MinmaxResult:
     adversary: np.ndarray
     value: float
     bracket: tuple
-    method: str
     best_response: int
     audit: ExtensionAudit
     payoffs: np.ndarray
@@ -292,22 +277,19 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
         grids = [_simplex_grid(k, q) for k in induced.action_sets]
         point = _grid_argmin(induced.payoff_tensor(), grids)
         team = tuple(g[i].copy() for g, i in zip(grids, point))
+        slack = analytic_bounds(induced).lipschitz * sum(
+            grid_step * k / 2.0 for k in induced.action_sets)
     elif method == "nested":
         config = inner_config or GdConfig(epsilon=0.025)
         team = gradient_descent_max(induced, config)[0].team
+        slack = math.nan
     else:
         raise ValueError("method must be 'grid' or 'nested'")
     adversary, audit, vec = _extend(induced, team, induced.n, _basis)
     b = int(np.argmax(vec))
     value = float(vec[b])
-    if method == "grid":
-        lipschitz = analytic_bounds(induced).lipschitz
-        radius = sum(grid_step * k / 2.0 for k in induced.action_sets)
-        bracket = (value - lipschitz * radius, value)
-    else:
-        bracket = (math.nan, value)
     return MinmaxResult(team=team, adversary=adversary, value=value,
-                        bracket=bracket, method=method, best_response=b,
+                        bracket=(value - slack, value), best_response=b,
                         audit=audit, payoffs=vec)
 
 
@@ -325,8 +307,10 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
     is :func:`teamsolve.extension.extend_ne` on the joint game and agrees
     with it bitwise.  The strategies are validated.
     """
-    team = (_checked(game, x_star, 0, game.n)
-            + _checked(game, y_minus_m, game.n, game.m - 1))
+    team = (_checked_strategies(x_star, game.minimizer_actions, "minimizer",
+                                "minimizer", 0)
+            + _checked_strategies(y_minus_m, game.maximizer_actions[:-1],
+                                  "maximizer", "maximizer", game.n))
     y_m, audit, _ = _extend(game.joint, team, game.n)
     return (y_m, audit) if with_audit else y_m
 
@@ -374,10 +358,14 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
                              inner_config=inner_config, _basis=oracle_basis)
         oracle_basis = oracle.audit.basis
         x = oracle.team
+        # Against the oracle's mixture, not a tie-broken pure reply, which
+        # flips between the last maximizer's indifferent actions.
         ascended = trace.timed("step", lambda: tuple(
             project_simplex(yj + eta * g) for yj, g in zip(
-                y[:-1], _maximizer_gradients(game, x, y[:-1],
-                                             oracle.adversary))))
+                y[:-1], contract_players(game.joint, (*x, *y[:-1]),
+                                         oracle.adversary,
+                                         players=range(game.n,
+                                                       game.joint.n)))))
         trace.record_extension(oracle.audit)
         # With m = 1 the induced game is the joint game.
         y_m, values = oracle.adversary, oracle.payoffs
@@ -393,20 +381,6 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         if trace.record(profile, cert, point, oracle.best_response):
             return trace.finish(profile, cert)
     return trace.finish()
-
-
-def _maximizer_gradients(game, x, co_maximizers, y_m):
-    """Gradients of the expected payoff in each co-maximizer's strategy.
-
-    Evaluated, as in the update rule, at the fresh minimizer reply, the
-    *previous* co-maximizer profile and the oracle's last-maximizer
-    extension mixture ``y_m``.  With the minmax pair held fixed this is
-    the direction in which the co-maximizers ascend the minmax value
-    function; a tie-broken pure reply would flip between the maximizer's
-    indifferent actions and point elsewhere.
-    """
-    return contract_players(game.joint, (*x, *co_maximizers), y_m,
-                            players=range(game.n, game.joint.n))
 
 
 # -- JSON schema --------------------------------------------------------

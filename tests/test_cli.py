@@ -111,6 +111,20 @@ def test_prox_with_a_subnormal_tolerance_exits_ok(tmp_path, capsys):
         "prox_point", "reached", "tolerance"]
 
 
+@pytest.mark.parametrize("tol", ["1e-6", "1e-320"])
+def test_prox_reports_reached_only_within_the_tolerance(tmp_path, capsys,
+                                                        tol):
+    code = cli.main(["prox", "--game", _write(tmp_path, "game.json",
+                                              GAMES["team"]),
+                     "--center", _write(tmp_path, "center.json",
+                                        {"team": [[0.5, 0.5]]}),
+                     "--ell", "4", "--tol", tol])
+    result = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert result["reached"] == (result["tolerance"] <= float(tol))
+    assert result["reached"] == (tol == "1e-6")
+
+
 def test_solve_with_a_tiny_epsilon_and_a_budget_exits_ok(tmp_path, capsys):
     # epsilon ** 4 / 64 is about 6e-322, the run's prox tolerance.
     out = tmp_path / "out.json"
@@ -327,6 +341,54 @@ def test_solve_batch_writes_one_result_per_game(tmp_path):
         assert _drop_phase_times(written) == _drop_phase_times(expected)
         assert ((out_dir / f"{name}.result.json.trace.csv").read_text()
                 == trace.to_csv())
+
+
+def test_parallel_solve_batch_writes_the_serial_results(tmp_path):
+    games = [_game_file(tmp_path, name) for name in sorted(SOLVE_DRAWS)]
+    codes, results = [], []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        codes.append(_solve(games, out_dir, "--jobs", jobs))
+        results.append({p.name: _drop_phase_times(json.loads(p.read_text()))
+                        for p in sorted(out_dir.iterdir())})
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK]
+    assert sorted(results[1]) == ["pair.result.json", "single.result.json"]
+    assert results[1] == results[0]
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the solver ran before the output path was checked")
+
+
+@pytest.mark.parametrize("command", ["solve", "solve_batch", "prox", "gen",
+                                     "gdmm"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                             command):
+    monkeypatch.setattr(cli, "gradient_descent_max", _refuse_to_run)
+    monkeypatch.setattr(cli, "gd_mm", _refuse_to_run)
+    missing = str(tmp_path / "missing" / "out.json")
+    team = _write(tmp_path, "team.json", GAMES["team"])
+    argv = {
+        "solve": ["solve", "--game", team, "--epsilon", "0.1",
+                  "--out", missing],
+        # The batch output directory names an existing file.
+        "solve_batch": ["solve", "--game", team, "--game", team,
+                        "--epsilon", "0.1", "--out", team],
+        "prox": ["prox", "--game", team, "--ell", "4", "--tol", "1e-6",
+                 "--center", _write(tmp_path, "center.json",
+                                    {"team": [[0.5, 0.5]]}),
+                 "--out", missing],
+        "gen": ["gen", "random", "--out", missing, "--spec",
+                _write(tmp_path, "spec.json",
+                       {"n": 1, "actions": [2], "adversary_actions": 2})],
+        "gdmm": ["gdmm", "--game", _write(tmp_path, "two_team.json",
+                                          GAMES["two_team"]),
+                 "--epsilon", "0.1", "--out", missing],
+    }[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_solve_exits_budget_with_the_best_profile(tmp_path):

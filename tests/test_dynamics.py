@@ -294,13 +294,13 @@ class TestLpPivots:
 
 class TestProxLpPivots:
     def test_trace_sums_kelley_lp_pivots(self, monkeypatch):
-        # Extension LPs bind solve_lp at import; only moreau's Kelley
-        # step looks it up on teamsolve.linprog at call time.
+        # Extension and moreau each bind solve_lp at import; moreau's
+        # binding reaches the Kelley LPs only.
         monkeypatch.setattr(moreau._DualCertifier, "_newton",
                             lambda self, *args, **kwargs: False)
         seen = []
         real = linprog.solve_lp
-        monkeypatch.setattr(linprog, "solve_lp",
+        monkeypatch.setattr(moreau, "solve_lp",
                             lambda lp: seen.append(real(lp)) or seen[-1])
         _, _, trace = gradient_descent_max(
             random_game(1, [3], 3, 2), GdConfig(epsilon=0.05, max_iters=40))
@@ -319,7 +319,7 @@ class TestProxKelleyFaults:
 
         monkeypatch.setattr(moreau._DualCertifier, "_newton",
                             lambda self, *args, **kwargs: False)
-        monkeypatch.setattr(linprog, "solve_lp", failing)
+        monkeypatch.setattr(moreau, "solve_lp", failing)
         _, cert, trace = gradient_descent_max(
             random_game(1, [3], 3, 2), GdConfig(epsilon=0.05, max_iters=40))
         assert trace.prox_kelley_faults == len(faults) > 0
@@ -338,8 +338,8 @@ class TestProxUnreached:
             lambda self, tol, value_hint: self.probe(self.best_y,
                                                      moreau._POLISH_TOL))
         results = []
-        real = dynamics.proximal_point
-        monkeypatch.setattr(dynamics, "proximal_point",
+        real = dynamics._proximal_point
+        monkeypatch.setattr(dynamics, "_proximal_point",
                             lambda *a, **k: results.append(real(*a, **k))
                             or results[-1])
         _, _, trace = gradient_descent_max(
@@ -391,8 +391,9 @@ class TestPhaseTimes:
 
 class TestValidateOnce:
     def test_gradient_descent_max_validates_no_strategy(self, monkeypatch):
-        # Wrap MixedProfile.validate, and extend_ne and ne_gap wherever a
-        # teamsolve module binds them; the run must reach none of them.
+        # Wrap MixedProfile.validate, and extend_ne, ne_gap and
+        # _validate_mixed_team wherever a teamsolve module binds them; the
+        # run must reach none of them.
         calls = []
 
         def spy(name, real):
@@ -400,8 +401,9 @@ class TestValidateOnce:
 
         monkeypatch.setattr(games.MixedProfile, "validate",
                             spy("validate", games.MixedProfile.validate))
-        for name in ("extend_ne", "ne_gap"):
-            real = getattr(extension, name)
+        for home, name in ((extension, "extend_ne"), (extension, "ne_gap"),
+                           (games, "_validate_mixed_team")):
+            real = getattr(home, name)
             for module in list(sys.modules.values()):
                 if (getattr(module, "__name__", "").startswith("teamsolve")
                         and getattr(module, name, None) is real):
@@ -416,4 +418,5 @@ class TestValidateOnce:
         # The wrappers are live at the entry points.
         assert teamsolve.ne_gap(game, profile).gap == cert.gap
         teamsolve.extend_ne(game, profile.team)
-        assert calls == ["ne_gap", "validate", "extend_ne"]
+        assert calls == ["ne_gap", "validate", "_validate_mixed_team",
+                         "extend_ne", "_validate_mixed_team"]

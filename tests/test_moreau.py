@@ -75,6 +75,15 @@ class TestProximalPoint:
                              ell=4.0, tol=tol)
         assert res.reached and res.tolerance <= tol
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-15, 1e-320])
+    def test_reached_iff_reported_tolerance_meets_tol(self, matching_pennies,
+                                                      tol):
+        res = proximal_point(matching_pennies, [np.array([0.5, 0.5])],
+                             ell=4.0, tol=tol)
+        assert res.tolerance >= 1e-15
+        assert res.reached == (res.tolerance <= tol)
+        assert res.reached == (tol >= 1e-15)
+
     def test_iteration_cap_flags_unreached(self, matching_pennies):
         res = proximal_point(matching_pennies, [np.array([1.0, 0.0])],
                              ell=4.0, tol=1e-13)
@@ -238,7 +247,7 @@ class TestKelleyFaults:
             faults.append(lp)
             raise linprog.LpFault("forced")
 
-        monkeypatch.setattr(linprog, "solve_lp", failing)
+        monkeypatch.setattr(moreau, "solve_lp", failing)
         res = proximal_point(game, center, ell=2.0, tol=1e-8)
         assert clean.kelley_faults == 0 < clean.lp_pivots
         assert res.kelley_faults == len(faults) > 0

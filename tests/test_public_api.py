@@ -2,6 +2,9 @@
 shows up as a diff here.  Submodules are left out: importing one adds
 it to the package namespace."""
 
+import importlib
+import inspect
+import pkgutil
 import types
 
 import teamsolve
@@ -58,3 +61,29 @@ def test_public_names_are_pinned():
                     if not name.startswith("_")
                     and not isinstance(obj, types.ModuleType))
     assert public == PUBLIC_NAMES
+
+
+# Every defaulted parameter of a function, method or dataclass __init__
+# defined in teamsolve is a value a caller may set; a new option shows here.
+SETTABLE_VALUES = 73
+
+
+def _settable_values():
+    count = 0
+    for info in pkgutil.iter_modules(teamsolve.__path__):
+        module = importlib.import_module(f"teamsolve.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = (vars(obj).values() if inspect.isclass(obj)
+                       else [obj])
+            for member in members:
+                fn = inspect.unwrap(getattr(member, "__func__", member))
+                if inspect.isfunction(fn):
+                    count += sum(p.default is not p.empty for p in
+                                 inspect.signature(fn).parameters.values())
+    return count
+
+
+def test_settable_value_count_is_pinned():
+    assert _settable_values() == SETTABLE_VALUES

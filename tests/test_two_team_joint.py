@@ -155,8 +155,8 @@ class TestEntryPointValidation:
 
     def test_gd_mm_validates_no_strategy(self, monkeypatch):
         calls = []
-        real = two_team._check_strategy
-        monkeypatch.setattr(two_team, "_check_strategy",
+        real = games._check_strategy
+        monkeypatch.setattr(games, "_check_strategy",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         game = TwoTeamGame(
             np.random.default_rng(23).uniform(-1, 1, size=(2, 2, 2, 2)),

@@ -33,7 +33,6 @@ from .extension import (
 from .dynamics import (
     GdConfig,
     RunTrace,
-    gd_step,
     gradient_descent_max,
     project_simplex,
 )

@@ -52,9 +52,6 @@ EXIT_NOT_VERIFIED = 3
 
 log = logging.getLogger("teamsolve")
 
-SEED_HELP = ("no effect: descent starts from the uniform profile, so the "
-             "output does not depend on the seed")
-
 
 class InputError(Exception):
     """CLI-level input problem; message is printed, exit code 1."""
@@ -82,9 +79,11 @@ def _write_json(path, payload):
              json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_out_dir(path):
-    if not Path(path).parent.is_dir():  # before a run, not after it
+def _check_out_dir(path):  # before a run, not after it
+    if not Path(path).parent.is_dir():
         raise InputError(f"{path}: no such directory")
+    if Path(path).is_dir():
+        raise InputError(f"{path}: is a directory")
 
 
 def _load_game(path, two_team=None):
@@ -132,14 +131,19 @@ def cmd_solve(args):
     games = args.game
     if len(games) > 1:
         out_dir = Path(args.out)
-        _on_path(out_dir, "mkdir", parents=True, exist_ok=True)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
                      for g in games]
+        for i, out in enumerate(out_paths):
+            if out in out_paths[:i]:
+                raise InputError(f"{games[out_paths.index(out)]} and "
+                                 f"{games[i]} would both write {out}")
+        _on_path(out_dir, "mkdir", parents=True, exist_ok=True)
     else:
-        _check_out_dir(args.out)
         out_paths = [Path(args.out)]
+    for out in out_paths:
+        _check_out_dir(out)
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
-                       max_iters=args.max_iters, check_every=args.check_every)
+                       max_iters=args.max_iters)
     jobs = [(g, out, args, config) for g, out in zip(games, out_paths)]
     if args.jobs > 1 and len(games) > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -240,14 +244,13 @@ def build_parser():
                     "team games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run the descent solver")
+    solve = sub.add_parser("solve", help="run the descent solver; every "
+                           "iterate records its proximal potential")
     solve.add_argument("--game", action="append", required=True,
                        help="game JSON (repeat for a batch)")
     solve.add_argument("--epsilon", type=float, required=True)
-    solve.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     solve.add_argument("--eta", type=float, default=None)
     solve.add_argument("--max-iters", type=int, default=None)
-    solve.add_argument("--check-every", type=int, default=1)
     solve.add_argument("--out", required=True,
                        help="output path (directory for batches)")
     solve.add_argument("--format", choices=("json", "csv"), default="json",
@@ -281,7 +284,6 @@ def build_parser():
     gdmm = sub.add_parser("gdmm", help="two-team solver")
     gdmm.add_argument("--game", required=True)
     gdmm.add_argument("--epsilon", type=float, required=True)
-    gdmm.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     gdmm.add_argument("--eta", type=float, default=None)
     gdmm.add_argument("--max-iters", type=int, default=None)
     gdmm.add_argument("--oracle", choices=("grid", "nested"),

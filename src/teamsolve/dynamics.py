@@ -3,8 +3,9 @@
 Each iteration certifies the current profile by brute-force deviation
 enumeration, lets the adversary best-respond, takes a simultaneous
 projected gradient step for every team player, and re-extends the team
-strategy to a full profile through the dual LP.  The proximal potential
-is recorded along the way so runs can be audited for strict decrease.
+strategy to a full profile through the dual LP.  Every iteration also
+records the proximal potential, the Moreau envelope of the team's worst
+case, so runs can be audited for strict decrease.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ._simplex import project_simplex
 from .extension import _deviation_gaps, _extend
 from .games import (
     MixedProfile,
-    _validate_mixed_team,
     analytic_bounds,
     contract_game,
     contract_players,
@@ -51,15 +51,14 @@ class GdConfig:
     ``eta`` defaults to :func:`default_eta` with the analytic bounds
     (conservative enough for the potential-decrease guarantee);
     ``max_iters`` to the potential-range budget above.  The prox
-    tolerance is fixed at ``epsilon^4 / 64``.  ``check_every`` sets how
-    often the potential is recorded (every iteration by default; ``0``
-    disables it); the equilibrium check itself runs every iteration.
+    tolerance is fixed at ``epsilon^4 / 64``.  Both
+    :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm`
+    read every field.
     """
 
     epsilon: float
     eta: float | None = None
     max_iters: int | None = None
-    check_every: int = 1
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -74,8 +73,6 @@ class GdConfig:
             raise ValueError("eta must be positive and finite")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.check_every < 0:
-            raise ValueError("check_every must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,8 +90,8 @@ class RunTrace:
     that :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm`
     share: :meth:`extend`, :meth:`record` and :meth:`finish`.
 
-    ``iterations`` holds one record per equilibrium check; the potential
-    is present on every ``check_every``-th record.  ``extend_calls``
+    ``iterations`` holds one record per equilibrium check; a GD record
+    carries the potential, a ``gd_mm`` record does not.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
     pivots; ``lp_warm_kept`` and ``lp_warm_dropped`` count those offered
     a warm-start basis that kept it (no pivots) or solved cold instead.
@@ -302,28 +299,17 @@ def _certified_extension(game, team, trace):
 
 
 def _descent(game, team, values):
-    """:func:`gd_step` on an unvalidated team with adversary payoff vector
-    ``values``: the adversary's first best pure reply and the step map
-    ``eta -> new team`` against it."""
+    """One simultaneous projected descent step against the best response.
+
+    Reads the adversary's first best pure reply off its payoff vector
+    ``values`` and returns it with the step map ``eta -> new team``: every
+    player moves along its own gradient at that reply to the *current*
+    team profile (Jacobi update), then projects back to its simplex.
+    """
     br_action = int(np.argmax(values))
     grads = contract_players(game, team, br_action)
     return br_action, lambda eta: tuple(project_simplex(x - eta * g)
                                         for x, g in zip(team, grads))
-
-
-def gd_step(game, team, eta):
-    """One simultaneous projected descent step against the best response.
-
-    Every player moves along its own gradient evaluated at the adversary's
-    pure best response to the *current* team profile (Jacobi update), then
-    projects back to its simplex.  Returns ``(new_team, br_action)``.
-    """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    team = _validate_mixed_team(game, team)
-    br_action, step = _descent(game, team,
-                               contract_game(game, team, None, (game.n,)))
-    return step(eta), br_action
 
 
 def gradient_descent_max(game, config):
@@ -335,7 +321,7 @@ def gradient_descent_max(game, config):
     On budget exhaustion the best profile seen (by certified gap) is
     returned instead, flagged in ``trace.outcome``.  Iterates stay on the
     simplex by construction, so the loop validates nothing: it steps
-    through :func:`gd_step`'s core and runs :class:`RunTrace`'s skeleton.
+    through :func:`_descent` and runs :class:`RunTrace`'s skeleton.
     Its extension LPs are solved cold: warm-started solves round
     differently, and that moves the trajectory ``TestTrajectoryPin`` pins.
     Warm starts for GD wait for the proximal-point outer loop.
@@ -363,55 +349,37 @@ def gradient_descent_max(game, config):
 
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=prox_tol)
     trace.final_eta = eta
-    prox_state = None
-    last_potential = None
-
-    def prox_due(step_index):
-        return config.check_every and step_index % config.check_every == 0
-
-    if prox_due(0):
-        prox_state = trace.prox(game, team, ell, prox_tol)
+    prox_state = trace.prox(game, team, ell, prox_tol)
 
     for t in range(max_iters):
         profile = MixedProfile(team, adversary)
         cert = trace.timed("certify", _deviation_gaps, game, team, adversary,
                            values, game.n, config.epsilon)
-        potential = None
+        trace.max_prox_tolerance = max(trace.max_prox_tolerance,
+                                       prox_state.tolerance)
         smoothed = None
-        if prox_due(t):
-            potential = prox_state.objective_value
-            last_potential = potential
-            trace.max_prox_tolerance = max(trace.max_prox_tolerance,
-                                           prox_state.tolerance)
-            near_end = cert.gap <= 2.0 * config.epsilon or t % 10 == 0
-            if cert.gap > config.epsilon and near_end:
-                smoothed = _certified_extension(game, prox_state.prox_point,
-                                                trace)
+        near_end = cert.gap <= 2.0 * config.epsilon or t % 10 == 0
+        if cert.gap > config.epsilon and near_end:
+            smoothed = _certified_extension(game, prox_state.prox_point, trace)
         br_action, step = trace.timed("step", _descent, game, team, values)
         if trace.record(profile, cert, np.concatenate(team), br_action,
-                        potential):
+                        prox_state.objective_value):
             return trace.finish(profile, cert)
         if smoothed is not None:
             return trace.finish(*smoothed)
 
         while True:
             new_team = trace.timed("step", step, eta)
-            new_prox = None
-            if prox_due(t + 1):
-                new_prox = trace.prox(game, new_team, ell, prox_tol,
-                                      warm_start=prox_state)
-                rise = (new_prox.objective_value - last_potential
-                        if last_potential is not None else -math.inf)
-                if (rise > prox_tol and eta > 1e-12
-                        and trace.eta_backoffs < _MAX_BACKOFFS):
-                    eta *= 0.5
-                    trace.eta_backoffs += 1
-                    trace.final_eta = eta
-                    continue
-            break
-        team = new_team
-        if new_prox is not None:
-            prox_state = new_prox
+            new_prox = trace.prox(game, new_team, ell, prox_tol,
+                                  warm_start=prox_state)
+            rise = new_prox.objective_value - prox_state.objective_value
+            if not (rise > prox_tol and eta > 1e-12
+                    and trace.eta_backoffs < _MAX_BACKOFFS):
+                break
+            eta *= 0.5
+            trace.eta_backoffs += 1
+            trace.final_eta = eta
+        team, prox_state = new_team, new_prox
         adversary, values, _ = trace.extend(game, team, game.n)
 
     return trace.finish()

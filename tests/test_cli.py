@@ -219,7 +219,7 @@ def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
     ("solve", ["--eta", "inf"]),
     ("gdmm", ["--max-iters", "0"]),
     ("solve", ["--max-iters", "0"]),
-    ("solve", ["--check-every", "-1"]),
+    ("solve", ["--eta", "nan"]),
     ("gdmm", ["--epsilon", "inf"]),
     ("solve", ["--epsilon", "1e300"]),
     ("prox", ["--ell", "inf"]),
@@ -361,13 +361,18 @@ def _refuse_to_run(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["solve", "solve_batch", "prox", "gen",
-                                     "gdmm"])
+                                     "gdmm", "solve_dir", "gdmm_dir",
+                                     "solve_batch_dir"])
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
                                              command):
     monkeypatch.setattr(cli, "gradient_descent_max", _refuse_to_run)
     monkeypatch.setattr(cli, "gd_mm", _refuse_to_run)
     missing = str(tmp_path / "missing" / "out.json")
     team = _write(tmp_path, "team.json", GAMES["team"])
+    two_team = _write(tmp_path, "two_team.json", GAMES["two_team"])
+    # The output path names an existing directory.
+    outdir = tmp_path / "outdir"
+    (outdir / "team.result.json").mkdir(parents=True)
     argv = {
         "solve": ["solve", "--game", team, "--epsilon", "0.1",
                   "--out", missing],
@@ -381,14 +386,47 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
         "gen": ["gen", "random", "--out", missing, "--spec",
                 _write(tmp_path, "spec.json",
                        {"n": 1, "actions": [2], "adversary_actions": 2})],
-        "gdmm": ["gdmm", "--game", _write(tmp_path, "two_team.json",
-                                          GAMES["two_team"]),
-                 "--epsilon", "0.1", "--out", missing],
+        "gdmm": ["gdmm", "--game", two_team, "--epsilon", "0.1",
+                 "--out", missing],
+        "solve_dir": ["solve", "--game", team, "--epsilon", "0.1",
+                      "--format", "csv", "--out", str(outdir)],
+        "gdmm_dir": ["gdmm", "--game", two_team, "--epsilon", "0.1",
+                     "--format", "csv", "--out", str(outdir)],
+        "solve_batch_dir": ["solve", "--game", team, "--game",
+                            _write(tmp_path, "other.json", GAMES["team"]),
+                            "--epsilon", "0.1", "--format", "csv",
+                            "--out", str(outdir)],
     }[command]
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_batch_refuses_games_that_share_a_file_name(tmp_path, capsys):
+    games = []
+    for sub in ("d1", "d2"):
+        (tmp_path / sub).mkdir()
+        games.append(_write(tmp_path, f"{sub}/g.json", GAMES["team"]))
+    out_dir = tmp_path / "outb"
+    assert _solve(games, out_dir) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert games[0] in err and games[1] in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--check-every", "1"), ("solve", "--seed", "0"),
+    ("gdmm", "--seed", "0")])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag,
+                                        value):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--game", "game.json", "--epsilon", "0.1",
+                  "--out", str(tmp_path / "out.json"), flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_solve_exits_budget_with_the_best_profile(tmp_path):

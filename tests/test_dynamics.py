@@ -14,7 +14,7 @@ import teamsolve.extension as extension
 import teamsolve.games as games
 import teamsolve.linprog as linprog
 import teamsolve.moreau as moreau
-from teamsolve import GdConfig, TeamGame, gd_step, gradient_descent_max, project_simplex
+from teamsolve import GdConfig, TeamGame, gradient_descent_max, project_simplex
 from teamsolve.dynamics import (
     PHASES,
     TRACE_VERSION,
@@ -107,6 +107,14 @@ class TestProjectSimplexOracle:
             sort_threshold_projection([1e17] * 3)
         with pytest.raises(ValueError, match="too large"):
             project_simplex([1e17] * 3)
+
+
+def gd_step(game, team, eta):
+    """One descent step from ``team`` as the GD loop takes it:
+    ``(new_team, br_action)``."""
+    values = games.contract_game(game, team, None, (game.n,))
+    br_action, step = dynamics._descent(game, team, values)
+    return step(eta), br_action
 
 
 class TestGdStep:
@@ -233,13 +241,12 @@ class TestGradientDescentMax:
         drops = [ga - gb for (_, ga), (_, gb) in trace.potential_pairs]
         assert drops, "expected recorded potential pairs"
 
-    def test_check_every_spaces_potentials(self):
-        rng = np.random.default_rng(17)
-        game = random_team_game(rng, max_players=2)
-        _, _, trace = gradient_descent_max(
-            game, GdConfig(epsilon=0.05, check_every=7, max_iters=50_000))
-        for record in trace.iterations:
-            assert (record.potential_g is not None) == (record.t % 7 == 0)
+    def test_every_record_carries_the_potential(self):
+        _, _, trace = gradient_descent_max(random_game(2, [2, 2], 3, 3),
+                                           GdConfig(epsilon=0.05))
+        assert all(isinstance(r.potential_g, float)
+                   for r in trace.iterations)
+        assert len(trace.potential_pairs) == len(trace.iterations) - 1
 
 
 class TestRunTrace:

@@ -71,8 +71,7 @@ class TestExtendNe:
         for _ in range(4):
             game = random_team_game(rng, max_players=2)
             _, cert, trace = gradient_descent_max(
-                game, GdConfig(epsilon=0.01, eta=0.002, check_every=5,
-                               max_iters=20_000))
+                game, GdConfig(epsilon=0.01, eta=0.002, max_iters=20_000))
             if trace.outcome != "converged":
                 continue
             converged += 1

@@ -12,12 +12,12 @@ from teamsolve import (
     TeamGame,
     analytic_bounds,
     extend_ne,
-    gd_step,
     game_from_dict,
     game_to_dict,
     ne_gap,
     proximal_point,
 )
+from teamsolve.dynamics import _descent
 from teamsolve.games import (
     LocalBlock,
     SchemaError,
@@ -142,7 +142,7 @@ class TestAdversaryBestResponse:
 
     @staticmethod
     def best_response(game, team):
-        _, action = gd_step(game, team, 0.0)
+        action, _ = _descent(game, arrays(team), adversary_vector(game, team))
         return action, float(adversary_vector(game, team)[action])
 
     def test_column_read(self, matching_pennies):
@@ -493,9 +493,6 @@ class TestKernelsRejectNonDistributions:
     def test_team_gradients(self, bad):
         with pytest.raises(DimensionMismatchError, match="adversary"):
             ne_gap(self.game(), profile([[0.5, 0.5], [0.5, 0.5]], bad))
-        # A descent step starts from the team's gradients.
-        with pytest.raises(DimensionMismatchError, match="player 0"):
-            gd_step(self.game(), (np.array(bad), np.array([0.5, 0.5])), 0.1)
 
 
 class TestFixAdversary:

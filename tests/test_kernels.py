@@ -393,9 +393,9 @@ class TestAdversaryVectorOnce:
             monkeypatch.setattr(module, "contract_game", counted)
         _, _, trace = gradient_descent_max(
             random_game(2, [2, 2], 3, 3),
-            GdConfig(epsilon=1e-6, check_every=0, max_iters=5))
+            GdConfig(epsilon=1e-6, max_iters=5))
         assert len(trace.iterations) == 5
-        assert len(calls) == 5 + 1
+        assert len(calls) == 1 + trace.extend_calls
 
 
 class TestInnerSolveCounter:

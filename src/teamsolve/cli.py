@@ -79,11 +79,13 @@ def _write_json(path, payload):
              json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_out_dir(path):  # before a run, not after it
-    if not Path(path).parent.is_dir():
-        raise InputError(f"{path}: no such directory")
-    if Path(path).is_dir():
-        raise InputError(f"{path}: is a directory")
+def _check_outputs(out, args):  # before a run, not after it
+    sidecar = [f"{out}.trace.csv"] if args.format == "csv" else []
+    for path in map(Path, [out, *sidecar]):
+        if not path.parent.is_dir():
+            raise InputError(f"{path}: no such directory")
+        if path.is_dir():
+            raise InputError(f"{path}: is a directory")
 
 
 def _load_game(path, two_team=None):
@@ -128,24 +130,23 @@ def _write_result(out, profile_doc, cert, trace, args, embed_trace):
 
 
 def cmd_solve(args):
-    games = args.game
-    if len(games) > 1:
+    if len(args.game) > 1:
         out_dir = Path(args.out)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
-                     for g in games]
+                     for g in args.game]
         for i, out in enumerate(out_paths):
             if out in out_paths[:i]:
-                raise InputError(f"{games[out_paths.index(out)]} and "
-                                 f"{games[i]} would both write {out}")
+                raise InputError(f"{args.game[out_paths.index(out)]} and "
+                                 f"{args.game[i]} would both write {out}")
         _on_path(out_dir, "mkdir", parents=True, exist_ok=True)
     else:
         out_paths = [Path(args.out)]
     for out in out_paths:
-        _check_out_dir(out)
+        _check_outputs(out, args)
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
-    jobs = [(g, out, args, config) for g, out in zip(games, out_paths)]
-    if args.jobs > 1 and len(games) > 1:
+    jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
+    if args.jobs > 1 and len(args.game) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
             return max(ex.map(_solve_worker, jobs))
@@ -228,7 +229,7 @@ def cmd_gdmm(args):
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
     game = _load_game(args.game, two_team=True)
-    _check_out_dir(args.out)
+    _check_outputs(args.out, args)
     if args.oracle == "grid":
         _argument(_grid_q, game, args.grid_step)
     profile, cert, trace = gd_mm(game, config, oracle_method=args.oracle,

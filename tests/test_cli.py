@@ -362,7 +362,8 @@ def _refuse_to_run(*args, **kwargs):
 
 @pytest.mark.parametrize("command", ["solve", "solve_batch", "prox", "gen",
                                      "gdmm", "solve_dir", "gdmm_dir",
-                                     "solve_batch_dir"])
+                                     "solve_batch_dir", "solve_sidecar_dir",
+                                     "gdmm_sidecar_dir"])
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
                                              command):
     monkeypatch.setattr(cli, "gradient_descent_max", _refuse_to_run)
@@ -370,14 +371,18 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
     missing = str(tmp_path / "missing" / "out.json")
     team = _write(tmp_path, "team.json", GAMES["team"])
     two_team = _write(tmp_path, "two_team.json", GAMES["two_team"])
+    other = _write(tmp_path, "other.json", GAMES["team"])
     # The output path names an existing directory.
     outdir = tmp_path / "outdir"
     (outdir / "team.result.json").mkdir(parents=True)
+    # The CSV sidecar of the output path names an existing directory.
+    side = tmp_path / "side.json"
+    (tmp_path / "side.json.trace.csv").mkdir()
     argv = {
         "solve": ["solve", "--game", team, "--epsilon", "0.1",
                   "--out", missing],
         # The batch output directory names an existing file.
-        "solve_batch": ["solve", "--game", team, "--game", team,
+        "solve_batch": ["solve", "--game", team, "--game", other,
                         "--epsilon", "0.1", "--out", team],
         "prox": ["prox", "--game", team, "--ell", "4", "--tol", "1e-6",
                  "--center", _write(tmp_path, "center.json",
@@ -392,16 +397,19 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch,
                       "--format", "csv", "--out", str(outdir)],
         "gdmm_dir": ["gdmm", "--game", two_team, "--epsilon", "0.1",
                      "--format", "csv", "--out", str(outdir)],
-        "solve_batch_dir": ["solve", "--game", team, "--game",
-                            _write(tmp_path, "other.json", GAMES["team"]),
+        "solve_batch_dir": ["solve", "--game", team, "--game", other,
                             "--epsilon", "0.1", "--format", "csv",
                             "--out", str(outdir)],
+        "solve_sidecar_dir": ["solve", "--game", team, "--epsilon", "0.1",
+                              "--format", "csv", "--out", str(side)],
+        "gdmm_sidecar_dir": ["gdmm", "--game", two_team, "--epsilon", "0.1",
+                             "--format", "csv", "--out", str(side)],
     }[command]
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert not [p for p in tmp_path.rglob("*.csv") if p.is_file()]
 
 
 def test_batch_refuses_games_that_share_a_file_name(tmp_path, capsys):

@@ -395,6 +395,8 @@ class TestAdversaryVectorOnce:
             random_game(2, [2, 2], 3, 3),
             GdConfig(epsilon=1e-6, max_iters=5))
         assert len(trace.iterations) == 5
+        # Five loop extensions plus the t = 0 prox candidate's.
+        assert trace.extend_calls == 6
         assert len(calls) == 1 + trace.extend_calls
 
 

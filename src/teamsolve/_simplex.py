@@ -26,7 +26,7 @@ def project_simplex(v):
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
-        raise ValueError("expected a nonempty vector")
+        raise ValueError("expected a 1-D vector")
     return np.array(project_list(v.tolist()))
 
 

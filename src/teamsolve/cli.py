@@ -74,9 +74,12 @@ def _read_json(path):
             f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from exc
 
 
+def _dumps(payload):  # strict JSON: NaN or infinity raises ValueError
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path, payload):
-    _on_path(path, "write_text",
-             json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _on_path(path, "write_text", _dumps(payload) + "\n")
 
 
 def _check_outputs(out, args):  # before a run, not after it
@@ -130,7 +133,16 @@ def _write_result(out, profile_doc, cert, trace, args, embed_trace):
 
 
 def cmd_solve(args):
-    if len(args.game) > 1:
+    if args.jobs < 1:
+        raise InputError("--jobs must be >= 1")
+    config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
+                       max_iters=args.max_iters)
+    # Every input is checked before the first output or solve.
+    games = [_load_game(g, two_team=False) for g in args.game]
+    if config.max_iters is None:
+        for game in games:
+            _argument(default_max_iters, game, config.epsilon)
+    if len(games) > 1:
         out_dir = Path(args.out)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
                      for g in args.game]
@@ -143,30 +155,31 @@ def cmd_solve(args):
         out_paths = [Path(args.out)]
     for out in out_paths:
         _check_outputs(out, args)
-    config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
-                       max_iters=args.max_iters)
-    jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
-    if args.jobs > 1 and len(args.game) > 1:
+    if args.jobs > 1 and len(games) > 1:
+        # Workers reload: a pickled game's arrays unpickle writeable.
+        jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
             return max(ex.map(_solve_worker, jobs))
-    return max(map(_solve_worker, jobs))
+    return max(_solve(game, out, args, config)
+               for game, out in zip(games, out_paths))
 
 
 def _solve_worker(job):
-    """Solve one game file and write its result; returns the exit code."""
-    game_path, out, args, config = job
-    game = _load_game(game_path, two_team=False)
-    if config.max_iters is None:
-        _argument(default_max_iters, game, config.epsilon)
+    """:func:`_solve` on a job ``(game file, out, args, config)``."""
+    return _solve(_load_game(job[0]), *job[1:])
+
+
+def _solve(game, out, args, config):
+    """Solve one checked game and write its result; returns the exit code."""
     profile, cert, trace = gradient_descent_max(game, config)
     return _write_result(out, profile_to_dict(profile), cert, trace, args,
                          embed_trace=True)
 
 
 def cmd_verify(args):
-    if not args.epsilon > 0:
-        raise InputError("epsilon must be positive")
+    if not 0 < args.epsilon < np.inf:
+        raise InputError("epsilon must be positive and finite")
     game = _load_game(args.game)
     doc = _read_json(args.profile)
     try:
@@ -179,7 +192,7 @@ def cmd_verify(args):
             cert = ne_gap(game, profile, epsilon_claimed=args.epsilon)
     except GameError as exc:
         raise InputError(f"{args.profile}: {exc}") from exc
-    print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
+    print(_dumps(cert.to_dict()))
     return EXIT_OK if cert.gap <= args.epsilon else EXIT_NOT_VERIFIED
 
 
@@ -221,7 +234,7 @@ def cmd_prox(args):
     if args.out:
         _write_json(args.out, payload)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     return EXIT_OK
 
 

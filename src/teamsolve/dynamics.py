@@ -46,14 +46,14 @@ _MAX_BACKOFFS = 60
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Solver knobs; everything unset falls back to a documented rule.
+    """Solver knobs; everything unset falls back to a documented default.
 
     ``eta`` defaults to :func:`default_eta` with the analytic bounds
     (conservative enough for the potential-decrease guarantee);
-    ``max_iters`` to the potential-range budget above.  The prox
-    tolerance is fixed at ``epsilon^4 / 64``.  Both
-    :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm`
-    read every field.
+    ``max_iters`` to the potential-range budget above in
+    :func:`gradient_descent_max`, but to the literal 200 in
+    :func:`teamsolve.two_team.gd_mm`.  The prox tolerance is fixed at
+    ``epsilon^4 / 64``.  Both solvers read every field.
     """
 
     epsilon: float
@@ -176,7 +176,7 @@ class RunTrace:
         return y, values, audit.basis
 
     def prox(self, game, center, ell, tol, warm_start=None):
-        """Time :func:`~teamsolve.moreau.proximal_point`, unchecked."""
+        """Time and count :func:`~teamsolve.moreau._proximal_point`."""
         result = self.timed("prox", _proximal_point, game, center, ell, tol,
                             warm_start)
         self.prox_lp_pivots += result.lp_pivots
@@ -237,7 +237,7 @@ class RunTrace:
             "eta": self.eta,
             "final_eta": self.final_eta,
             "eta_backoffs": self.eta_backoffs,
-            "prox_tol": self.prox_tol,
+            "prox_tol": _none_if_nan(self.prox_tol),
             "max_prox_tolerance": self.max_prox_tolerance,
             "extend_calls": self.extend_calls,
             "lp_pivots": self.lp_pivots,

@@ -65,10 +65,10 @@ class ExtensionAudit:
     The extension dual's LP dual is the joint-deviation program: minimize
     a free ``U`` subject to ``U >= sum_i C_i^T x_i - sum_j W_j^T y_j`` at
     every pure last-maximizer action, every block a probability vector
-    (see :func:`solve_extension_pair` for ``C_i`` and ``W_j``).  With
-    ``scale = n - k`` (minimizers minus co-maximizers), the anchor profile
-    is feasible at ``U = max_b scale * r_b``, where ``r`` are the anchor's
-    response values.
+    (``C_i`` and ``W_j`` are pure-deviation payoff matrices, see
+    :func:`_extend`).  With ``scale = n - k`` (minimizers minus
+    co-maximizers), the anchor profile is feasible at ``U = max_b scale *
+    r_b``, where ``r`` are the anchor's response values.
 
     ``u_star = max_b r_b`` is the best-response value at the anchor,
     ``u_anchor = max_b scale * r_b`` the program's objective there,
@@ -97,9 +97,9 @@ class ExtensionAudit:
     u_joint: float
     dual_total: float
     scale: int
-    pivots: int = 0
-    basis: tuple | None = None
-    warm: str = "none"
+    pivots: int
+    basis: tuple | None
+    warm: str
 
     @property
     def margin(self):
@@ -175,29 +175,35 @@ def _guarantee_program(blocks, n_b, rhs, basis):
     return starts, LinearProgram(cost, rows, rhs, eq, f, bounds, basis)
 
 
-def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values,
-                         basis=None):
-    """Solve the extension dual LP and audit it from its row multipliers.
+def extend_ne(game, team):
+    """The adversary's best completion of a team strategy, via the dual
+    LP, whose audit :func:`_extend` checks.
 
-    ``minimizer_coeffs`` lists one ``|A_i| x |B|`` matrix per team player
-    (pure-deviation payoffs against each pure adversary action);
-    ``maximizer_coeffs`` lists the analogous matrices for co-adversaries
-    whose deviations must not gain (empty for a single adversary).
-    ``response_values`` are the anchor profile's payoffs against each pure
-    adversary action, whose maximum is the best-response value ``u_star``.
-
-    The dual maximizes the per-player guarantee sum over adversary
-    mixtures; its optimum ``y`` is returned together with the audit, which
-    has already been checked.  One LP is solved: the multipliers of each
-    player's rows, clamped at 0 and normalized, are that player's mixed
-    strategy in the joint-deviation program, and ``u_joint`` is the
-    program's objective at that point.  ``basis``, an earlier audit's
-    ``basis``, is offered to the LP as a warm start.
+    Always feasible by construction (the uniform adversary mixture is),
+    so a non-optimal status is an internal solver fault.  When ``team``
+    is near-stationary for its worst-case payoff, the completed profile is
+    a near-equilibrium; quality should be read off :func:`ne_gap`.
     """
+    return _extend(game, _validate_mixed_team(game, team), game.n)[0]
+
+
+def _extend(game, team, minimizers, basis=None):
+    """:func:`extend_ne` unvalidated, returning ``(y, audit, values)``:
+    the dual's optimum, its checked audit and the adversary payoff vector
+    of ``team``, bitwise ``contract_game(game, team, None, (game.n,))``.
+
+    The dual maximizes the guarantee sum over adversary mixtures.  Each
+    team player's block ``C_i`` is its ``|A_i| x |B|`` pure-deviation
+    payoff matrix; players from index ``minimizers`` on are co-maximizers,
+    whose blocks ``W_j`` enter negated.  The multipliers of each block's
+    rows, clamped at 0 and normalized, are that player's strategy in the
+    joint-deviation program, and ``u_joint`` is its objective there.
+    ``basis``, an earlier audit's, warm-starts the one LP."""
+    coeffs, values = extension_coefficients(game, team)
     # Co-maximizer rows carry -W: their deviations count against the sum.
-    blocks = list(minimizer_coeffs) + [-W for W in maximizer_coeffs]
-    n_g, n_b = len(blocks), response_values.size
-    scale = len(minimizer_coeffs) - len(maximizer_coeffs)
+    blocks = coeffs[:minimizers] + [-W for W in coeffs[minimizers:]]
+    n_g, n_b = len(blocks), values.size
+    scale = 2 * minimizers - len(coeffs)
     starts, dual_lp = _guarantee_program(
         blocks, n_b, np.zeros(sum(M.shape[0] for M in blocks)), basis)
     dual_sol = solve_lp(dual_lp).require_optimal()
@@ -212,35 +218,11 @@ def solve_extension_pair(minimizer_coeffs, maximizer_coeffs, response_values,
         deviation += M.T @ (lam / lam.sum())
 
     audit = ExtensionAudit(
-        u_star=float(response_values.max()),
-        u_anchor=float((scale * response_values).max()),
+        u_star=float(values.max()),
+        u_anchor=float((scale * values).max()),
         u_joint=float(deviation.max()),
         dual_total=-float(dual_sol.value), scale=scale,
         pivots=len(dual_sol.pivots), basis=dual_sol.basis,
         warm=("none" if basis is None
               else "kept" if dual_sol.warm else "dropped")).check()
-    return y, audit
-
-
-def extend_ne(game, team, with_audit=False):
-    """Best adversary completion of a team strategy, via the dual LP.
-
-    Always feasible by construction (the uniform adversary mixture is),
-    so a non-optimal status is an internal solver fault.  When ``team``
-    is near-stationary for its worst-case payoff, the returned pair is a
-    near-equilibrium; quality should be read off :func:`ne_gap`, not
-    assumed.
-    """
-    y, audit, _ = _extend(game, _validate_mixed_team(game, team), game.n)
-    return (y, audit) if with_audit else y
-
-
-def _extend(game, team, minimizers, basis=None):
-    """:func:`extend_ne` unvalidated, returning ``(y, audit, values)``
-    with ``values`` the adversary payoff vector of ``team``, bitwise
-    ``contract_game(game, team, None, (game.n,))``.  Team players from
-    index ``minimizers`` on are co-maximizers; ``basis`` warm-starts the
-    LP (:func:`solve_extension_pair`)."""
-    coeffs, values = extension_coefficients(game, team)
-    return (*solve_extension_pair(coeffs[:minimizers], coeffs[minimizers:],
-                                  values, basis), values)
+    return y, audit, values

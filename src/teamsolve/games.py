@@ -327,7 +327,7 @@ def _checked_strategies(vectors, sizes, what, label, first):
 # -- expected utility and gradients ------------------------------------
 
 
-def contract(table, vectors, keep=()):
+def contract(table, vectors, keep):
     """Contract ``table`` with one strategy per axis, except the kept axes.
 
     ``vectors`` has one entry per axis of ``table``; entries on axes in

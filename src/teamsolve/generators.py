@@ -19,17 +19,18 @@ import numpy as np
 
 from .games import (GameError, SchemaError, _is_int, game_from_dict,
                     game_to_dict)
-from .two_team import TwoTeamGame, two_team_from_dict
+from .two_team import TwoTeamGame, _action_counts, two_team_from_dict
 
 MENU_PRODUCT_CAP = 64
 _RATIONAL_GRID = 10 ** 6
+_IDENTITY_TOL = 1e-9  # potential_game_embed's difference identities
 
 
 class CapacityError(GameError):
     """A generator refused to materialize an oversized action space."""
 
 
-def _rat(value, path=""):
+def _rat(value, path):
     """A ``Fraction``, a JSON integer, a finite float or a ``[num, den]``
     pair of JSON integers, as an exact ``Fraction``."""
     if isinstance(value, Fraction):
@@ -46,7 +47,7 @@ def _rat(value, path=""):
     raise SchemaError(f"expected a rational, got {value!r}", path)
 
 
-def _ints(value, path, depth=0):
+def _ints(value, path, depth):
     """``value``, checked to be JSON integers (the schema's rule,
     :func:`~teamsolve.games._is_int`) nested ``depth`` lists deep."""
     if depth and isinstance(value, (list, tuple)):
@@ -248,21 +249,22 @@ def menu_combinations(spec):
                                     for menu in spec.menus)))
 
 
-def congestion_to_team_game(spec, menu_cap=MENU_PRODUCT_CAP):
+def congestion_to_team_game(spec):
     """Embed the congestion game as a team-vs-adversary potential game.
 
     Team actions are the players' routing strategies; the adversary's
-    actions are the (capped) product of per-edge menu choices; the
+    actions are the product of per-edge menu choices, refused with a
+    :class:`CapacityError` above :data:`MENU_PRODUCT_CAP`; the
     payoff is the potential, which players minimize and the cost picker
     maximizes.  Original player costs stay available through
     :func:`congestion_player_cost` so certificates can be re-checked
     against what players actually pay.
     """
     combos = menu_combinations(spec)
-    if len(combos) > menu_cap:
+    if len(combos) > MENU_PRODUCT_CAP:
         raise CapacityError(
             f"menu product has {len(combos)} adversary actions, cap is "
-            f"{menu_cap}; refusing to materialize")
+            f"{MENU_PRODUCT_CAP}; refusing to materialize")
     sizes = [len(actions) for actions in spec.strategies]
     entries = []
     v_max = Fraction(0)
@@ -287,16 +289,16 @@ def congestion_to_team_game(spec, menu_cap=MENU_PRODUCT_CAP):
 # -- adversarial potential games -----------------------------------------
 
 
-def potential_game_embed(costs, utils, potential, tol=1e-9):
+def potential_game_embed(costs, utils, potential):
     """Wrap a validated adversarial potential game as a two-team game.
 
     ``costs[i]`` and ``utils[j]`` are dense per-player tables over the
     joint action space, ``potential`` the shared table.  Both difference
     identities (cost differences for minimizers, utility differences for
     maximizers, each against potential differences) are checked
-    exhaustively; the first violating profile pair is named.  Any
-    equilibrium computed on the returned game transfers to the original
-    per-player tables.
+    exhaustively, up to ``_IDENTITY_TOL``; the first violating profile
+    pair is named.  Any equilibrium computed on the returned game
+    transfers to the original per-player tables.
     """
     potential = np.asarray(potential, dtype=float)
     n, m = len(costs), len(utils)
@@ -304,14 +306,14 @@ def potential_game_embed(costs, utils, potential, tol=1e-9):
         raise GameError("potential rank must equal total player count")
     for i, table in enumerate(costs):
         _check_difference_identity(np.asarray(table, dtype=float), potential,
-                                   axis=i, tol=tol, label=f"cost[{i}]")
+                                   axis=i, label=f"cost[{i}]")
     for j, table in enumerate(utils):
         _check_difference_identity(np.asarray(table, dtype=float), potential,
-                                   axis=n + j, tol=tol, label=f"util[{j}]")
+                                   axis=n + j, label=f"util[{j}]")
     return TwoTeamGame(potential, n=n, m=m)
 
 
-def _check_difference_identity(table, potential, axis, tol, label):
+def _check_difference_identity(table, potential, axis, label):
     if table.shape != potential.shape:
         raise GameError(f"{label}: shape {table.shape} does not match the "
                         f"potential {potential.shape}")
@@ -319,7 +321,7 @@ def _check_difference_identity(table, potential, axis, tol, label):
     residual = table - potential
     spread = residual.max(axis=axis) - residual.min(axis=axis)
     worst = float(spread.max(initial=0.0))
-    if worst > tol:
+    if worst > _IDENTITY_TOL:
         flat = int(np.argmax(spread))
         where = np.unravel_index(flat,
                                  spread.shape) if spread.ndim else ()
@@ -329,43 +331,18 @@ def _check_difference_identity(table, potential, axis, tol, label):
             f"{axis}")
 
 
-def random_potential_triple(minimizers, maximizers, actions,
-                            adversary_actions, seed, value_range=(-1, 1)):
-    """Seeded (costs, utils, potential) satisfying the identities exactly.
-
-    Built constructively: each cost is the potential plus a random term
-    that ignores the owner's action, and symmetrically for utilities.
-    Returns float tables ready for :func:`potential_game_embed`.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = map(float, _value_range(value_range))
-    shape = tuple(actions) + tuple(adversary_actions)
-    potential = rng.uniform(lo, hi, size=shape)
-    costs = []
-    for i in range(minimizers):
-        off_shape = list(shape)
-        off_shape[i] = 1
-        costs.append(potential + rng.uniform(lo, hi, size=off_shape))
-    utils = []
-    for j in range(maximizers):
-        off_shape = list(shape)
-        off_shape[minimizers + j] = 1
-        utils.append(potential + rng.uniform(lo, hi, size=off_shape))
-    return costs, utils, potential
-
-
 def potential_spec_to_two_team(doc, seed):
-    """CLI path: build a seeded valid triple from a size spec and embed it."""
+    """CLI path: a seeded uniform potential table of a size spec's shape,
+    checked as :func:`~teamsolve.two_team.two_team_from_dict` checks it,
+    as a two-team game (see :func:`potential_game_embed`)."""
     n, m = _field(doc, "minimizers"), _field(doc, "maximizers")
-    actions = _field(doc, "actions", depth=1)
-    adversary_actions = _field(doc, "adversary_actions", depth=1)
-    costs, utils, potential = random_potential_triple(
-        n, m, actions, adversary_actions, seed,
-        doc.get("value_range", (-1, 1)))
-    game = potential_game_embed(costs, utils, potential)
-    joint = game_to_dict(game.joint)  # the two-team axis order
+    actions, adversary_actions = _action_counts(doc, n, m)
+    lo, hi = map(float, _value_range(doc.get("value_range", (-1, 1))))
+    potential = np.random.default_rng(seed).uniform(
+        lo, hi, size=tuple(actions + adversary_actions))
+    joint = game_to_dict(TwoTeamGame(potential, n=n, m=m).joint)
     document = {
-        "teams": {"minimizers": game.n, "maximizers": game.m},
+        "teams": {"minimizers": n, "maximizers": m},
         "actions": actions,
         "adversary_actions": adversary_actions,
         "payoff": joint["payoff"],

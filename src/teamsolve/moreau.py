@@ -92,10 +92,10 @@ class ProximalResult:
     reached: bool
     iterations: int
     adversary_mix: np.ndarray
-    memory: _ProxMemory | None = None
-    lp_pivots: int = 0
-    kelley_faults: int = 0
-    inner_solves: int = 0
+    memory: _ProxMemory
+    lp_pivots: int
+    kelley_faults: int
+    inner_solves: int
 
     @property
     def prox_distance(self):
@@ -122,8 +122,9 @@ def _checked_center(game, center, ell, tol):
     return _validate_mixed_team(game, center)
 
 
-def proximal_point(game, center, ell, tol, warm_start=None):
-    """Value-approximate minimizer of ``phi(x') + ell * ||center - x'||^2``.
+def proximal_point(game, center, ell, tol):
+    """Value-approximate minimizer of ``phi(x') + ell * ||center - x'||^2``,
+    solved cold (solvers warm-start :func:`_proximal_point` instead).
 
     Parameters
     ----------
@@ -133,18 +134,17 @@ def proximal_point(game, center, ell, tol, warm_start=None):
         Requested value suboptimality.  If ``_DUAL_ROUNDS`` certifier
         rounds end first, the best candidate is returned with its
         certified bound and ``reached=False``.
-    warm_start : ProximalResult, optional
-        Previous result for a nearby center; reusing its prox point,
-        mixture and Newton state typically certifies in a couple of
-        inner solves.
     """
     center = tuple(np.array(x, dtype=float)
                    for x in _checked_center(game, center, ell, tol))
-    return _proximal_point(game, center, ell, tol, warm_start)
+    return _proximal_point(game, center, ell, tol, None)
 
 
 def _proximal_point(game, center, ell, tol, warm_start):
-    """:func:`proximal_point` at a checked ``center`` tuple it keeps."""
+    """:func:`proximal_point` at a checked ``center`` tuple it keeps;
+    ``warm_start``, a result at a nearby center or None, lends its prox
+    point, mixture and Newton state, which usually certify in a couple of
+    inner solves."""
 
     def objective(team):
         vec = contract_game(game, team, None, (game.n,))
@@ -205,7 +205,7 @@ class _DualCertifier:
     payoffs, which value-level cuts cannot resolve.
     """
 
-    def __init__(self, game, center, ell, x_hint, y_hint, memory=None):
+    def __init__(self, game, center, ell, x_hint, y_hint, memory):
         self.game = game
         self.center = center
         self.ell = ell

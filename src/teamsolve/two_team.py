@@ -243,7 +243,8 @@ def _grid_q(game, grid_step):
                        for k in game.minimizer_actions)
     if combos > _GRID_POINT_CAP:
         raise GameError(f"grid of {combos} points exceeds the cap "
-                        f"{_GRID_POINT_CAP}; use method='nested'")
+                        f"{_GRID_POINT_CAP}; use method='nested' "
+                        f"(--oracle nested)")
     return q
 
 
@@ -293,12 +294,13 @@ def minmax_oracle(game, y_minus_m, method="grid", grid_step=0.02,
                         audit=audit, payoffs=vec)
 
 
-def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
+def extend_ne_multi(game, x_star, y_minus_m):
     """Best last-maximizer completion of a two-team anchor profile.
 
     Builds the multi-team extension dual LP (guarantee variables for
     every minimizer and every co-maximizer, a mixture for the last
-    maximizer) and returns the mixture.  Each call solves that one LP,
+    maximizer) and returns the mixture.  Each call solves that one LP
+    (:func:`teamsolve.extension._extend` on the joint game),
     reads a joint-deviation point from its row multipliers and asserts
     the feasibility chain from the anchor profile plus strong duality,
     exactly as in the single-adversary module, at every scale
@@ -311,8 +313,7 @@ def extend_ne_multi(game, x_star, y_minus_m, with_audit=False):
                                 "minimizer", 0)
             + _checked_strategies(y_minus_m, game.maximizer_actions[:-1],
                                   "maximizer", "maximizer", game.n))
-    y_m, audit, _ = _extend(game.joint, team, game.n)
-    return (y_m, audit) if with_audit else y_m
+    return _extend(game.joint, team, game.n)[0]
 
 
 def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
@@ -407,6 +408,21 @@ def two_team_from_dict(doc):
     n, m = teams["minimizers"], teams["maximizers"]
     if n < 1 or m < 1:
         raise SchemaError("team sizes must be positive", "teams")
+    actions, b_actions = _action_counts(doc, n, m)
+    joint = game_from_dict({
+        "n": n + m - 1, "actions": actions + b_actions[:-1],
+        "adversary_actions": b_actions[-1], "payoff": doc.get("payoff"),
+        "v_max": doc.get("v_max")})
+    # The source document is the two-team game's, not the joint game's.
+    joint.document = None
+    game = TwoTeamGame.__new__(TwoTeamGame)
+    game._view(joint, n, doc)
+    return game
+
+
+def _action_counts(doc, n, m):
+    """``doc``'s ``actions`` and ``adversary_actions`` as lists of ``n``
+    and ``m`` positive counts (a bare count will do for ``m = 1``)."""
     actions = doc.get("actions")
     if (not isinstance(actions, list) or len(actions) != n
             or not all(_is_int(k) and k >= 1 for k in actions)):
@@ -418,15 +434,7 @@ def two_team_from_dict(doc):
             or not all(_is_int(k) and k >= 1 for k in b_actions)):
         raise SchemaError(f"must list {m} positive action counts",
                           "adversary_actions")
-    joint = game_from_dict({
-        "n": n + m - 1, "actions": actions + b_actions[:-1],
-        "adversary_actions": b_actions[-1], "payoff": doc.get("payoff"),
-        "v_max": doc.get("v_max")})
-    # The source document is the two-team game's, not the joint game's.
-    joint.document = None
-    game = TwoTeamGame.__new__(TwoTeamGame)
-    game._view(joint, n, doc)
-    return game
+    return actions, b_actions
 
 
 def two_team_profile_to_dict(profile):

@@ -83,7 +83,9 @@ def sort_threshold_projection(v):
     must match this to the last bit.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+    if v.ndim != 1:
+        raise ValueError("expected a 1-D vector")
+    if v.size == 0:
         raise ValueError("expected a nonempty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("expected finite entries")

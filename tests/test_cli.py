@@ -20,7 +20,6 @@ from teamsolve.games import GameError
 from teamsolve.generators import (
     potential_game_embed,
     potential_spec_to_two_team,
-    random_potential_triple,
 )
 
 from conftest import poly_two_team_doc
@@ -228,6 +227,7 @@ def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
     ("solve", ["--epsilon", "1e-80"]),
     ("solve", ["--epsilon", "1e-100", "--max-iters", "5"]),
     ("gdmm", ["--epsilon", "1e-100"]),
+    ("solve", ["--jobs", "0"]),
 ])
 def test_bad_numeric_arguments_exit_input(tmp_path, capsys, command, extra):
     schema = "two_team" if command == "gdmm" else "team"
@@ -425,6 +425,47 @@ def test_batch_refuses_games_that_share_a_file_name(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_batch_checks_every_game_before_the_first_solve(tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game was solved before every game loaded")
+
+    monkeypatch.setattr(cli, "gradient_descent_max", refuse)
+    games = [_write(tmp_path, "a.json", GAMES["team"]),
+             _write(tmp_path, "bad.json", {"n": 1})]
+    out_dir = tmp_path / "outb"
+    assert _solve(games, out_dir) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and games[1] in err
+    assert not out_dir.exists()
+
+
+def _strict_json(text):
+    """``json.loads`` refusing NaN and the infinities, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gdmm_writes_strict_json(tmp_path, fmt):
+    out = tmp_path / "out.json"
+    assert _gdmm(_write(tmp_path, "game.json", GAMES["two_team"]), out,
+                 "--format", fmt) == cli.EXIT_OK
+    assert _strict_json(out.read_text())["summary"]["prox_tol"] is None
+
+
+def test_verify_refuses_an_infinite_epsilon(tmp_path, capsys):
+    code = cli.main([
+        "verify", "--game", _write(tmp_path, "game.json", GAMES["team"]),
+        "--profile", _write(tmp_path, "profile.json",
+                            _profile_doc("team", [0.5, 0.5], [0.5, 0.5])),
+        "--epsilon", "inf"])
+    assert code == cli.EXIT_INPUT
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and not printed
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("solve", "--check-every", "1"), ("solve", "--seed", "0"),
     ("gdmm", "--seed", "0")])
@@ -502,8 +543,13 @@ def test_gen_potential_writes_a_loadable_two_team_document(tmp_path):
 
 
 def test_potential_game_embed_names_the_first_violating_profile():
-    costs, utils, potential = random_potential_triple(2, 1, [2, 3], [2],
-                                                      seed=1)
+    # Each table is the potential plus an offset that ignores its owner's
+    # axis (length 1 there, broadcast), so every identity holds.
+    rng = np.random.default_rng(1)
+    potential = rng.uniform(-1, 1, size=(2, 3, 2))
+    costs = [potential + rng.uniform(-1, 1, size=(1, 3, 2)),
+             potential + rng.uniform(-1, 1, size=(2, 1, 2))]
+    utils = [potential + rng.uniform(-1, 1, size=(2, 3, 1))]
     assert potential_game_embed(costs, utils, potential).tensor.shape \
         == (2, 3, 2)
     # Moving one entry of player 1's cost breaks its identity along axis 1
@@ -541,6 +587,14 @@ def test_potential_game_embed_names_the_first_violating_profile():
      "value_range"),
     ("congestion", {"n_players": 1, "edges": [{"menu": [[0, [1, 0]]]}],
                     "strategies": [[[0]]]}, "edges[0].menu[0][1]"),
+    ("potential", {"minimizers": 3, "maximizers": 1, "actions": [2],
+                   "adversary_actions": [2]}, ": actions:"),
+    ("potential", {"minimizers": 1, "maximizers": 2, "actions": [2],
+                   "adversary_actions": [2]}, ": adversary_actions:"),
+    ("potential", {"minimizers": 1, "maximizers": 1, "actions": [-1],
+                   "adversary_actions": [2]}, ": actions:"),
+    ("potential", {"minimizers": 1, "maximizers": 1, "actions": [0],
+                   "adversary_actions": [2]}, ": actions:"),
 ])
 def test_gen_rejects_a_malformed_spec(tmp_path, capsys, family, spec,
                                       field):

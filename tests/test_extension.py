@@ -17,7 +17,7 @@ from teamsolve import (
     random_game,
 )
 from teamsolve.dynamics import GdConfig, gradient_descent_max
-from teamsolve.games import analytic_bounds
+from teamsolve.games import _validate_mixed_team, analytic_bounds
 
 from conftest import (random_profile, random_team_game, ring_game,
                       stationarity_measure)
@@ -33,10 +33,17 @@ def profile(team, adversary):
     return MixedProfile.of(team, adversary)
 
 
+def extend_audited(game, team):
+    """What :func:`extend_ne` returns and its LP's audit: the core it
+    calls, on the team it validates."""
+    y, audit, _ = extension._extend(game, _validate_mixed_team(game, team),
+                                    game.n)
+    return y, audit
+
+
 class TestExtendNe:
     def test_pennies_exact_stationary_point(self, matching_pennies):
-        y, audit = extend_ne(matching_pennies, [np.array([0.5, 0.5])],
-                             with_audit=True)
+        y, audit = extend_audited(matching_pennies, [np.array([0.5, 0.5])])
         assert np.allclose(y, [0.5, 0.5], atol=1e-9)
         cert = ne_gap(matching_pennies, profile([[0.5, 0.5]], y))
         assert cert.gap <= 1e-9
@@ -57,7 +64,7 @@ class TestExtendNe:
         for _ in range(25):
             game = random_team_game(rng)
             team, _ = random_profile(rng, game)
-            _, audit = extend_ne(game, team, with_audit=True)
+            _, audit = extend_audited(game, team)
             assert audit.margin >= -1e-7
             assert audit.sd_residual <= 1e-7
             assert audit.scale == game.n
@@ -202,7 +209,7 @@ class TestOneLpAudit:
         monkeypatch.setattr(extension, "solve_lp",
                             lambda lp: calls.append(lp) or real(lp))
         game = random_game(2, [2, 2], 3, 4)
-        _, audit = extend_ne(game, ([0.3, 0.7], [0.6, 0.4]), with_audit=True)
+        _, audit = extend_audited(game, ([0.3, 0.7], [0.6, 0.4]))
         assert len(calls) == 1
         assert audit.pivots == len(real(calls[0]).pivots) > 0
 
@@ -220,7 +227,7 @@ class TestOneLpAudit:
             else:
                 game = ring_game(rng, 3 + seed, 2 + seed % 2)
             team = tuple(rng.dirichlet(np.ones(k)) for k in game.action_sets)
-            _, audit = extend_ne(game, team, with_audit=True)
+            _, audit = extend_audited(game, team)
             tensor = game.payoff_tensor()
             n_b = game.adversary_actions
             blocks = [tensordot_contract(tensor, team + (None,), (i, game.n))

@@ -113,10 +113,11 @@ class TestCongestion:
                                 == pytest.approx(float(delta), abs=1e-12))
 
     def test_menu_product_over_the_cap_is_refused(self):
-        spec = seeded_spec(0)
+        # Two menus per edge: 7 edges make 128 adversary actions, 6 make 64.
         with pytest.raises(CapacityError):
-            congestion_to_team_game(spec, menu_cap=7)
-        assert congestion_to_team_game(spec, menu_cap=8).adversary_actions == 8
+            congestion_to_team_game(seeded_spec(0, n_edges=7))
+        assert (congestion_to_team_game(seeded_spec(0, n_edges=6))
+                .adversary_actions == 64)
 
 
 class TestSpecRationals:

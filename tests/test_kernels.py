@@ -439,7 +439,7 @@ class TestWarmProbeReuse:
         start = np.full(3, 1.0 / 3.0)
         cert = moreau._DualCertifier(game, center,
                                      analytic_bounds(game).smoothness,
-                                     center, start)
+                                     center, start, memory=None)
         vec = cert.probe(probed_y, moreau._POLISH_TOL)
         cert.best_y = start  # Newton starts from best_y
         seen = []

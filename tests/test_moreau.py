@@ -291,7 +291,8 @@ class TestDuplicateCuts:
         game = random_game(1, [3], 3, 1)
         center = (np.array([0.2, 0.15, 0.65]),)
         y = np.array([0.5, 0.3, 0.2])
-        cert = moreau._DualCertifier(game, center, 2.0, center, y)
+        cert = moreau._DualCertifier(game, center, 2.0, center, y,
+                                     memory=None)
         cert.probe(y, moreau._POLISH_TOL)
         near = y + np.array([1e-8, -1e-8, 0.0])
         cert.probe(near, moreau._POLISH_TOL)

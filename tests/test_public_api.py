@@ -64,7 +64,7 @@ def test_public_names_are_pinned():
 
 # Every defaulted parameter of a function, method or dataclass __init__
 # defined in teamsolve is a value a caller may set; a new option shows here.
-SETTABLE_VALUES = 72
+SETTABLE_VALUES = 54
 
 
 def _settable_values():

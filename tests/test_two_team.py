@@ -141,6 +141,14 @@ class TestMinmaxOracle:
             minmax_oracle(big, (), method="grid", grid_step=0.002)
 
 
+def extend_multi_audited(game, xs, ys):
+    """What :func:`extend_ne_multi` returns, which validates the
+    strategies, and the audit of the same LP, read off its core."""
+    y_m = extend_ne_multi(game, xs, ys)
+    _, audit, _ = extension._extend(game.joint, (*xs, *ys), game.n)
+    return y_m, audit
+
+
 class TestExtendNeMulti:
     def test_m1_bitwise_agreement(self):
         rng = np.random.default_rng(5)
@@ -153,9 +161,8 @@ class TestExtendNeMulti:
 
     def test_constant_game_lowest_vertex(self):
         game = TwoTeamGame(np.full((2, 2, 2), 1.0), n=1, m=2)
-        y_m, audit = extend_ne_multi(game, (np.array([0.5, 0.5]),),
-                                     (np.array([0.5, 0.5]),),
-                                     with_audit=True)
+        y_m, audit = extend_multi_audited(game, (np.array([0.5, 0.5]),),
+                                          (np.array([0.5, 0.5]),))
         assert np.allclose(y_m, [1.0, 0.0], atol=1e-9)
         assert audit.sd_residual <= 1e-7
 
@@ -165,7 +172,7 @@ class TestExtendNeMulti:
             game = random_two_team(rng)
             xs = tuple(rng.dirichlet(np.ones(2)) for _ in range(2))
             ys = (rng.dirichlet(np.ones(2)),)
-            _, audit = extend_ne_multi(game, xs, ys, with_audit=True)
+            _, audit = extend_multi_audited(game, xs, ys)
             assert audit.scale == game.n - game.m + 1
             assert audit.margin >= -1e-7
             assert audit.sd_residual <= 1e-7
@@ -183,7 +190,7 @@ class TestExtendNeMulti:
             game = random_two_team(rng, n=n, m=m)
             xs = tuple(rng.dirichlet(np.ones(2)) for _ in range(n))
             ys = tuple(rng.dirichlet(np.ones(2)) for _ in range(m - 1))
-            _, audit = extend_ne_multi(game, xs, ys, with_audit=True)
+            _, audit = extend_multi_audited(game, xs, ys)
             assert audit.scale == n - m + 1
             assert audit.sd_residual <= 1e-7
             assert audit.margin >= -1e-7

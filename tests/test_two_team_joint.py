@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import teamsolve.extension as extension
 import teamsolve.games as games
 import teamsolve.two_team as two_team
 from teamsolve import (
@@ -180,7 +181,8 @@ class TestEntryPointValidation:
         oracle = two_team.minmax_oracle(game, (np.full(2, 0.5),) * (m - 1))
         assert calls == []
         induced = two_team._induced(game, (np.full(2, 0.5),) * (m - 1))
-        y, audit = extend_ne(induced, oracle.team, with_audit=True)
+        y = extend_ne(induced, oracle.team)
         assert calls  # the public extension still validates
+        _, audit, _ = extension._extend(induced, oracle.team, induced.n)
         assert y.tobytes() == oracle.adversary.tobytes()
         assert audit == oracle.audit

@@ -137,12 +137,11 @@ def cmd_solve(args):
         raise InputError("--jobs must be >= 1")
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
-    # Every input is checked before the first output or solve.
-    games = [_load_game(g, two_team=False) for g in args.game]
-    if config.max_iters is None:
-        for game in games:
+    for g in args.game:  # every input is checked before the first solve
+        game = _load_game(g, two_team=False)
+        if config.max_iters is None:
             _argument(default_max_iters, game, config.epsilon)
-    if len(games) > 1:
+    if len(args.game) > 1:
         out_dir = Path(args.out)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
                      for g in args.game]
@@ -155,23 +154,18 @@ def cmd_solve(args):
         out_paths = [Path(args.out)]
     for out in out_paths:
         _check_outputs(out, args)
-    if args.jobs > 1 and len(games) > 1:
-        # Workers reload: a pickled game's arrays unpickle writeable.
-        jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
+    jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
+    if args.jobs > 1 and len(args.game) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
             return max(ex.map(_solve_worker, jobs))
-    return max(_solve(game, out, args, config)
-               for game, out in zip(games, out_paths))
+    return max(map(_solve_worker, jobs))
 
 
 def _solve_worker(job):
-    """:func:`_solve` on a job ``(game file, out, args, config)``."""
-    return _solve(_load_game(job[0]), *job[1:])
-
-
-def _solve(game, out, args, config):
-    """Solve one checked game and write its result; returns the exit code."""
+    """Solve one game file and write its result; returns the exit code."""
+    game_path, out, args, config = job
+    game = _load_game(game_path, two_team=False)
     profile, cert, trace = gradient_descent_max(game, config)
     return _write_result(out, profile_to_dict(profile), cert, trace, args,
                          embed_trace=True)

@@ -34,10 +34,11 @@ def profile(team, adversary):
 
 
 def extend_audited(game, team):
-    """What :func:`extend_ne` returns and its LP's audit: the core it
-    calls, on the team it validates."""
+    """What :func:`extend_ne` returns and the audit of its LP, read off
+    the core it calls on the team it validates."""
     y, audit, _ = extension._extend(game, _validate_mixed_team(game, team),
                                     game.n)
+    assert extend_ne(game, team).tobytes() == y.tobytes()
     return y, audit
 
 
@@ -209,8 +210,10 @@ class TestOneLpAudit:
         monkeypatch.setattr(extension, "solve_lp",
                             lambda lp: calls.append(lp) or real(lp))
         game = random_game(2, [2, 2], 3, 4)
-        _, audit = extend_audited(game, ([0.3, 0.7], [0.6, 0.4]))
+        team = ([0.3, 0.7], [0.6, 0.4])
+        extend_ne(game, team)
         assert len(calls) == 1
+        _, audit = extend_audited(game, team)
         assert audit.pivots == len(real(calls[0]).pivots) > 0
 
     @pytest.mark.parametrize("kind", ["dense", "ring"])

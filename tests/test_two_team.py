@@ -26,6 +26,7 @@ from teamsolve.games import (
     contract_game,
 )
 from teamsolve.two_team import (
+    _checked_strategies,
     _induced,
     two_team_profile_from_dict,
     two_team_profile_to_dict,
@@ -144,8 +145,12 @@ class TestMinmaxOracle:
 def extend_multi_audited(game, xs, ys):
     """What :func:`extend_ne_multi` returns, which validates the
     strategies, and the audit of the same LP, read off its core."""
-    y_m = extend_ne_multi(game, xs, ys)
-    _, audit, _ = extension._extend(game.joint, (*xs, *ys), game.n)
+    team = (_checked_strategies(xs, game.minimizer_actions, "minimizer",
+                                "minimizer", 0)
+            + _checked_strategies(ys, game.maximizer_actions[:-1],
+                                  "maximizer", "maximizer", game.n))
+    y_m, audit, _ = extension._extend(game.joint, team, game.n)
+    assert extend_ne_multi(game, xs, ys).tobytes() == y_m.tobytes()
     return y_m, audit
 
 

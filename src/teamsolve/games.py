@@ -106,26 +106,101 @@ def _freeze(arr):
     return arr
 
 
+def _freeze_index(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class _BlockGroup:
+    """The blocks of a polytensor game that share an adversary flag and a
+    table shape, stacked.
+
+    Row ``j`` belongs to block ``order[j]`` of the game: ``table[j]`` is
+    its table and ``players[j]`` the team players it touches.
+    ``gather[k][j]`` indexes the actions of player ``players[j, k]`` in
+    the team's strategies laid end to end (:func:`_flat_team`).  Every
+    array is frozen.
+    """
+
+    __slots__ = ("order", "players", "includes_adversary", "table", "gather",
+                 "_blocks")
+
+    def __init__(self, order, players, includes_adversary, table, gather):
+        self.order, self.players, self.table, self.gather = (
+            order, players, table, gather)
+        self.includes_adversary = includes_adversary
+        self._blocks = None
+
+    def blocks(self):
+        """The group's :class:`LocalBlock` s, whose tables are views of
+        ``table``; made on first use."""
+        if self._blocks is None:
+            self._blocks = tuple(
+                LocalBlock(tuple(players), self.includes_adversary,
+                           self.table[j, ...])
+                for j, players in enumerate(self.players.tolist()))
+        return self._blocks
+
+
+def _group_blocks(blocks, action_sets):
+    """``blocks`` stacked into :class:`_BlockGroup` s, one per adversary
+    flag and table shape, in order of first appearance."""
+    members = {}
+    for pos, blk in enumerate(blocks):
+        key = (blk.includes_adversary, blk.table.shape)
+        members.setdefault(key, []).append(pos)
+    starts = np.cumsum((0,) + action_sets)
+    groups = []
+    for (with_adversary, shape), order in members.items():
+        arity = len(shape) - with_adversary
+        players = np.array([blocks[j].players for j in order],
+                           dtype=np.intp).reshape(len(order), arity)
+        gather = tuple(_freeze_index(starts[players[:, k], None]
+                                     + np.arange(shape[k]))
+                       for k in range(arity))
+        groups.append(_BlockGroup(
+            _freeze_index(np.array(order, dtype=np.intp)),
+            _freeze_index(players), with_adversary,
+            _freeze(np.stack([blocks[j].table for j in order])), gather))
+    return tuple(groups)
+
+
 class TeamGame:
     """An adversarial team game with ``n`` team players and one adversary.
 
     Construct through :meth:`dense`, :meth:`polytensor` or
     :func:`game_from_dict`; ``TeamGame(...)`` stores its parts unchecked,
-    for a game derived from a validated one.  ``v_max`` bounds ``|U(a,
-    b)|`` over all pure profiles.  The default (``max |T|``, or the sum of
-    block maxima) is a proven bound; a declared one is audited at
-    construction (exhaustively for dense games, on sampled profiles for
-    polytensor games).
+    for a game derived from a validated one.  A polytensor game keeps its
+    blocks stacked in groups of one adversary flag and table shape, so
+    every kernel contracts a whole group at once; its :class:`LocalBlock`
+    list is a view of those stacks.  ``v_max`` bounds ``|U(a, b)|`` over
+    all pure profiles.  The default (``max |T|``, or the sum of block
+    maxima) is a proven bound; a declared one is audited at construction
+    (exhaustively for dense games, on sampled profiles for polytensor
+    games).
     """
 
     __slots__ = ("action_sets", "adversary_actions", "v_max", "_tensor",
-                 "_blocks", "document")
+                 "_groups", "_block_list", "document")
 
     def __init__(self, action_sets, adversary_actions, v_max, tensor=None,
-                 blocks=None, document=None):
+                 groups=None, document=None):
         self.action_sets, self.adversary_actions, self.v_max = (
             action_sets, adversary_actions, v_max)
-        self._tensor, self._blocks, self.document = tensor, blocks, document
+        self._tensor, self._groups, self.document = tensor, groups, document
+        self._block_list = None
+
+    @property
+    def _blocks(self):
+        """The local blocks in game order (``None`` for a dense game),
+        assembled from the groups on first use."""
+        if self._block_list is None and self._groups is not None:
+            blocks = [None] * _block_count(self)
+            for group in self._groups:
+                for j, blk in zip(group.order.tolist(), group.blocks()):
+                    blocks[j] = blk
+            self._block_list = tuple(blocks)
+        return self._block_list
 
     # -- constructors -------------------------------------------------
 
@@ -178,7 +253,8 @@ class TeamGame:
                     f"block {pos}: table shape {table.shape} != {expect}")
             frozen.append(LocalBlock(players, bool(blk.includes_adversary), table))
         return cls._checked(action_sets, adversary_actions, v_max,
-                            blocks=tuple(frozen), document=document)
+                            groups=_group_blocks(frozen, action_sets),
+                            document=document)
 
     # -- basic structure ---------------------------------------------
 
@@ -206,19 +282,34 @@ class TeamGame:
         return total
 
     def payoff_tensor(self):
-        """Materialize the full dense tensor (intended for small games)."""
+        """Materialize the full dense tensor (intended for small games).
+
+        A polytensor game's tables are broadcast onto the grid and summed
+        in block order from zero, as :func:`contract_game` sums them with
+        every axis kept, so the two agree bitwise; one block at a time
+        keeps the memory to the grid's own size.
+        """
         if self._tensor is not None:
             return self._tensor
-        return contract_game(self, (None,) * self.n, None,
-                             tuple(range(self.n + 1)))
+        sizes = self.action_sets + (self.adversary_actions,)
+        out = np.zeros(sizes)
+        for blk in self._blocks:
+            axes = blk.players + ((self.n,) if blk.includes_adversary else ())
+            out += blk.table.reshape([size if axis in axes else 1
+                                      for axis, size in enumerate(sizes)])
+        return out
 
     def _default_v_max(self):
         # The ndarray method skips np.max's Python wrapper.
         if self._tensor is not None:
             return float(np.abs(self._tensor).max(initial=0.0))
-        # Sum of per-block maxima is a valid (possibly loose) bound.
-        return float(sum(np.abs(b.table).max(initial=0.0)
-                         for b in self._blocks))
+        # Sum of per-block maxima is a valid (possibly loose) bound,
+        # summed in block order.
+        maxima = np.empty(_block_count(self))
+        for group in self._groups:
+            maxima[group.order] = np.abs(group.table).reshape(
+                len(group.order), -1).max(axis=1, initial=0.0)
+        return float(sum(maxima.tolist()))
 
     def _audit_v_max(self):
         """Check a declared ``v_max``, raising ``GameError`` if it is low.
@@ -327,33 +418,44 @@ def _checked_strategies(vectors, sizes, what, label, first):
 # -- expected utility and gradients ------------------------------------
 
 
-def contract(table, vectors, keep):
+def contract(table, vectors, keep, batched=False):
     """Contract ``table`` with one strategy per axis, except the kept axes.
 
     ``vectors`` has one entry per axis of ``table``; entries on axes in
     ``keep`` (a tuple) are ignored (``None`` will do).  A 1-D entry weights its
     axis.  A 2-D entry stacks several strategies for its axis, one per
     row, and its stacking axis leads the result.  The kept axes follow in
-    increasing order.  Axes are labelled by number, so no subscript
-    alphabet caps the rank below numpy's own limit of 52 labels.  Every
-    payoff evaluation reaches it through :func:`contract_game` or
-    :func:`contract_players`.  The grid minmax oracle's ``tensordot``
+    increasing order.  With ``batched``, axis 0 of ``table`` runs over a
+    stack of tables and leads the result; ``vectors`` and ``keep`` name
+    the other axes, counted from 0, and a 2-D entry holds one strategy per
+    table.  Axes are labelled by number, so no subscript alphabet caps the
+    rank below numpy's own limit of 52 labels.
+
+    Every payoff evaluation reaches it: a dense game's once per call of
+    :func:`contract_game` (once per player in :func:`contract_players`),
+    a polytensor game's once per block group and kept position
+    (:func:`_group_terms`).  The grid minmax oracle's ``tensordot``
     screen (``two_team._grid_argmin``) is the one other payoff
     contraction; it picks a grid point only where its error bound proves
     it the one this function's full-grid scores pick, and defers to those
     scores otherwise.
 
-    The subscripts depend only on the table's rank, the kept axes and
+    The subscripts depend only on the table's shape, the kept axes and
     each operand's rank, so they are built once per such layout
     (:func:`_plan`) and handed straight to numpy's C ``einsum``, the call
     ``np.einsum`` itself makes without ``optimize``.  Results are bitwise
     equal to ``np.einsum`` on the numbered sublists, without its Python
-    wrapper and dispatch.
+    wrapper and dispatch.  Batched, table ``j`` of the result is bitwise
+    the unbatched contraction of ``table[j]`` with its strategies
+    (:func:`_row_sums` covers the one layout where ``einsum`` would differ).
     """
     ranks = tuple([None if axis in keep else vec.ndim
                    for axis, vec in enumerate(vectors)])
-    spec, axes = _plan(table.ndim, keep, ranks)
-    return _c_einsum(spec, table, *[vectors[axis] for axis in axes])
+    spec, axes, by_rows = _plan(table.shape, keep, ranks, batched)
+    operands = [vectors[axis] for axis in axes]
+    if by_rows:
+        return _row_sums(table, operands, axes, keep)
+    return _c_einsum(spec, table, *operands)
 
 
 # numpy spells a numbered sublist label ``k`` as the ``k``-th of these.
@@ -361,29 +463,74 @@ _LABELS = string.ascii_uppercase + string.ascii_lowercase
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(ndim, keep, ranks):
+def _plan(shape, keep, ranks, batched):
     """The ``einsum`` subscripts of :func:`contract` for one layout.
 
     ``ranks`` holds each vector's ``ndim``, ``None`` on kept axes.
-    Returns the subscript string and the axes whose vectors are its
-    operands after the table.  Axis ``a`` is labelled ``a``, a stacking
-    axis ``ndim + a``, spelled as numpy spells numbered sublists, so the
-    string is the one ``np.einsum`` builds from them.
+    Returns the subscript string, the axes whose vectors are its operands
+    after the table, and whether a batched call must be summed by
+    :func:`_row_sums` instead.  Table axis ``a`` is labelled ``a``.
+    Unbatched, a stacking axis is labelled ``ndim + a``, spelled as numpy
+    spells numbered sublists, so the string is the one ``np.einsum``
+    builds from them.  Batched, the batch axis has label 0 and leads the
+    output, vector axis ``a`` is table axis ``a + 1``, and a 2-D vector
+    carries the batch label.
     """
+    ndim, lead = len(shape), int(batched)
     axes = tuple(axis for axis, rank in enumerate(ranks) if rank is not None)
     terms = [range(ndim)]
     stacked = []
     for axis in axes:
-        if ranks[axis] == 2:
+        if ranks[axis] != 2:
+            terms.append((axis + lead,))
+        elif batched:
+            terms.append((0, axis + lead))
+        else:
             stacked.append(ndim + axis)
             terms.append((ndim + axis, axis))
-        else:
-            terms.append((axis,))
-    out = stacked + sorted(keep)
+    out = [0] * lead + stacked + [axis + lead for axis in sorted(keep)]
     if max([ndim - 1, *stacked]) >= len(_LABELS):
         raise ValueError("subscript is not within the valid range [0, 52)")
     spec = ",".join("".join(_LABELS[k] for k in term) for term in terms)
-    return spec + "->" + "".join(_LABELS[k] for k in out), axes
+    by_rows = batched and _summed_by_rows(shape[1:], keep)
+    return spec + "->" + "".join(_LABELS[k] for k in out), axes, by_rows
+
+
+def _summed_by_rows(shape, keep):
+    """Whether numpy's C ``einsum`` sums one table of ``shape``, contracted
+    on every axis but ``keep``, row by row.
+
+    When the only axes longer than one are two, neither kept, and the
+    first has length 2, ``einsum`` sums each row's products from zero and
+    then adds the two row sums.  Over a stack of such tables it sums each
+    table's products in one run instead, which can round differently.
+    This is numpy 2.4's behaviour; ``tests/test_block_groups.py`` checks
+    every batched layout against single-table contractions bitwise.
+    """
+    long = [axis for axis, size in enumerate(shape) if size > 1]
+    return (len(long) == 2 and shape[long[0]] == 2
+            and not any(axis in keep for axis in long))
+
+
+def _row_sums(table, vectors, axes, keep):
+    """A batched :func:`contract` in the layout of :func:`_summed_by_rows`,
+    summed as ``einsum`` sums each table alone.
+
+    Each product is formed in operand order, as ``einsum`` forms it; each
+    row's products are summed in order, and the row sums are added to
+    zero in turn.
+    """
+    products = table
+    for axis, vec in zip(axes, vectors):
+        shape = [1] * table.ndim
+        shape[axis + 1] = vec.shape[-1]
+        if vec.ndim == 2:
+            shape[0] = len(vec)
+        products = products * vec.reshape(shape)
+    rows = np.add.accumulate(products.reshape(len(table), 2, -1), axis=2)
+    total = 0.0 + rows[:, 0, -1] + rows[:, 1, -1]
+    return total.reshape((len(table),)
+                         + tuple(table.shape[axis + 1] for axis in keep))
 
 
 def _find_c_einsum():
@@ -409,11 +556,12 @@ def contract_game(game, team, adversary, keep):
     mixed vector, a pure action index (which fixes the adversary axis), or
     ``None`` when axis ``n`` is kept.  Nothing is validated: the public
     entry points check their inputs once, and internal callers pass
-    strategies they built themselves.  A polytensor game's blocks are
-    summed in block order, starting from zero; :func:`contract_players`
-    keeps that order, so its per-player vectors equal this function's
-    bitwise.  A game from :func:`fix_adversary` is evaluated here too,
-    at its one adversary action ``0``.
+    strategies they built themselves.  A polytensor game is contracted
+    one block group at a time (:func:`_sum_blocks`) and every output
+    entry is summed over the blocks in block order, starting from zero;
+    :func:`contract_players` keeps that order, so its per-player vectors
+    equal this function's bitwise.  A game from :func:`fix_adversary` is
+    evaluated here too, at its one adversary action ``0``.
     """
     if game._tensor is not None:
         if isinstance(adversary, (int, np.integer)):
@@ -430,12 +578,11 @@ def contract_players(game, team, adversary, keep_adversary=False,
     (i,) + ((game.n,) if keep_adversary else ()))`` for ``i = players[k]``;
     ``players`` defaults to every team player.  ``keep_adversary``
     requires ``adversary`` to be ``None``.  A dense game makes those
-    per-player calls.  A polytensor game contracts each block once with no
-    team axis kept, and again, with ``i`` kept, only for the players ``i``
-    it touches: ``blocks + sum_i deg_i`` contractions instead of ``n *
-    blocks``.  The block-order summation of :func:`contract_game` is kept
-    (see :func:`_sum_blocks_per_player`), so every float addition is the
-    one it makes.  Nothing is validated.
+    per-player calls.  A polytensor game makes at most ``1 + arity``
+    batched contractions per block group, however many blocks and players
+    there are (see :func:`_sum_blocks_per_player`), and keeps the
+    block-order summation of :func:`contract_game`, so every float
+    addition is the one it makes.  Nothing is validated.
     """
     players = range(game.n) if players is None else players
     if game._tensor is not None:
@@ -443,83 +590,151 @@ def contract_players(game, team, adversary, keep_adversary=False,
         return [contract_game(game, team, adversary, (i,) + extra)
                 for i in players]
     return _sum_blocks_per_player(game, team, adversary, players,
-                                  keep_adversary)
+                                  keep_adversary, False)
 
 
-def _block_operands(blk, team, adversary, pure):
-    """A block's table, its vectors and the game axes they weight."""
-    axes = blk.players
-    table = blk.table
-    vectors = [team[p] for p in blk.players]
-    if blk.includes_adversary and pure:
-        table = table[..., adversary]
-    elif blk.includes_adversary:
-        axes += (len(team),)
-        vectors.append(adversary)
-    return table, vectors, axes
+def _block_count(game):
+    return sum(len(group.order) for group in game._groups)
 
 
-def _block_term(operands, sizes, keep):
-    """One block's term of :func:`_sum_blocks`, shaped to broadcast over
-    the kept axes: axes the block does not touch have length one, since
-    the block is constant along them."""
-    table, vectors, axes = operands
-    local = tuple(k for k, axis in enumerate(axes) if axis in keep)
-    return contract(table, vectors, local).reshape(
-        [sizes[axis] if axis in axes else 1 for axis in keep])
+def _flat_team(team, action_sets):
+    """The team's strategies laid end to end, as the groups' ``gather``
+    index them.  A kept axis may come without a strategy (``None``); its
+    entries read as zeros, which no contraction weights with."""
+    if any(x is None for x in team):
+        team = [np.zeros(k) if x is None else x
+                for x, k in zip(team, action_sets)]
+    return np.concatenate(team)
+
+
+def _group_terms(group, strategies, adversary, positions, rows):
+    """The terms of the blocks at ``rows`` of ``group``, in one batched
+    :func:`contract`.
+
+    ``strategies[k]`` holds, row by row, the strategy of each block's
+    player at position ``k``.  Each table is weighted by them except at
+    ``positions``, which are kept in increasing order.  Its adversary
+    axis, if it has one, is taken as :func:`contract_game` takes
+    ``adversary``: kept when ``None``, fixed when pure, weighted when
+    mixed.  Each term is bitwise the contraction of that block's table
+    alone.
+    """
+    table = group.table[rows]
+    vectors = [None if k in positions else strategies[k][rows]
+               for k in range(len(strategies))]
+    if group.includes_adversary:
+        if adversary is None:
+            positions += (len(vectors),)
+            vectors.append(None)
+        elif isinstance(adversary, (int, np.integer)):
+            table = table[..., adversary]
+        else:
+            vectors.append(adversary)
+    return contract(table, vectors, positions, True)
 
 
 def _sum_blocks(game, team, adversary, keep):
-    """:func:`contract_game` summed block by block over local tables."""
-    pure = isinstance(adversary, (int, np.integer))
+    """:func:`contract_game` on a polytensor game, one group at a time.
+
+    The output's entries are laid out flat, one column per entry.  In
+    each group, the blocks whose kept axes sit at the same positions are
+    contracted together (:func:`_group_terms`), and each block's row of
+    columns reads its term at the entry's coordinates on those axes; a
+    block is constant along the axes it does not touch.  The rows are
+    summed in block order, after a row of zeros.
+    """
+    n = game.n
     sizes = game.action_sets + (game.adversary_actions,)
-    out = np.zeros([sizes[axis] for axis in keep])
-    for blk in game._blocks:
-        out += _block_term(_block_operands(blk, team, adversary, pure),
-                           sizes, keep)
-    return out
+    shape = [sizes[axis] for axis in keep]
+    size = math.prod(shape)
+    coords = np.zeros((n + 1, size), dtype=np.intp)
+    coords[list(keep)] = np.indices(shape).reshape(len(keep), size)
+    team_kept = np.zeros(n, dtype=bool)
+    team_kept[[axis for axis in keep if axis < n]] = True
+    flat = _flat_team(team, game.action_sets)
+    terms = np.zeros((_block_count(game) + 1, size))
+    for group in game._groups:
+        strategies = [flat[index] for index in group.gather]
+        for positions, rows in _kept_positions(team_kept[group.players]):
+            values = _group_terms(group, strategies, adversary, positions,
+                                  rows)
+            index = [coords[group.players[rows, k]] for k in positions]
+            if group.includes_adversary and adversary is None:
+                index.append(coords[n])
+            at = np.ravel_multi_index(index, values.shape[1:]) if index else 0
+            terms[1 + group.order[rows]] = values.reshape(len(values), -1)[
+                np.arange(len(values))[:, None], at]
+    # Copied out, so the result does not hold every partial sum.
+    return np.add.accumulate(terms, axis=0)[-1].reshape(shape).copy()
+
+
+def _kept_positions(hit):
+    """``(positions, rows)`` for each set of kept positions in a group.
+
+    ``hit[j, k]`` says whether block ``j`` keeps the axis at its position
+    ``k``; ``rows`` picks the blocks that keep exactly ``positions``, all
+    of them (a slice) when no block keeps any.
+    """
+    if not hit.any():
+        return [((), slice(None))]
+    codes = hit @ (1 << np.arange(hit.shape[1]))
+    return [(tuple(k for k in range(hit.shape[1]) if code >> k & 1),
+             np.flatnonzero(codes == code))
+            for code in np.unique(codes).tolist()]
 
 
 def _sum_blocks_per_player(game, team, adversary, players, keep_adversary,
-                           with_total=False):
+                           with_total):
     """:func:`_sum_blocks` with ``keep = (i,)`` (and the adversary axis
     when ``keep_adversary``) for every ``i`` in ``players``, in one pass.
 
-    The players' vectors are stacked in one array and summed block by
-    block, from zero.  A block that misses player ``i`` adds the same
-    value to every entry of ``i``'s vector: the block contracted with no
-    team axis kept, computed once for every player it misses.  A block
-    touching ``i`` is contracted with ``i`` kept.  Each entry therefore
-    sees the float additions :func:`_sum_blocks` makes, in its order.
-    The entries returned are consecutive views of the stacked array.
-    With ``with_total`` every block's reduced value is computed and summed
-    in block order too, and ``(entries, total)`` is returned; ``total`` is
-    bitwise :func:`_sum_blocks` with no team axis kept.
+    The players' vectors are rows of one array, each summed over the
+    blocks in block order, after a row of zeros.  A block adds the same
+    value to every entry of a player it misses: its term with no team
+    axis kept, one batched contraction per group.  A block touching
+    player ``i`` at position ``k`` adds its term with ``k`` kept, one
+    batched contraction per group and position.  Each entry therefore
+    sees the float additions :func:`_sum_blocks` makes, in its order.  The
+    entries returned are consecutive views of the summed array.  With
+    ``with_total`` one more row takes every block's no-team-axis term and
+    ``(entries, total)`` is returned; ``total`` is bitwise
+    :func:`_sum_blocks` with no team axis kept.
     """
-    pure = isinstance(adversary, (int, np.integer))
-    sizes = game.action_sets + (game.adversary_actions,)
-    extra = (len(team),) if keep_adversary else ()
-    starts = list(itertools.accumulate((sizes[i] for i in players),
-                                       initial=0))
-    rows = dict(zip(players, map(slice, starts, starts[1:])))
-    stacked = np.zeros([starts[-1]] + [sizes[axis] for axis in extra])
-    total = np.zeros([sizes[axis] for axis in extra]) if with_total else None
-    addend = np.empty_like(stacked)
-    for blk in game._blocks:
-        operands = _block_operands(blk, team, adversary, pure)
-        touched = [i for i in blk.players if i in rows]
-        if with_total or len(touched) < len(rows):
-            table, vectors, axes = operands
-            reduced = contract(table, vectors, tuple(
-                k for k, axis in enumerate(axes) if axis in extra))
-            addend[...] = reduced
-            if with_total:
-                total += reduced
-        for i in touched:
-            addend[rows[i]] = _block_term(operands, sizes, (i,) + extra)
-        stacked += addend
-    entries = [stacked[rows[i]] for i in players]
-    return (entries, total) if with_total else entries
+    flat = np.concatenate(team)
+    starts = list(itertools.accumulate(
+        (game.action_sets[i] for i in players), initial=0))
+    # Listing every player in order lays the rows out as ``flat`` is laid
+    # out, so each group's ``gather`` indexes its rows; otherwise ``first``
+    # holds each listed player's first row, -1 for the others.
+    every = list(players) == list(range(game.n))
+    if not every:
+        first = np.full(game.n, -1)
+        first[list(players)] = starts[:-1]
+    width = game.adversary_actions if keep_adversary else 1
+    terms = np.zeros((_block_count(game) + 1, starts[-1] + with_total, width))
+    for group in game._groups:
+        strategies = [flat[index] for index in group.gather]
+        at = 1 + group.order
+        reduced = _group_terms(group, strategies, adversary, (), slice(None))
+        terms[at] = reduced.reshape(len(reduced), 1, -1)
+        for k, index in enumerate(group.gather):
+            if every:
+                hit, rows = slice(None), index
+            else:
+                row = first[group.players[:, k]]
+                hit = np.flatnonzero(row >= 0)
+                rows = row[hit, None] + np.arange(index.shape[1])
+                if not hit.size:
+                    continue
+            values = _group_terms(group, strategies, adversary, (k,), hit)
+            terms[at[hit, None], rows] = values.reshape(
+                len(values), index.shape[1], -1)
+    # Copied out, so the vectors returned do not hold every partial sum.
+    summed = np.add.accumulate(terms, axis=0)[-1].copy()
+    if not keep_adversary:
+        summed = summed[:, 0]
+    entries = [summed[start:stop] for start, stop in zip(starts, starts[1:])]
+    return (entries, summed[-1]) if with_total else entries
 
 
 def extension_coefficients(game, team):
@@ -529,15 +744,16 @@ def extension_coefficients(game, team):
     Bitwise equal to ``contract_players(game, team, None, True)`` and
     ``contract_game(game, team, None, (game.n,))``.  A dense game makes
     those calls.  A polytensor game reads the vector off the per-player
-    pass, as the block-order total of each block's reduced value, so a
-    block that misses some team player is contracted once fewer.
-    Nothing is validated.
+    pass as one more summed row, every block's term with no team axis
+    kept, so the pass makes no contraction beyond
+    :func:`contract_players`'s ``1 + arity`` per group.  Nothing is
+    validated.
     """
     if game._tensor is not None:
         return (contract_players(game, team, None, keep_adversary=True),
                 contract_game(game, team, None, (game.n,)))
     return _sum_blocks_per_player(game, team, None, range(game.n), True,
-                                  with_total=True)
+                                  True)
 
 
 def fix_adversary(game, adversary):
@@ -545,27 +761,30 @@ def fix_adversary(game, adversary):
     :class:`TeamGame` whose adversary has one action, the mixture ``y``.
 
     A dense tensor is contracted on its adversary axis, kept with length
-    one; a polytensor game's blocks with an adversary axis are contracted
-    on it, the others reused as they are.  A caller that evaluates many
-    team strategies against one mixture then contracts team axes only,
-    e.g. ``contract_game(fixed, team, 0, keep)``; results agree with
+    one.  A polytensor game's block groups with an adversary axis are
+    contracted on it, one batched contraction per group, into new groups
+    with the same players; the other groups are shared as they are, so
+    nothing is stacked again.  A caller that evaluates many team
+    strategies against one mixture then contracts team axes only, e.g.
+    ``contract_game(fixed, team, 0, keep)``; results agree with
     ``contract_game(game, team, y, keep)`` up to the order of float
     additions.  ``game`` is already validated, so the result is built
     through the unchecked constructor and only the new tables are frozen.
     It inherits ``game.v_max``, a valid bound since ``|U(x, y)| <= max
     |U|``, so no bound is computed or audited.
     """
-    def fixed(table, k):
+    def fixed(table, k, batched):
         return _freeze(contract(table, (None,) * k + (adversary,),
-                                tuple(range(k))))
+                                tuple(range(k)), batched))
 
     if game._tensor is not None:
         return TeamGame(game.action_sets, 1, game.v_max,
-                        tensor=fixed(game._tensor, game.n)[..., None])
-    blocks = tuple(
-        LocalBlock(blk.players, False, fixed(blk.table, len(blk.players)))
-        if blk.includes_adversary else blk for blk in game._blocks)
-    return TeamGame(game.action_sets, 1, game.v_max, blocks=blocks)
+                        tensor=fixed(game._tensor, game.n, False)[..., None])
+    groups = tuple(
+        _BlockGroup(group.order, group.players, False,
+                    fixed(group.table, len(group.gather), True), group.gather)
+        if group.includes_adversary else group for group in game._groups)
+    return TeamGame(game.action_sets, 1, game.v_max, groups=groups)
 
 
 @dataclass(frozen=True)

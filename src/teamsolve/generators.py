@@ -336,6 +336,9 @@ def potential_spec_to_two_team(doc, seed):
     checked as :func:`~teamsolve.two_team.two_team_from_dict` checks it,
     as a two-team game (see :func:`potential_game_embed`)."""
     n, m = _field(doc, "minimizers"), _field(doc, "maximizers")
+    for key, size in (("minimizers", n), ("maximizers", m)):
+        if size < 1:
+            raise SchemaError("team size must be positive", key)
     actions, adversary_actions = _action_counts(doc, n, m)
     lo, hi = map(float, _value_range(doc.get("value_range", (-1, 1))))
     potential = np.random.default_rng(seed).uniform(

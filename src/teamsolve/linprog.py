@@ -396,12 +396,14 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
     blowup = min(1e12 * max(1.0, float(np.abs(T).max())), sys.float_info.max)
     visited = set()
     for made in range(1, guard + 1):
+        # The first column whose reduced cost is below -PIVOT_TOL; a
+        # tableau without columns has none.
+        entering = T[-1, :stop_cols] < -PIVOT_TOL
+        enter = int(entering.argmax()) if stop_cols else 0
+        if not stop_cols or not entering[enter]:
+            return False
         # Scanning Python floats is cheaper than indexing numpy scalars;
         # both are IEEE doubles, so every comparison is exact.
-        enter = next((j for j, v in enumerate(T[-1, :stop_cols].tolist())
-                      if v < -PIVOT_TOL), -1)
-        if enter < 0:
-            return False
         col = T[:rows, enter].tolist()
         rhs = T[:rows, -1].tolist()
         col_scale = max([0.0, *col])
@@ -409,14 +411,18 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
         best_ratio, leave = None, -1
         for r, a in enumerate(col):
             if a > floor:
-                ratio = max(rhs[r], 0.0) / a
-                better = (best_ratio is None or ratio < best_ratio - 1e-12)
-                tie = (best_ratio is not None
-                       and abs(ratio - best_ratio) <= 1e-12
-                       and (a > col[leave] + 1e-12
-                            or (abs(a - col[leave]) <= 1e-12
-                                and basis[r] < basis[leave])))
-                if better or tie:
+                # ``max(b, 0.0)`` without the call: ``0.0`` only when
+                # ``b < 0.0``, so ``-0.0`` (and NaN) pass through as before.
+                b = rhs[r]
+                ratio = (0.0 if b < 0.0 else b) / a
+                # Better by more than 1e-12, or tied within it with a
+                # larger pivot element, or tied on both with a lower
+                # basic-variable index.
+                if (best_ratio is None or ratio < best_ratio - 1e-12
+                        or (abs(ratio - best_ratio) <= 1e-12
+                            and (a > col[leave] + 1e-12
+                                 or (abs(a - col[leave]) <= 1e-12
+                                     and basis[r] < basis[leave])))):
                     best_ratio, leave = ratio, r
         if leave < 0:
             if col_scale > PIVOT_TOL:

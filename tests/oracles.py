@@ -74,6 +74,90 @@ def einsum_contract(table, vectors, keep=()):
     return np.einsum(*operands)
 
 
+# -- per-block polytensor kernels -------------------------------------------
+#
+# The polytensor kernels as they were before blocks were stacked into
+# groups: one contraction per block (and per touched player), summed in
+# block order from zero.  Each ``games.contract`` call is made with
+# ``einsum_contract``, its bitwise twin, so no contraction code is shared.
+
+
+def _block_operands(blk, team, adversary, pure):
+    """A block's table, its vectors and the game axes they weight."""
+    axes = blk.players
+    table = blk.table
+    vectors = [team[p] for p in blk.players]
+    if blk.includes_adversary and pure:
+        table = table[..., adversary]
+    elif blk.includes_adversary:
+        axes += (len(team),)
+        vectors.append(adversary)
+    return table, vectors, axes
+
+
+def _block_term(operands, sizes, keep):
+    """One block's term of :func:`reference_sum_blocks`, shaped to
+    broadcast over the kept axes: axes the block does not touch have
+    length one, since the block is constant along them."""
+    table, vectors, axes = operands
+    local = tuple(k for k, axis in enumerate(axes) if axis in keep)
+    return einsum_contract(table, vectors, local).reshape(
+        [sizes[axis] if axis in axes else 1 for axis in keep])
+
+
+def reference_sum_blocks(game, team, adversary, keep):
+    """``contract_game`` on a polytensor game, block by block."""
+    pure = isinstance(adversary, (int, np.integer))
+    sizes = game.action_sets + (game.adversary_actions,)
+    out = np.zeros([sizes[axis] for axis in keep])
+    for blk in game._blocks:
+        out += _block_term(_block_operands(blk, team, adversary, pure),
+                           sizes, keep)
+    return out
+
+
+def reference_sum_blocks_per_player(game, team, adversary, players,
+                                    keep_adversary, with_total=False):
+    """``contract_players`` on a polytensor game, block by block: each
+    block contracted once with no team axis kept and once per listed
+    player it touches.  With ``with_total`` also the block-order total of
+    the no-team-axis terms (``extension_coefficients``)."""
+    pure = isinstance(adversary, (int, np.integer))
+    sizes = game.action_sets + (game.adversary_actions,)
+    extra = (len(team),) if keep_adversary else ()
+    starts = list(itertools.accumulate((sizes[i] for i in players),
+                                       initial=0))
+    rows = dict(zip(players, map(slice, starts, starts[1:])))
+    stacked = np.zeros([starts[-1]] + [sizes[axis] for axis in extra])
+    total = np.zeros([sizes[axis] for axis in extra]) if with_total else None
+    addend = np.empty_like(stacked)
+    for blk in game._blocks:
+        operands = _block_operands(blk, team, adversary, pure)
+        touched = [i for i in blk.players if i in rows]
+        if with_total or len(touched) < len(rows):
+            table, vectors, axes = operands
+            reduced = einsum_contract(table, vectors, tuple(
+                k for k, axis in enumerate(axes) if axis in extra))
+            addend[...] = reduced
+            if with_total:
+                total += reduced
+        for i in touched:
+            addend[rows[i]] = _block_term(operands, sizes, (i,) + extra)
+        stacked += addend
+    entries = [stacked[rows[i]] for i in players]
+    return (entries, total) if with_total else entries
+
+
+def reference_fixed_tables(game, adversary):
+    """``fix_adversary``'s block tables, one contraction per block with an
+    adversary axis; the other blocks' tables as they are."""
+    return [einsum_contract(blk.table,
+                            (None,) * len(blk.players) + (adversary,),
+                            tuple(range(len(blk.players))))
+            if blk.includes_adversary else blk.table
+            for blk in game._blocks]
+
+
 def sort_threshold_projection(v):
     """Euclidean projection onto the simplex, vectorized in numpy.
 

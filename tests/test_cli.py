@@ -595,6 +595,10 @@ def test_potential_game_embed_names_the_first_violating_profile():
                    "adversary_actions": [2]}, ": actions:"),
     ("potential", {"minimizers": 1, "maximizers": 1, "actions": [0],
                    "adversary_actions": [2]}, ": actions:"),
+    ("potential", {"minimizers": 0, "maximizers": 1, "actions": [],
+                   "adversary_actions": [2]}, ": minimizers:"),
+    ("potential", {"minimizers": 1, "maximizers": 0, "actions": [2],
+                   "adversary_actions": []}, ": maximizers:"),
 ])
 def test_gen_rejects_a_malformed_spec(tmp_path, capsys, family, spec,
                                       field):

@@ -287,17 +287,6 @@ class TestExtensionCoefficients:
         game, rng, _ = drawn
         self._assert_matches(game, random_profile(rng, game)[0])
 
-    def test_ring_extension_calls(self, monkeypatch):
-        # Each block once reduced and once per player it touches.
-        rng = np.random.default_rng(28)
-        game = ring_game(rng, 12, 3)
-        calls = []
-        real = games.contract
-        monkeypatch.setattr(games, "contract",
-                            lambda *a: calls.append(1) or real(*a))
-        extend_ne(game, random_profile(rng, game)[0])
-        assert len(calls) == 36
-
 
 class TestCEinsumImportGuard:
     def test_finds_the_c_entry_point(self):

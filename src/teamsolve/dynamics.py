@@ -42,6 +42,9 @@ PHASES = ("certify", "extend", "oracle", "prox", "step")
 # the worst-case decrease rate.
 K_BUDGET = 1.0
 _MAX_BACKOFFS = 60
+# Iterations between candidate checks: GD extends and certifies its prox
+# point, and two_team.gd_mm the average of its last oracle replies.
+CANDIDATE_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,10 @@ class RunTrace:
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.  The
     ``final_*`` fields hold the returned profile, its certified gap and
-    the step size in force at the end.  ``phase_s`` maps each of
+    the step size in force at the end.  ``certified`` names the converged
+    profile: ``"iterate"``, a candidate (GD's extended prox point
+    ``"prox"``, ``gd_mm``'s averaged reply ``"average"``), or ``None``
+    when the budget ran out.  ``phase_s`` maps each of
     :data:`PHASES` to the wall seconds the run spent in it (a phase a
     solver lacks stays zero), left out of the bit-identical ``iterations``.
     """
@@ -115,6 +121,7 @@ class RunTrace:
     prox_tol: float
     iterations: list = field(default_factory=list, init=False)
     outcome: str = field(default="budget_exhausted", init=False)
+    certified: str | None = field(default=None, init=False)
     final_profile: MixedProfile | None = field(default=None, init=False)
     final_ne_gap: float | None = field(default=None, init=False)
     extend_calls: int = field(default=0, init=False)
@@ -205,11 +212,16 @@ class RunTrace:
             ne_gap=cert.gap, step_norm=step_norm, br_action=br_action))
         if cert.gap < self._best[0]:
             self._best = (cert.gap, profile, cert)
-        return cert.gap <= self.epsilon
+        if cert.gap > self.epsilon:
+            return False
+        self.certified = "iterate"
+        return True
 
     def finish(self, profile=None, cert=None):
         """Converge on ``profile``, or without one exhaust the budget on the
-        best record; returns ``(profile, cert, trace)``."""
+        best record; returns ``(profile, cert, trace)``.  A solver that
+        converges on a candidate rather than the iterate names it in
+        ``certified`` first."""
         if profile is None:
             _, profile, cert = self._best
         else:
@@ -232,6 +244,7 @@ class RunTrace:
     def summary(self):
         return {
             "outcome": self.outcome,
+            "certified": self.certified,
             "iterations": len(self.iterations),
             "epsilon": self.epsilon,
             "eta": self.eta,
@@ -290,12 +303,15 @@ def default_max_iters(game, epsilon):
                          f"budget; set max_iters") from None
 
 
-def _certified_extension(game, team, trace):
-    """Extend a candidate team strategy and certify it; None if over eps."""
-    y, values, _ = trace.extend(game, team, game.n)
+def _certified_extension(trace, game, team, minimizers, basis):
+    """Extend a candidate team strategy, its LP offered ``basis``, and
+    certify it with ``minimizers`` as in :func:`_deviation_gaps`.  Returns
+    ``(y, cert)``, or None if the gap is over epsilon; the LP's final basis
+    is discarded."""
+    y, values, _ = trace.extend(game, team, minimizers, basis)
     cert = trace.timed("certify", _deviation_gaps, game, team, y, values,
-                       game.n, trace.epsilon)
-    return (MixedProfile(team, y), cert) if cert.gap <= trace.epsilon else None
+                       minimizers, trace.epsilon)
+    return (y, cert) if cert.gap <= trace.epsilon else None
 
 
 def _descent(game, team, values):
@@ -328,8 +344,10 @@ def gradient_descent_max(game, config):
 
     Two safeguards shape the endgame.  The proximal point computed for
     the potential is also extended and certified (it is the
-    near-stationary candidate the extension theory speaks about), which
-    usually ends runs before raw-iterate oscillation sets in.  And a step
+    near-stationary candidate the extension theory speaks about) every
+    :data:`CANDIDATE_EVERY` iterations and whenever the iterate's gap is
+    within ``2 * epsilon``, which usually ends runs before raw-iterate
+    oscillation sets in.  And a step
     whose recorded potential would *rise* by more than the prox tolerance
     is rejected and retaken with half the step size, so the recorded
     potential decreases by construction; backoffs are counted in the
@@ -358,15 +376,19 @@ def gradient_descent_max(game, config):
         trace.max_prox_tolerance = max(trace.max_prox_tolerance,
                                        prox_state.tolerance)
         smoothed = None
-        near_end = cert.gap <= 2.0 * config.epsilon or t % 10 == 0
+        near_end = (cert.gap <= 2.0 * config.epsilon
+                    or t % CANDIDATE_EVERY == 0)
         if cert.gap > config.epsilon and near_end:
-            smoothed = _certified_extension(game, prox_state.prox_point, trace)
+            smoothed = _certified_extension(trace, game, prox_state.prox_point,
+                                            game.n, None)
         br_action, step = trace.timed("step", _descent, game, team, values)
         if trace.record(profile, cert, np.concatenate(team), br_action,
                         prox_state.objective_value):
             return trace.finish(profile, cert)
         if smoothed is not None:
-            return trace.finish(*smoothed)
+            trace.certified = "prox"
+            return trace.finish(MixedProfile(prox_state.prox_point,
+                                             smoothed[0]), smoothed[1])
 
         while True:
             new_team = trace.timed("step", step, eta)

@@ -10,8 +10,13 @@ Joint equilibria are computed by repeatedly solving the induced
 single-adversary game against the last maximizer (the minmax oracle),
 letting the other maximizers take projected ascent steps, and completing
 the profile for the last maximizer through the multi-team extension dual
-LP.  No convergence theorem backs this loop; every output is certified
-by brute-force deviation enumeration over both teams, and failed runs
+LP.  Where the minmax value has a kink the oracle's reply is not unique,
+and the iterate can cycle between replies that no single one certifies;
+so every ``CANDIDATE_EVERY`` iterations the average of the replies since
+the last check is tried as well (the ergodic average of the inner
+minimizers, as in Larsson, Patriksson & Stromberg, Math. Prog. 1999).
+No convergence theorem backs this loop; every output is certified by
+brute-force deviation enumeration over both teams, and failed runs
 report their best-seen gap.
 """
 
@@ -26,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import project_simplex
-from .dynamics import GdConfig, RunTrace, default_eta, gradient_descent_max
+from .dynamics import (
+    CANDIDATE_EVERY,
+    GdConfig,
+    RunTrace,
+    _certified_extension,
+    default_eta,
+    gradient_descent_max,
+)
 from .extension import (
     ExtensionAudit,
     _deviation_gaps,
@@ -335,10 +347,25 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     wall seconds spent in the oracle, the ascent (``step``), the
     re-extension (``extend``) and the certificate (``certify``).
     Stops at the first certified ``epsilon``-equilibrium (checked after
-    the update, so the first check sees a fully formed profile).  Returns
-    ``(profile, certificate, trace)`` with the budget-exhausted best-seen
-    fallback, both through :class:`~teamsolve.dynamics.RunTrace`; the
-    loop validates nothing but ``grid_step`` (see :func:`_grid_q`).
+    the update, so the first check sees a fully formed profile).
+
+    The oracle's reply can alternate between minimizers that tie on the
+    worst case, and then no iterate certifies.  So after every
+    :data:`~teamsolve.dynamics.CANDIDATE_EVERY` iterations whose iterate
+    did not certify, when there are co-maximizers, the mean of the
+    oracle's minimizer replies in those iterations is tried against the
+    ascended co-maximizers: the joint game is extended there (one more
+    LP, offered the re-extension's basis, whose own final basis is
+    discarded) and certified, and the loop returns it if its gap is at
+    most ``epsilon``; either way the sum starts again.  Every LP but the
+    first two is offered a basis, so ``lp_warm_kept + lp_warm_dropped +
+    2 == extend_calls`` still holds.  The candidate is not recorded: the
+    last ``IterationRecord`` is the iterate's even when the average is
+    returned, and ``trace.certified`` says which of the two converged.
+    Returns ``(profile, certificate, trace)`` with the budget-exhausted
+    best-seen fallback, both through
+    :class:`~teamsolve.dynamics.RunTrace`; the loop validates nothing but
+    ``grid_step`` (see :func:`_grid_q`).
     """
     if not game.extendibility_hypothesis():
         warnings.warn(
@@ -353,12 +380,15 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
     # The last final basis of the oracle's LP and of the re-extension's.
     oracle_basis = joint_basis = None
-    for _ in range(max_iters):
+    # The oracle's minimizer replies summed since the last candidate check.
+    replies = [0.0] * game.n
+    for t in range(max_iters):
         oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
                              method=oracle_method, grid_step=grid_step,
                              inner_config=inner_config, _basis=oracle_basis)
         oracle_basis = oracle.audit.basis
         x = oracle.team
+        replies = [total + xi for total, xi in zip(replies, x)]
         # Against the oracle's mixture, not a tie-broken pure reply, which
         # flips between the last maximizer's indifferent actions.
         ascended = trace.timed("step", lambda: tuple(
@@ -381,6 +411,18 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         point = np.concatenate([np.concatenate(x), np.concatenate(y)])
         if trace.record(profile, cert, point, oracle.best_response):
             return trace.finish(profile, cert)
+        if ascended and (t + 1) % CANDIDATE_EVERY == 0:
+            mean = tuple(total / CANDIDATE_EVERY for total in replies)
+            # The next re-extension keeps its own LP's basis.
+            found = _certified_extension(trace, game.joint,
+                                         (*mean, *ascended), game.n,
+                                         joint_basis)
+            if found is not None:
+                trace.certified = "average"
+                y_m, cert = found
+                return trace.finish(TwoTeamProfile(mean, ascended + (y_m,)),
+                                    cert)
+            replies = [0.0] * game.n
     return trace.finish()
 
 

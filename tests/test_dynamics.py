@@ -285,6 +285,31 @@ class TestSummaryMatchesCertificate:
         assert trace.summary()["final_ne_gap"] == cert.gap
 
 
+class TestCertifiedCandidate:
+    def test_prox_exit(self):
+        # The run of test_prox_candidate_run_reports_certified_gap.
+        game = random_game(2, [2, 2], 3, 2)
+        _, cert, trace = gradient_descent_max(game, GdConfig(epsilon=0.05))
+        assert trace.outcome == "converged"
+        assert trace.iterations[-1].ne_gap > 0.05
+        assert trace.certified == trace.summary()["certified"] == "prox"
+
+    def test_iterate_exit(self, matching_pennies):
+        _, cert, trace = gradient_descent_max(matching_pennies,
+                                              GdConfig(epsilon=0.05))
+        assert trace.outcome == "converged"
+        assert trace.iterations[-1].ne_gap == cert.gap <= 0.05
+        assert trace.certified == trace.summary()["certified"] == "iterate"
+
+    def test_budget_exhausted_names_no_candidate(self):
+        _, _, trace = gradient_descent_max(
+            random_game(2, [2, 2], 3, 0), GdConfig(epsilon=1e-6,
+                                                   max_iters=5))
+        assert trace.outcome == "budget_exhausted"
+        assert trace.certified is None
+        assert trace.summary()["certified"] is None
+
+
 class TestLpPivots:
     def test_trace_sums_extension_lp_pivots(self, monkeypatch):
         seen = []

@@ -105,20 +105,31 @@ class TestContractMatchesEinsum:
                 for keep in ((), (0,), (len(team) - 1,)):
                     _assert_bitwise(view, team, keep)
 
-    def test_polytensor_blocks(self):
-        # Every block contraction a ring game makes, with and without the
-        # adversary axis, as _sum_blocks issues them.
+    def test_polytensor_blocks(self, monkeypatch):
+        # Every batched group contraction _sum_blocks issues, with the
+        # adversary kept, mixed and pure: table j of each is the einsum of
+        # that block's table alone.
         rng = np.random.default_rng(14)
-        game = ring_game(rng, 12, 3)
-        team, adversary = random_profile(rng, game)
-        for blk in game._blocks:
-            vectors = [team[p] for p in blk.players] + [adversary]
-            for keep in ((), (0,), (1,), (2,), (0, 2)):
-                _assert_bitwise(blk.table, vectors, keep)
-            for b in range(game.adversary_actions):
-                _assert_bitwise(blk.table[..., b], vectors[:2], (0,))
-        one = LocalBlock((0,), False, rng.uniform(-1, 1, size=2))
-        _assert_bitwise(one.table, [team[0]], ())
+        issued = []
+        real = games.contract
+        monkeypatch.setattr(games, "contract",
+                            lambda *a: issued.append(a) or real(*a))
+        for game in (ring_game(rng, 12, 3), mixed_ring_game(rng, 6, 3)):
+            team, adversary = random_profile(rng, game)
+            n = game.n
+            for adv, keeps in ((None, ((n,), (0, n), (2, n))),
+                               (adversary, ((), (0,), (1,), (0, 2))),
+                               (1, ((), (0,), (2,)))):
+                for keep in keeps:
+                    contract_game(game, team, adv, keep)
+        assert len(issued) > 20 and all(a[3] for a in issued)
+        for table, vectors, keep, _ in issued:
+            got = contract(table, vectors, keep, True)
+            for j in range(len(table)):
+                own = [v if v is None or v.ndim == 1 else v[j]
+                       for v in vectors]
+                assert np.array_equal(got[j],
+                                      einsum_contract(table[j], own, keep))
 
     def test_too_many_labels_is_a_value_error(self):
         table = np.zeros((1,) * 30)
@@ -229,23 +240,21 @@ class TestContractPlayers:
         _assert_players_match(game, team, y, players)
 
     def test_certificate_calls_on_a_ring(self, monkeypatch):
-        # Each block once reduced and once per player it touches, plus one
-        # adversary-vector pass: at most 2 * blocks + sum_i deg_i.
+        # One block group.  extend_ne makes its no-team-axis term and one
+        # term per position; ne_gap contracts the adversary vector, then
+        # the same three terms at the extension's mixture.
         rng = np.random.default_rng(25)
         game = ring_game(rng, 12, 3)
-        bound = 2 * len(game._blocks) + sum(
-            len(blk.players) for blk in game._blocks)
-        assert bound == 48
         calls = []
-        real = games.contract
-        monkeypatch.setattr(games, "contract",
+        real = games._c_einsum
+        monkeypatch.setattr(games, "_c_einsum",
                             lambda *a: calls.append(1) or real(*a))
         team = random_profile(rng, game)[0]
         y = extend_ne(game, team)
-        assert 0 < len(calls) <= bound
+        assert len(calls) == 3
         calls.clear()
         ne_gap(game, MixedProfile(team, y))
-        assert 0 < len(calls) <= bound
+        assert len(calls) == 4
 
     def test_dense_calls_are_per_player(self, monkeypatch):
         rng = np.random.default_rng(26)

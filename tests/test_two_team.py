@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import teamsolve.extension as extension
+import teamsolve.two_team as two_team
 from teamsolve import (
     GdConfig,
     TeamGame,
@@ -18,7 +19,7 @@ from teamsolve import (
     ne_gap_two_team,
     two_team_from_dict,
 )
-from teamsolve.dynamics import default_eta
+from teamsolve.dynamics import CANDIDATE_EVERY, default_eta
 from teamsolve.games import (
     DimensionMismatchError,
     GameError,
@@ -262,6 +263,82 @@ class TestGdMm:
                     profile.maximizers)
                 assert max(o_min, o_max) <= 0.1 + 1e-9
         assert converged >= 5
+
+
+def _seed9_draws():
+    """The six 2v2 draws of ``test_batch_2v2_certified``."""
+    rng = np.random.default_rng(9)
+    return [random_two_team(rng) for _ in range(6)]
+
+
+class TestGdMmAveragedReplies:
+    """Every CANDIDATE_EVERY iterations, the average of the oracle's last
+    minimizer replies against the ascended co-maximizers is extended and
+    certified."""
+
+    def _assert_certified(self, game, profile, eps):
+        o_min, o_max = two_team_deviation_gaps(
+            game.tensor, game.n, profile.minimizers, profile.maximizers)
+        assert max(o_min, o_max) <= eps + 1e-9
+
+    def test_every_seed9_draw_converges(self):
+        for game in _seed9_draws():
+            profile, cert, trace = gd_mm(game, GdConfig(epsilon=0.1),
+                                         oracle_method="grid")
+            assert trace.outcome == "converged"
+            assert cert.gap <= 0.1
+            self._assert_certified(game, profile, 0.1)
+
+    def test_oscillating_draw_converges_on_the_average(self, monkeypatch):
+        # Draw 5's oracle reply alternates between two pure points, so no
+        # iterate certifies; the average of ten replies does.
+        replies = []
+        real = two_team.minmax_oracle
+        monkeypatch.setattr(two_team, "minmax_oracle",
+                            lambda *a, **k: replies.append(real(*a, **k))
+                            or replies[-1])
+        game = _seed9_draws()[5]
+        profile, cert, trace = gd_mm(game, GdConfig(epsilon=0.1),
+                                     oracle_method="grid")
+        assert trace.outcome == "converged"
+        assert trace.certified == "average"
+        assert len(trace.iterations) <= 50
+        assert len(trace.iterations) % CANDIDATE_EVERY == 0
+        # The last record is the iterate's, which did not certify.
+        assert trace.iterations[-1].ne_gap > 0.1
+        for i, x in enumerate(profile.minimizers):
+            block = [r.team[i] for r in replies[-CANDIDATE_EVERY:]]
+            assert np.allclose(x, np.mean(block, axis=0), atol=1e-15)
+        self._assert_certified(game, profile, 0.1)
+        summary = trace.summary()
+        assert summary["certified"] == "average"
+        assert summary["final_ne_gap"] == cert.gap <= 0.1
+        # The candidate's LP is offered the re-extension's basis.
+        assert (trace.lp_warm_kept + trace.lp_warm_dropped + 2
+                == trace.extend_calls
+                == 2 * len(trace.iterations)
+                + len(trace.iterations) // CANDIDATE_EVERY)
+
+    def test_single_maximizer_tries_no_candidate(self):
+        game = TwoTeamGame(np.array([[3.0, -1.0], [-1.0, 1.0]]), n=1, m=1)
+        _, _, trace = gd_mm(game, GdConfig(epsilon=1e-9, max_iters=12),
+                            oracle_method="grid")
+        assert trace.outcome == "budget_exhausted"
+        assert trace.certified is None
+        assert trace.extend_calls == len(trace.iterations) == 12
+
+    def test_fresh_2v2_draws_converge(self):
+        # 19 of these 30 converged before the averaged candidate.
+        rng = np.random.default_rng(2)
+        converged = 0
+        for _ in range(30):
+            game = random_two_team(rng)
+            profile, cert, trace = gd_mm(game, GdConfig(epsilon=0.1),
+                                         oracle_method="grid")
+            if trace.outcome == "converged":
+                converged += 1
+                self._assert_certified(game, profile, 0.1)
+        assert converged >= 29
 
 
 class TestSchema:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -31,6 +32,9 @@ from .moreau import _proximal_point
 
 TRACE_VERSION = "teamsolve-trace-v1"
 TRACE_COLUMNS = ("t", "potential_g", "ne_gap", "step_norm", "br_action")
+# RunTrace keeps each record as this many floats: whether it carries a
+# potential, the potential (0.0 if not), ne_gap, step_norm, br_action.
+_RECORD_WIDTH = 5
 # Where a solver's wall time goes: equilibrium checks (ne_gap), extension
 # LPs, proximal-point calls, the gradient steps themselves and, in
 # two_team.gd_mm, the minmax oracle (gradient_descent_max has no oracle,
@@ -52,7 +56,11 @@ class GdConfig:
     """Solver knobs; everything unset falls back to a documented default.
 
     ``eta`` defaults to :func:`default_eta` with the analytic bounds
-    (conservative enough for the potential-decrease guarantee);
+    (conservative enough for the potential-decrease guarantee).  It is
+    :func:`gradient_descent_max`'s first step, which only backs off, and
+    :func:`teamsolve.two_team.gd_mm`'s co-maximizer step floor: that step
+    doubles while the oracle's minmax value does not fall, up to one that
+    can cross a simplex, and halves back when it falls.
     ``max_iters`` to the potential-range budget above in
     :func:`gradient_descent_max`, but to the literal 200 in
     :func:`teamsolve.two_team.gd_mm`.  The prox tolerance is fixed at
@@ -87,14 +95,17 @@ class IterationRecord:
     br_action: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RunTrace:
     """Per-iteration audit trail of one solver run, and the loop skeleton
     that :func:`gradient_descent_max` and :func:`teamsolve.two_team.gd_mm`
     share: :meth:`extend`, :meth:`record` and :meth:`finish`.
 
     ``iterations`` holds one record per equilibrium check; a GD record
-    carries the potential, a ``gd_mm`` record does not.  ``extend_calls``
+    carries the potential, a ``gd_mm`` record does not.  The records are
+    kept as one flat float array and rebuilt on each read, and
+    :meth:`finish` drops the best-seen profile and the last iterate, so a
+    finished trace keeps a few floats per iteration.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
     pivots; ``lp_warm_kept`` and ``lp_warm_dropped`` count those offered
     a warm-start basis that kept it (no pivots) or solved cold instead.
@@ -108,18 +119,20 @@ class RunTrace:
     Monotonicity fields summarize the recorded potential decreases
     against the allowance ``2 * max_prox_tolerance + 1e-9``.  The
     ``final_*`` fields hold the returned profile, its certified gap and
-    the step size in force at the end.  ``certified`` names the converged
-    profile: ``"iterate"``, a candidate (GD's extended prox point
-    ``"prox"``, ``gd_mm``'s averaged reply ``"average"``), or ``None``
-    when the budget ran out.  ``phase_s`` maps each of
-    :data:`PHASES` to the wall seconds the run spent in it (a phase a
-    solver lacks stays zero), left out of the bit-identical ``iterations``.
+    the step size in force at the end; ``eta`` is the initial step, and
+    ``eta_backoffs`` counts the rejected steps that halved it.
+    ``certified`` names the converged profile: ``"iterate"``, a candidate
+    (GD's extended prox point ``"prox"``, ``gd_mm``'s averaged reply
+    ``"average"``), or ``None`` when the budget ran out.  ``phase_s``
+    maps each of :data:`PHASES` to the wall seconds the run spent in it (a
+    phase a solver lacks stays zero), left out of the bit-identical
+    ``iterations``.
     """
 
     epsilon: float
     eta: float
     prox_tol: float
-    iterations: list = field(default_factory=list, init=False)
+    _records: array = field(default_factory=lambda: array("d"), init=False)
     outcome: str = field(default="budget_exhausted", init=False)
     certified: str | None = field(default=None, init=False)
     final_profile: MixedProfile | None = field(default=None, init=False)
@@ -139,9 +152,19 @@ class RunTrace:
     final_eta: float | None = field(default=None, init=False)
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0),
                           init=False)
-    # The best record's (gap, profile, certificate) and the last iterate.
-    _best: tuple = field(default=(math.inf, None, None), init=False)
+    # The best record's (gap, profile, certificate) and the last iterate,
+    # both dropped by finish.
+    _best: tuple | None = field(default=(math.inf, None, None), init=False)
     _point: np.ndarray | None = field(default=None, init=False)
+
+    @property
+    def iterations(self):
+        """One :class:`IterationRecord` per equilibrium check, in order."""
+        rows = zip(*[iter(self._records.tolist())] * _RECORD_WIDTH)
+        return [IterationRecord(t=t, potential_g=pot if has else None,
+                                ne_gap=gap, step_norm=step,
+                                br_action=int(br))
+                for t, (has, pot, gap, step, br) in enumerate(rows)]
 
     @property
     def potential_pairs(self):
@@ -207,9 +230,9 @@ class RunTrace:
         step_norm = (0.0 if self._point is None
                      else float(np.linalg.norm(point - self._point)))
         self._point = point
-        self.iterations.append(IterationRecord(
-            t=len(self.iterations), potential_g=potential_g,
-            ne_gap=cert.gap, step_norm=step_norm, br_action=br_action))
+        self._records.extend((potential_g is not None,
+                              0.0 if potential_g is None else potential_g,
+                              cert.gap, step_norm, br_action))
         if cert.gap < self._best[0]:
             self._best = (cert.gap, profile, cert)
         if cert.gap > self.epsilon:
@@ -226,6 +249,7 @@ class RunTrace:
             _, profile, cert = self._best
         else:
             self.outcome = "converged"
+        self._best = self._point = None
         self.final_profile = profile
         self.final_ne_gap = cert.gap
         return profile, cert, self

@@ -10,11 +10,18 @@ Joint equilibria are computed by repeatedly solving the induced
 single-adversary game against the last maximizer (the minmax oracle),
 letting the other maximizers take projected ascent steps, and completing
 the profile for the last maximizer through the multi-team extension dual
-LP.  Where the minmax value has a kink the oracle's reply is not unique,
-and the iterate can cycle between replies that no single one certifies;
-so every ``CANDIDATE_EVERY`` iterations the average of the replies since
-the last check is tried as well (the ergodic average of the inner
-minimizers, as in Larsson, Patriksson & Stromberg, Math. Prog. 1999).
+LP.  The ascent climbs the minmax value V(y_-m) = min_x max_{y_m} U, which
+each oracle call reads at the current co-maximizer point, so its step
+adapts on those readings: it doubles while V does not fall, up to the
+step at which one move can cross a simplex, and when V falls it halves
+(never below the initial step) and the step is retaken from the last
+accepted point against that point's reply, at no extra oracle call.
+Where the minmax value has a kink the oracle's reply is not unique, and
+the iterate can cycle between replies that no single one certifies; so
+every ``CANDIDATE_EVERY`` iterations the average of the replies stepped
+against since the last check is tried as well (the ergodic average of the
+inner minimizers, as in Larsson, Patriksson & Stromberg, Math. Prog.
+1999).
 No convergence theorem backs this loop; every output is certified by
 brute-force deviation enumeration over both teams, and failed runs
 report their best-seen gap.
@@ -104,7 +111,7 @@ class TwoTeamGame:
         return self.joint.payoff((*minimizer_actions, *co_maximizers), last)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoTeamProfile:
     """Mixed strategies for both teams."""
 
@@ -349,11 +356,26 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     Stops at the first certified ``epsilon``-equilibrium (checked after
     the update, so the first check sees a fully formed profile).
 
+    The ascent step starts at ``eta0``, ``config.eta`` or the default
+    :func:`~teamsolve.dynamics.default_eta` with the ``m - 1``
+    co-maximizers as movers, and is capped at ``max(eta0, sqrt(2) / L)``,
+    ``L`` the analytic Lipschitz bound, past which one move can cross a
+    simplex.  From the second iteration on, the oracle's ``value`` is
+    compared with the value at the last accepted co-maximizer point.  If
+    it fell and the step is above ``eta0``, the step is halved (not below
+    ``eta0``), ``trace.eta_backoffs`` counts one, and the iteration steps
+    again from the accepted point against its stored reply, with no extra
+    oracle call: its minimizers are that reply's.  Otherwise the point is
+    accepted and the step doubles (not above the cap).  ``trace.eta`` is
+    ``eta0`` and ``trace.final_eta`` the step in force at the end; with
+    ``m = 1`` nothing ascends and the step stays ``eta0``.
+
     The oracle's reply can alternate between minimizers that tie on the
     worst case, and then no iterate certifies.  So after every
     :data:`~teamsolve.dynamics.CANDIDATE_EVERY` iterations whose iterate
     did not certify, when there are co-maximizers, the mean of the
-    oracle's minimizer replies in those iterations is tried against the
+    minimizer replies stepped against in those iterations (a rejected
+    step's stored reply, not the oracle's latest) is tried against the
     ascended co-maximizers: the joint game is extended there (one more
     LP, offered the re-extension's basis, whose own final basis is
     discarded) and certified, and the loop returns it if its gap is at
@@ -371,33 +393,52 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         warnings.warn(
             f"extension guarantee assumes n > m - 1 (here n={game.n}, "
             f"m={game.m}); running anyway", RuntimeWarning, stacklevel=2)
-    eta = (config.eta if config.eta is not None
-           else default_eta(game, config.epsilon, movers=max(game.m - 1, 1)))
+    eta0 = (config.eta if config.eta is not None
+            else default_eta(game, config.epsilon, movers=max(game.m - 1, 1)))
+    # Past this step one ascent move can cross a simplex (diameter sqrt 2);
+    # without co-maximizers the step is never used and stays at eta0.
+    lipschitz = analytic_bounds(game).lipschitz
+    eta_cap = (max(eta0, math.sqrt(2.0) / lipschitz)
+               if game.m > 1 and lipschitz > 0 else eta0)
+    eta = eta0
     max_iters = config.max_iters if config.max_iters is not None else 200
     inner_config = GdConfig(epsilon=max(config.epsilon / 2.0, 1e-4))
 
     y = tuple(np.full(k, 1.0 / k) for k in game.maximizer_actions)
-    trace = RunTrace(epsilon=config.epsilon, eta=eta, prox_tol=math.nan)
+    trace = RunTrace(epsilon=config.epsilon, eta=eta0, prox_tol=math.nan)
     # The last final basis of the oracle's LP and of the re-extension's.
     oracle_basis = joint_basis = None
-    # The oracle's minimizer replies summed since the last candidate check.
+    # The last accepted co-maximizer point and the oracle's reply there.
+    accepted = None
+    # The minimizer replies stepped against since the last candidate check.
     replies = [0.0] * game.n
     for t in range(max_iters):
         oracle = trace.timed("oracle", minmax_oracle, game, y[:-1],
                              method=oracle_method, grid_step=grid_step,
                              inner_config=inner_config, _basis=oracle_basis)
         oracle_basis = oracle.audit.basis
+        trace.record_extension(oracle.audit)
+        if (accepted is not None and oracle.value < accepted[1].value
+                and eta > eta0):
+            # V fell: retake the accepted point's step at half the size.
+            eta = max(eta / 2.0, eta0)
+            trace.eta_backoffs += 1
+        else:
+            if accepted is not None:
+                eta = min(2.0 * eta, eta_cap)
+            accepted = (y[:-1], oracle)
+        base, oracle = accepted
         x = oracle.team
         replies = [total + xi for total, xi in zip(replies, x)]
         # Against the oracle's mixture, not a tie-broken pure reply, which
         # flips between the last maximizer's indifferent actions.
         ascended = trace.timed("step", lambda: tuple(
             project_simplex(yj + eta * g) for yj, g in zip(
-                y[:-1], contract_players(game.joint, (*x, *y[:-1]),
-                                         oracle.adversary,
-                                         players=range(game.n,
-                                                       game.joint.n)))))
-        trace.record_extension(oracle.audit)
+                base, contract_players(game.joint, (*x, *base),
+                                       oracle.adversary,
+                                       players=range(game.n,
+                                                     game.joint.n)))))
+        trace.final_eta = eta
         # With m = 1 the induced game is the joint game.
         y_m, values = oracle.adversary, oracle.payoffs
         if ascended:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from teamsolve import LocalBlock, TeamGame
+from teamsolve import LocalBlock, TeamGame, TwoTeamGame
 
 MP_TENSOR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -61,6 +61,18 @@ def mixed_ring_game(rng, players, adversary_actions):
     blocks.append(LocalBlock((2,), True,
                              rng.uniform(-1, 1, size=(2, adversary_actions))))
     return TeamGame.polytensor([2] * players, adversary_actions, blocks)
+
+
+def random_two_team(rng, n=2, m=2, size=2):
+    shape = (size,) * (n + m)
+    return TwoTeamGame(rng.uniform(-1, 1, size=shape), n=n, m=m)
+
+
+def _seed9_draws():
+    """The six 2v2 draws of ``test_batch_2v2_certified`` (and of the
+    benchmark's ``gdmm`` panel)."""
+    rng = np.random.default_rng(9)
+    return [random_two_team(rng) for _ in range(6)]
 
 
 # Blocks of a 2v2 polytensor game as (players, includes_adversary): the

@@ -17,6 +17,7 @@ from teamsolve import (
     gradient_descent_max,
     minmax_oracle,
     ne_gap_two_team,
+    project_simplex,
     two_team_from_dict,
 )
 from teamsolve.dynamics import CANDIDATE_EVERY, default_eta
@@ -33,7 +34,7 @@ from teamsolve.two_team import (
     two_team_profile_to_dict,
 )
 
-from conftest import poly_two_team_doc
+from conftest import _seed9_draws, poly_two_team_doc, random_two_team
 from oracles import (
     support_enumeration_zero_sum,
     tensordot_contract,
@@ -41,11 +42,6 @@ from oracles import (
 )
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def random_two_team(rng, n=2, m=2, size=2):
-    shape = (size,) * (n + m)
-    return TwoTeamGame(rng.uniform(-1, 1, size=shape), n=n, m=m)
 
 
 def expected_value(game, profile):
@@ -265,12 +261,6 @@ class TestGdMm:
         assert converged >= 5
 
 
-def _seed9_draws():
-    """The six 2v2 draws of ``test_batch_2v2_certified``."""
-    rng = np.random.default_rng(9)
-    return [random_two_team(rng) for _ in range(6)]
-
-
 class TestGdMmAveragedReplies:
     """Every CANDIDATE_EVERY iterations, the average of the oracle's last
     minimizer replies against the ascended co-maximizers is extended and
@@ -291,12 +281,15 @@ class TestGdMmAveragedReplies:
 
     def test_oscillating_draw_converges_on_the_average(self, monkeypatch):
         # Draw 5's oracle reply alternates between two pure points, so no
-        # iterate certifies; the average of ten replies does.
+        # iterate certifies; the average of ten replies does.  Those are
+        # the replies the co-maximizers stepped against: after a rejected
+        # step, the accepted point's reply, not the oracle's latest.
         replies = []
-        real = two_team.minmax_oracle
-        monkeypatch.setattr(two_team, "minmax_oracle",
-                            lambda *a, **k: replies.append(real(*a, **k))
-                            or replies[-1])
+        real = two_team.contract_players
+        monkeypatch.setattr(
+            two_team, "contract_players",
+            lambda game, team, *a, **k: replies.append(team[:2])
+            or real(game, team, *a, **k))
         game = _seed9_draws()[5]
         profile, cert, trace = gd_mm(game, GdConfig(epsilon=0.1),
                                      oracle_method="grid")
@@ -306,8 +299,9 @@ class TestGdMmAveragedReplies:
         assert len(trace.iterations) % CANDIDATE_EVERY == 0
         # The last record is the iterate's, which did not certify.
         assert trace.iterations[-1].ne_gap > 0.1
+        assert len(replies) == len(trace.iterations)
         for i, x in enumerate(profile.minimizers):
-            block = [r.team[i] for r in replies[-CANDIDATE_EVERY:]]
+            block = [team[i] for team in replies[-CANDIDATE_EVERY:]]
             assert np.allclose(x, np.mean(block, axis=0), atol=1e-15)
         self._assert_certified(game, profile, 0.1)
         summary = trace.summary()
@@ -339,6 +333,98 @@ class TestGdMmAveragedReplies:
                 converged += 1
                 self._assert_certified(game, profile, 0.1)
         assert converged >= 29
+
+
+def _converged_and_certified(game):
+    """Run the default GDmm on ``game``; a converged profile must pass the
+    brute-force two-team certificate."""
+    profile, _, trace = gd_mm(game, GdConfig(epsilon=0.1),
+                              oracle_method="grid", grid_step=0.02)
+    if trace.outcome != "converged":
+        return False
+    o_min, o_max = two_team_deviation_gaps(
+        game.tensor, game.n, profile.minimizers, profile.maximizers)
+    assert max(o_min, o_max) <= 0.1 + 1e-9
+    return True
+
+
+class TestGdMmAdaptiveStep:
+    """The co-maximizer step doubles, up to the step that crosses a
+    simplex, while the oracle's minmax value does not fall; a fall halves
+    it and retakes the step from the accepted point and its reply."""
+
+    def test_rule_replayed_on_a_run_with_backoffs(self, monkeypatch):
+        oracles, steps = [], []
+        real_oracle, real_grads = two_team.minmax_oracle, \
+            two_team.contract_players
+        monkeypatch.setattr(
+            two_team, "minmax_oracle",
+            lambda game, y, *a, **k: oracles.append(
+                (y, real_oracle(game, y, *a, **k))) or oracles[-1][1])
+        monkeypatch.setattr(
+            two_team, "contract_players",
+            lambda game, team, *a, **k: steps.append(
+                (team, real_grads(game, team, *a, **k))) or steps[-1][1])
+        game = _seed9_draws()[4]
+        _, _, trace = gd_mm(game, GdConfig(epsilon=0.1),
+                            oracle_method="grid")
+        assert trace.outcome == "converged"
+        eta0 = default_eta(game, 0.1, movers=1)
+        cap = max(eta0, math.sqrt(2.0) / analytic_bounds(game).lipschitz)
+        assert trace.eta == eta0 < cap
+        eta, accepted, backoffs, etas = eta0, None, 0, []
+        for t, ((y, reply), (team, grads)) in enumerate(zip(oracles, steps)):
+            if (accepted is not None and reply.value < accepted[1].value
+                    and eta > eta0):
+                eta, backoffs = max(eta / 2.0, eta0), backoffs + 1
+                # Stepped from the accepted point, against its reply.
+                assert accepted[1] is not reply
+            else:
+                if accepted is not None:
+                    eta = min(2.0 * eta, cap)
+                accepted = (y, reply)
+            etas.append(eta)
+            base, stored = accepted
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(team, (*stored.team, *base)))
+            if t + 1 < len(oracles):
+                for yj, bj, g in zip(oracles[t + 1][0], base, grads):
+                    assert np.array_equal(yj, project_simplex(bj + eta * g))
+        assert len(oracles) == len(steps) == len(trace.iterations)
+        assert eta0 <= min(etas) and max(etas) <= cap
+        assert max(etas) > eta0
+        assert trace.eta_backoffs == backoffs > 0
+        assert trace.summary()["eta_backoffs"] == backoffs
+        assert trace.summary()["final_eta"] == trace.final_eta == eta
+
+    def test_single_maximizer_keeps_the_initial_step(self):
+        game = TwoTeamGame(np.array([[3.0, -1.0], [-1.0, 1.0]]), n=1, m=1)
+        _, _, trace = gd_mm(game, GdConfig(epsilon=1e-9, max_iters=5),
+                            oracle_method="grid")
+        assert trace.summary()["final_eta"] == trace.final_eta == trace.eta
+        assert trace.eta_backoffs == 0
+
+    def test_3v3_draws_converge(self):
+        # The eight 3v3 draws of ROADMAP item 4; 5 of them converged at
+        # the fixed step.  Draw 2 still stalls.
+        rng = np.random.default_rng(9)
+        converged = sum(_converged_and_certified(random_two_team(rng, 3, 3))
+                        for _ in range(8))
+        assert converged >= 7
+
+    def test_polytensor_draws_and_dense_copies_converge(self):
+        # At the fixed step 4 of 10 polytensor draws and 8 of 10 dense
+        # copies converged: the polytensor v_max is looser, and the fixed
+        # step scales with 1 / v_max.
+        poly = dense = 0
+        for seed in range(10):
+            game = two_team_from_dict(
+                poly_two_team_doc(np.random.default_rng(seed)))
+            poly += _converged_and_certified(game)
+            dense += _converged_and_certified(
+                TwoTeamGame(game.tensor, n=2, m=2))
+        assert poly >= 9
+        assert dense >= 9
 
 
 class TestSchema:

@@ -137,10 +137,14 @@ def cmd_solve(args):
         raise InputError("--jobs must be >= 1")
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
+    parallel = args.jobs > 1 and len(args.game) > 1
+    games = []
     for g in args.game:  # every input is checked before the first solve
         game = _load_game(g, two_team=False)
         if config.max_iters is None:
             _argument(default_max_iters, game, config.epsilon)
+        if not parallel:  # worker processes load their own copies
+            games.append(game)
     if len(args.game) > 1:
         out_dir = Path(args.out)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
@@ -154,18 +158,25 @@ def cmd_solve(args):
         out_paths = [Path(args.out)]
     for out in out_paths:
         _check_outputs(out, args)
-    jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
-    if args.jobs > 1 and len(args.game) > 1:
+    if parallel:
+        jobs = [(g, out, args, config)
+                for g, out in zip(args.game, out_paths)]
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
             return max(ex.map(_solve_worker, jobs))
-    return max(map(_solve_worker, jobs))
+    return max(_solve_game(game, out, args, config)
+               for game, out in zip(games, out_paths))
 
 
 def _solve_worker(job):
-    """Solve one game file and write its result; returns the exit code."""
+    """Load one game file and solve it, in a worker process."""
     game_path, out, args, config = job
-    game = _load_game(game_path, two_team=False)
+    return _solve_game(_load_game(game_path, two_team=False), out, args,
+                       config)
+
+
+def _solve_game(game, out, args, config):
+    """Solve one loaded game and write its result; returns the exit code."""
     profile, cert, trace = gradient_descent_max(game, config)
     return _write_result(out, profile_to_dict(profile), cert, trace, args,
                          embed_trace=True)

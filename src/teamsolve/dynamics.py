@@ -59,8 +59,8 @@ class GdConfig:
     (conservative enough for the potential-decrease guarantee).  It is
     :func:`gradient_descent_max`'s first step, which only backs off, and
     :func:`teamsolve.two_team.gd_mm`'s co-maximizer step floor: that step
-    doubles while the oracle's minmax value does not fall, up to one that
-    can cross a simplex, and halves back when it falls.
+    grows fourfold while the oracle's minmax value does not fall, up to one
+    that can cross a simplex, and halves back when it falls.
     ``max_iters`` to the potential-range budget above in
     :func:`gradient_descent_max`, but to the literal 200 in
     :func:`teamsolve.two_team.gd_mm`.  The prox tolerance is fixed at

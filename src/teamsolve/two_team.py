@@ -12,8 +12,8 @@ letting the other maximizers take projected ascent steps, and completing
 the profile for the last maximizer through the multi-team extension dual
 LP.  The ascent climbs the minmax value V(y_-m) = min_x max_{y_m} U, which
 each oracle call reads at the current co-maximizer point, so its step
-adapts on those readings: it doubles while V does not fall, up to the
-step at which one move can cross a simplex, and when V falls it halves
+adapts on those readings: it grows fourfold while V does not fall, up to
+the step at which one move can cross a simplex, and when V falls it halves
 (never below the initial step) and the step is retaken from the last
 accepted point against that point's reply, at no extra oracle call.
 Where the minmax value has a kink the oracle's reply is not unique, and
@@ -72,6 +72,12 @@ from .games import (
 # number of products in each worst case, at most the number of points, small
 # enough for the screen's error bound (see _grid_argmin).
 _GRID_POINT_CAP = 2_000_000
+
+# gd_mm's co-maximizer step grows by this factor after each oracle value
+# that did not fall.  Faster growth (x5 to x8, or a jump to the cap)
+# certifies the bench draws in fewer iterations, but its warm-started LPs
+# save fewer pivots; x3 leaves more draws unconverged.
+_ETA_GROWTH = 4.0
 
 
 class TwoTeamGame:
@@ -366,9 +372,10 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     ``eta0``), ``trace.eta_backoffs`` counts one, and the iteration steps
     again from the accepted point against its stored reply, with no extra
     oracle call: its minimizers are that reply's.  Otherwise the point is
-    accepted and the step doubles (not above the cap).  ``trace.eta`` is
-    ``eta0`` and ``trace.final_eta`` the step in force at the end; with
-    ``m = 1`` nothing ascends and the step stays ``eta0``.
+    accepted and the step grows by :data:`_ETA_GROWTH` (not above the
+    cap).  ``trace.eta`` is ``eta0`` and ``trace.final_eta`` the step in
+    force at the end; with ``m = 1`` nothing ascends and the step stays
+    ``eta0``.
 
     The oracle's reply can alternate between minimizers that tie on the
     worst case, and then no iterate certifies.  So after every
@@ -425,7 +432,7 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
             trace.eta_backoffs += 1
         else:
             if accepted is not None:
-                eta = min(2.0 * eta, eta_cap)
+                eta = min(_ETA_GROWTH * eta, eta_cap)
             accepted = (y[:-1], oracle)
         base, oracle = accepted
         x = oracle.team

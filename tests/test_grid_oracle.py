@@ -126,7 +126,7 @@ class TestGridOracle:
 
 class TestGdMmPhases:
     def test_phases_cover_a_converging_run(self):
-        # The fifth seed-9 draw: its iterate certifies at iteration 15.
+        # The fifth seed-9 draw: its iterate certifies at iteration 11.
         rng = np.random.default_rng(9)
         for _ in range(5):
             tensor = rng.uniform(-1, 1, size=(2, 2, 2, 2))

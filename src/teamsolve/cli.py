@@ -137,14 +137,10 @@ def cmd_solve(args):
         raise InputError("--jobs must be >= 1")
     config = _argument(GdConfig, epsilon=args.epsilon, eta=args.eta,
                        max_iters=args.max_iters)
-    parallel = args.jobs > 1 and len(args.game) > 1
-    games = []
     for g in args.game:  # every input is checked before the first solve
         game = _load_game(g, two_team=False)
         if config.max_iters is None:
             _argument(default_max_iters, game, config.epsilon)
-        if not parallel:  # worker processes load their own copies
-            games.append(game)
     if len(args.game) > 1:
         out_dir = Path(args.out)
         out_paths = [out_dir / (Path(g).stem + ".result.json")
@@ -158,18 +154,20 @@ def cmd_solve(args):
         out_paths = [Path(args.out)]
     for out in out_paths:
         _check_outputs(out, args)
-    if parallel:
-        jobs = [(g, out, args, config)
-                for g, out in zip(args.game, out_paths)]
+    if len(args.game) == 1:  # solve the game the check loaded
+        return _solve_game(game, out_paths[0], args, config)
+    # A batch loads each game again just before its solve rather than
+    # holding every game at once.
+    jobs = [(g, out, args, config) for g, out in zip(args.game, out_paths)]
+    if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=args.jobs) as ex:
             return max(ex.map(_solve_worker, jobs))
-    return max(_solve_game(game, out, args, config)
-               for game, out in zip(games, out_paths))
+    return max(map(_solve_worker, jobs))
 
 
 def _solve_worker(job):
-    """Load one game file and solve it, in a worker process."""
+    """Load one game file and solve it; returns the exit code."""
     game_path, out, args, config = job
     return _solve_game(_load_game(game_path, two_team=False), out, args,
                        config)

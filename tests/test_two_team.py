@@ -322,8 +322,6 @@ class TestGdMmAveragedReplies:
         assert trace.extend_calls == len(trace.iterations) == 12
 
     def test_fresh_2v2_draws_converge(self):
-        # 19 of the 30 seed-2 draws converged before the averaged
-        # candidate; 29 of the 30 seed-1 draws when the step doubled.
         for seed in (1, 2):
             rng = np.random.default_rng(seed)
             converged = 0
@@ -375,6 +373,7 @@ class TestGdMmAdaptiveStep:
         eta0 = default_eta(game, 0.1, movers=1)
         cap = max(eta0, math.sqrt(2.0) / analytic_bounds(game).lipschitz)
         assert trace.eta == eta0 < cap
+        assert two_team._ETA_GROWTH == 4.0
         eta, accepted, backoffs, etas = eta0, None, 0, []
         for t, ((y, reply), (team, grads)) in enumerate(zip(oracles, steps)):
             if (accepted is not None and reply.value < accepted[1].value
@@ -408,8 +407,7 @@ class TestGdMmAdaptiveStep:
         assert trace.eta_backoffs == 0
 
     def test_3v3_draws_converge(self):
-        # The eight 3v3 draws of ROADMAP item 4; 5 of them converged at
-        # the fixed step and 7 when the step doubled (draw 2 stalled).
+        # The eight 3v3 draws of ROADMAP item 4.
         rng = np.random.default_rng(9)
         converged = sum(_converged_and_certified(random_two_team(rng, 3, 3))
                         for _ in range(8))
@@ -418,8 +416,7 @@ class TestGdMmAdaptiveStep:
     def test_polytensor_draws_and_dense_copies_converge(self):
         # At the fixed step 4 of 10 polytensor draws and 8 of 10 dense
         # copies converged: the polytensor v_max is looser, and the fixed
-        # step scales with 1 / v_max.  When the step doubled, seed 7 still
-        # stalled polytensor.
+        # step scales with 1 / v_max.
         poly = dense = 0
         for seed in range(10):
             game = two_team_from_dict(

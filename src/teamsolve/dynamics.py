@@ -107,8 +107,9 @@ class RunTrace:
     :meth:`finish` drops the best-seen profile and the last iterate, so a
     finished trace keeps a few floats per iteration.  ``extend_calls``
     counts the run's extension LPs and ``lp_pivots`` sums their simplex
-    pivots; ``lp_warm_kept`` and ``lp_warm_dropped`` count those offered
-    a warm-start basis that kept it (no pivots) or solved cold instead.
+    pivots; ``lp_warm_kept``, ``lp_warm_repaired`` and ``lp_warm_dropped``
+    count those offered a warm-start basis that kept it (no pivots),
+    pivoted from it, or solved cold instead.
     Duality statistics aggregate over the same calls.
     ``prox_lp_pivots`` sums the pivots of the Kelley LPs inside every
     proximal-point call, backed-off ones included, and
@@ -140,6 +141,7 @@ class RunTrace:
     extend_calls: int = field(default=0, init=False)
     lp_pivots: int = field(default=0, init=False)
     lp_warm_kept: int = field(default=0, init=False)
+    lp_warm_repaired: int = field(default=0, init=False)
     lp_warm_dropped: int = field(default=0, init=False)
     prox_lp_pivots: int = field(default=0, init=False)
     prox_kelley_faults: int = field(default=0, init=False)
@@ -191,6 +193,7 @@ class RunTrace:
         self.extend_calls += 1
         self.lp_pivots += audit.pivots
         self.lp_warm_kept += audit.warm == "kept"
+        self.lp_warm_repaired += audit.warm == "repaired"
         self.lp_warm_dropped += audit.warm == "dropped"
         self.max_sd_residual = max(self.max_sd_residual, audit.sd_residual)
         self.min_duality_margin = min(self.min_duality_margin, audit.margin)
@@ -279,6 +282,7 @@ class RunTrace:
             "extend_calls": self.extend_calls,
             "lp_pivots": self.lp_pivots,
             "lp_warm_kept": self.lp_warm_kept,
+            "lp_warm_repaired": self.lp_warm_repaired,
             "lp_warm_dropped": self.lp_warm_dropped,
             "prox_lp_pivots": self.prox_lp_pivots,
             "prox_kelley_faults": self.prox_kelley_faults,

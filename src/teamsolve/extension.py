@@ -24,7 +24,7 @@ from .games import (
     contract_players,
     extension_coefficients,
 )
-from .linprog import LinearProgram, solve_lp
+from .linprog import LinearProgram, _Template, solve_lp
 
 DUALITY_TOL = 1e-7
 
@@ -87,9 +87,11 @@ class ExtensionAudit:
     ``pivots`` is the extension LP's simplex pivot count and ``basis`` its
     final simplex basis, which a caller may offer to the next extension
     LP of the same shape.  ``warm`` is ``"kept"`` when such an offered
-    basis was optimal as it stood (then ``pivots`` is 0), ``"dropped"``
-    when the LP was solved cold despite an offer, and ``"none"`` when no
-    basis was offered (see :mod:`teamsolve.linprog`).
+    basis was optimal as it stood (then ``pivots`` is 0), ``"repaired"``
+    when the LP pivoted from it to the optimum (dual simplex and phase 2,
+    no phase 1), ``"dropped"`` when the LP was solved cold despite an
+    offer, and ``"none"`` when no basis was offered (see
+    :mod:`teamsolve.linprog`).
     """
 
     u_star: float
@@ -145,34 +147,35 @@ def _deviation_gaps(game, team, y, adv, minimizers, epsilon_claimed):
     return NeCertificate(gap_team, gap_adversary, epsilon_claimed)
 
 
-@functools.lru_cache(maxsize=64)
-def _guarantee_frame(sizes, n_b):
-    """What a guarantee program's block sizes and ``|B|`` fix: offsets,
-    guarantee columns, cost, equality row and right-hand side, bounds."""
+@functools.lru_cache(maxsize=256)
+def _guarantee_template(sizes, n_b, slack):
+    """What a guarantee program's block sizes, ``|B|`` and right-hand side
+    pattern fix: block offsets and the standard-form template of the
+    programs whose right-hand side is ``<= 0`` on the rows that the bytes
+    ``slack`` flag."""
     n_g = len(sizes)
     starts = tuple(itertools.accumulate(sizes, initial=0))
-    guarantees = np.zeros((starts[-1], n_g))
+    rows = np.zeros((starts[-1], n_g + n_b))
     for k in range(n_g):
-        guarantees[starts[k]:starts[k + 1], k] = -1.0
+        rows[starts[k]:starts[k + 1], k] = -1.0
     cost = np.concatenate([-np.ones(n_g), np.zeros(n_b)])  # solve_lp minimizes
     eq = np.concatenate([np.zeros(n_g), np.ones(n_b)])[None, :]
-    arrays = (guarantees, cost, eq, np.ones(1))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return starts, *arrays, ((None, None),) * n_g + ((0.0, None),) * n_b
+    rhs = np.where(np.frombuffer(slack, dtype=bool), 0.0, 1.0)
+    base = LinearProgram(cost, rows, rhs, eq, np.ones(1),
+                         ((None, None),) * n_g + ((0.0, None),) * n_b)
+    return starts, _Template(base, slice(n_g, None))
 
 
 def _guarantee_program(blocks, n_b, rhs, basis):
     """``(starts, lp)``: block offsets and the LP ``max sum_k g_k`` over
     ``(g, y)`` s.t. ``g_k <= M_k[a] . y - rhs[a]`` on every stacked row
-    ``a`` of each block ``M_k``, ``y`` a mixture; ``basis`` warm-starts."""
-    n_g = len(blocks)
-    starts, guarantees, cost, eq, f, bounds = _guarantee_frame(
-        tuple(M.shape[0] for M in blocks), n_b)
-    rows = np.empty((starts[-1], n_g + n_b))
-    rows[:, :n_g] = guarantees
-    rows[:, n_g:] = np.concatenate(blocks)
-    return starts, LinearProgram(cost, rows, rhs, eq, f, bounds, basis)
+    ``a`` of each block ``M_k``, ``y`` a mixture; ``basis`` warm-starts.
+    The LP carries its standard form, written from the template of its
+    shape."""
+    rhs = np.asarray(rhs, dtype=float)
+    starts, template = _guarantee_template(
+        tuple(M.shape[0] for M in blocks), n_b, (rhs <= 0.0).tobytes())
+    return starts, template.program(np.concatenate(blocks), rhs, basis)
 
 
 def extend_ne(game, team):
@@ -223,6 +226,6 @@ def _extend(game, team, minimizers, basis=None):
         u_joint=float(deviation.max()),
         dual_total=-float(dual_sol.value), scale=scale,
         pivots=len(dual_sol.pivots), basis=dual_sol.basis,
-        warm=("none" if basis is None
-              else "kept" if dual_sol.warm else "dropped")).check()
+        warm=("none" if basis is None else "dropped" if not dual_sol.warm
+              else "repaired" if dual_sol.pivots else "kept")).check()
     return y, audit, values

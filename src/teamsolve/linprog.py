@@ -7,17 +7,18 @@ rule gives up Bland's guarantee against cycling, so a phase that revisits
 a basis stops and the solve restarts from a perturbed right-hand side.
 Interior-point machinery and sparsity are deliberately out of scope.
 
-Warm starts follow an accept-or-cold rule.  A program may offer a
+Warm starts follow a keep-repair-or-cold rule.  A program may offer a
 starting basis, typically the final basis of the previous program of the
-same shape.  The solver factors it once and keeps it only if it is
-optimal as it stands: its basic solution is nonnegative, no reduced cost
-is below ``-PIVOT_TOL``, and the feasibility-residual and duality-gap
-certificate of every solve passes.  A kept basis costs no pivots.  Any
-other basis (wrong length, singular, infeasible or not optimal) is
+same shape.  The solver factors it once.  It keeps the basis if it is
+optimal as it stands: its basic solution is nonnegative and no reduced
+cost is below ``-PIVOT_TOL``; a kept basis costs no pivots.  It repairs a
+basis that is dual feasible but primal infeasible by dual simplex pivots
+(Lemke, 1954) and then phase 2, and one that is primal feasible but not
+optimal by phase 2 alone.  Any other basis (wrong length, singular, or
+neither primal nor dual feasible), and a repair that trips a guard, is
 dropped, and the program is solved cold, bit for bit as without the
-offer.  There is no phase 2 from a feasible warm basis: measured on the
-two-team loop, the bases it would rescue were rare, since most dropped
-ones are primal-infeasible.
+offer.  Every solve, kept, repaired or cold, passes the same
+feasibility-residual and duality-gap certificate.
 
 Conventions: we minimize ``c . v`` subject to ``A v >= b`` (row
 multipliers ``>= 0``), ``E v = f`` (free multipliers), and optional box
@@ -32,8 +33,13 @@ The part of that rewrite fixed by the bounds and the row counts (shifts,
 column positions, box rows, surplus columns) is built once per
 ``(n_vars, bounds, rows)`` and cached read-only, since the solver's
 callers solve thousands of programs that share a few dozen such shapes.
-Every floating-point operation of a solve, and its order, is the same as
-without the cache.
+A caller whose programs share more than that (objective, equality rows,
+bounds, all but some columns of the inequality rows, and which rows have
+a right-hand side ``<= 0``) builds a :class:`_Template` once per shape,
+and each of its programs then carries its standard form, written in
+place of :func:`_convert`'s.  Either way the standard form is the same
+to the last bit, signed zeros included, and so is every floating-point
+operation of the simplex that follows.
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ class LinearProgram:
 
     ``basis`` optionally offers a starting basis, the
     :attr:`LpSolution.basis` of an earlier program of the same shape.  It
-    is a hint only: :func:`solve_lp` keeps it if it is optimal as it
-    stands and otherwise solves cold (module docstring).
+    is a hint only: :func:`solve_lp` keeps it, repairs it or solves cold
+    (module docstring).
     """
 
     objective: np.ndarray
@@ -76,6 +82,9 @@ class LinearProgram:
     f: np.ndarray | None = None
     bounds: tuple | None = None
     basis: tuple | None = None
+    # The standard form a _Template wrote for this program, or None.
+    _form: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -128,7 +137,8 @@ class LpSolution:
     simplex pivot sequence for determinism audits.  ``basis`` is the final
     basis of an optimal solve, one standard-form column per row, to be
     offered back as :attr:`LinearProgram.basis`; ``warm`` says the
-    solution was read off the offered basis, with no pivots.
+    solve started from the offered basis: kept as it stood when ``pivots``
+    is empty, repaired otherwise.
     """
 
     status: str                      # optimal | infeasible | unbounded
@@ -150,11 +160,11 @@ def solve_lp(lp):
     """Solve a :class:`LinearProgram` with a deterministic dense simplex.
 
     Infeasibility and unboundedness are reported through ``status``, never
-    raised.  An offered ``lp.basis`` is kept if it is optimal as it stands
-    and dropped otherwise (module docstring).  If a numerically degenerate
-    pivot stalls the tableau, the solve restarts once from a
-    deterministically perturbed right-hand side (perturbation ``1e-10 *
-    (row + 1)``) and re-certifies against the original data.
+    raised.  An offered ``lp.basis`` is kept, repaired or dropped (module
+    docstring).  If a numerically degenerate pivot stalls the tableau, the
+    solve restarts once from a deterministically perturbed right-hand side
+    (perturbation ``1e-10 * (row + 1)``) and re-certifies against the
+    original data.
     """
     # Overflowing programs are refused below anyway; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,9 +269,79 @@ def _layout(m, bounds, n_a, n_e):
     return _Layout(*arrays, n_x, n_ineq)
 
 
+class _Template:
+    """The standard form shared by every program of one shape.
+
+    The programs are ``base`` with other coefficients in the columns
+    ``vary`` (a slice) of its inequality rows and another right-hand side
+    ``b`` that is ``<= 0`` on the same rows as ``base.b``.  ``base``'s
+    bounds must shift no variable and leave those columns ``(0, None)``.
+    Then ``A @ D`` writes each such coefficient ``a`` as ``a + 0.0`` (a
+    sum of ``a`` and exact zeros), the row flips multiply it by the row's
+    sign, and ``b - A @ shift`` is ``b``: so :meth:`program` writes only
+    those columns and the right-hand side into ``_convert(base)``, and the
+    result is :func:`_convert`'s to the last bit.  It checks only the new
+    coefficients and right-hand side; ``base`` was checked when built.
+    """
+
+    def __init__(self, base, vary):
+        A, _, c, const, rhs, signs, art, layout = _convert(base, False)
+        block = layout.D[vary]
+        first = int(block.argmax(axis=1)[0]) if block.size else 0
+        if layout.shift.any() or not np.array_equal(
+                block, np.eye(*block.shape, first)):
+            raise ValueError("the varied columns must be (0, None) and "
+                             "no variable may be shifted")
+        n_a = base.A.shape[0]
+        self.base, self.vary, self.n_a = base, vary, n_a
+        self.columns = slice(first, first + block.shape[0])
+        self.row_signs = signs[:n_a, None]
+        self.fixed_rhs = rhs[n_a:]
+        self.form = (A, c, const, signs, art, layout)
+        for arr in (base.objective, base.A, base.b, base.E, base.f, A, c,
+                    rhs, signs):
+            arr.setflags(write=False)
+
+    def program(self, coefficients, b, basis):
+        """The :class:`LinearProgram` with ``coefficients`` in the varied
+        columns and right-hand side ``b``, offered ``basis``, carrying its
+        standard form."""
+        b = np.asarray(b, dtype=float)
+        if not (np.isfinite(coefficients).all() and np.isfinite(b).all()):
+            raise ValueError("coefficients must be finite")
+        base = self.base
+        A_std, c, const, signs, art, layout = self.form
+        A = base.A.copy()
+        A[:, self.vary] = coefficients
+        A_std = A_std.copy()
+        A_std[:self.n_a, self.columns] = (coefficients + 0.0) * self.row_signs
+        rhs = np.concatenate([b, self.fixed_rhs])
+        lp = object.__new__(LinearProgram)
+        for name, value in (
+                ("objective", base.objective), ("A", A), ("b", b),
+                ("E", base.E), ("f", base.f), ("bounds", base.bounds),
+                ("basis", None if basis is None
+                 else tuple(int(j) for j in basis)),
+                ("_form", (A_std, rhs * signs, c, const, rhs, signs, art,
+                           layout))):
+            object.__setattr__(lp, name, value)
+        return lp
+
+
+def _standard_form(lp, perturb):
+    """:func:`_convert` of ``lp``, or the standard form it carries."""
+    if lp._form is None:
+        return _convert(lp, perturb)
+    if not perturb:
+        return lp._form
+    A, b, *rest = lp._form
+    return (A, b + PERTURBATION * (1.0 + np.arange(b.size)), *rest)
+
+
 def _solve_warm(lp, converted):
-    """The solution read off the offered ``lp.basis`` if that basis is
-    optimal as it stands in the standard form ``converted``, else None."""
+    """The solution from the offered ``lp.basis`` in the standard form
+    ``converted``: read off it if it is optimal as it stands, pivoted from
+    it if it is primal or dual feasible, else None (module docstring)."""
     A, b, c = converted[:3]
     rows, cols = A.shape
     basis = list(lp.basis)
@@ -275,18 +355,49 @@ def _solve_warm(lp, converted):
     except np.linalg.LinAlgError:
         return None
     # Written to fail on NaN as well.
-    if not (x_B.min(initial=0.0) >= 0.0
-            and (c - y @ A).min(initial=0.0) >= -PIVOT_TOL):
-        return None
+    primal = x_B.min(initial=0.0) >= 0.0
+    dual = (c - y @ A).min(initial=0.0) >= -PIVOT_TOL
     try:
-        return _certified(lp, converted, basis, x_B, y, perturb=False,
-                          pivots=(), warm=True)
+        if primal and dual:
+            return _certified(lp, converted, basis, x_B, y, perturb=False,
+                              pivots=(), warm=True)
+        if primal or dual:
+            return _repaired(lp, converted, basis, B, x_B)
     except _DegeneratePivot:
-        return None
+        pass
+    return None
+
+
+def _repaired(lp, converted, basis, B, x_B):
+    """Pivot from the offered ``basis``, with basis matrix ``B`` and basic
+    values ``x_B``, to a certified optimum: dual simplex pivots while a
+    basic value is negative, then phase 2.  Raises ``_DegeneratePivot``
+    when a guard trips or either phase ends without an optimum."""
+    A, _, c = converted[:3]
+    rows, cols = A.shape
+    T = np.empty((rows + 1, cols + 1))
+    T[:rows, :cols] = np.linalg.solve(B, A)
+    T[:rows, -1] = x_B
+    T[-1, :cols] = c
+    T[-1, -1] = 0.0
+    T[-1, :] -= c[basis] @ T[:rows, :]
+    if not np.isfinite(T).all():
+        raise _DegeneratePivot
+    pivots = []
+    if x_B.min() < 0.0:
+        _dual_pivot_until_feasible(T, basis, cols, pivots)
+    if _pivot_until_optimal(T, basis, stop_cols=cols, pivots=pivots):
+        raise _DegeneratePivot  # the cold solve reports unboundedness
+    try:
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+    except np.linalg.LinAlgError:
+        raise _DegeneratePivot from None
+    return _certified(lp, converted, basis, T[:rows, -1], y, perturb=False,
+                      pivots=pivots, warm=True)
 
 
 def _solve_converted(lp, perturb):
-    converted = _convert(lp, perturb)
+    converted = _standard_form(lp, perturb)
     if lp.basis is not None and not perturb:
         warm = _solve_warm(lp, converted)
         if warm is not None:
@@ -384,18 +495,13 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
     Leaving: ratio-test minimizer; among (near-)ties, the numerically
     largest pivot element wins, then the lowest basic-variable index.
     Preferring big pivots keeps heavily degenerate tableaus from blowing
-    up, at the price of Bland's guarantee against cycling.  A phase that
-    has made ``rows + columns`` pivots therefore records the bases it
-    visits and gives up on the first repeat; the iteration guard stays as
-    a backstop, and the caller's perturbed restart takes over from both.
+    up, at the price of Bland's guarantee against cycling, so the phase
+    runs under :func:`_guarded`; the caller's perturbed restart takes over
+    when it stops.
     """
     rows = T.shape[0] - 1
-    watch = rows + T.shape[1]
-    guard = 200 * watch
-    # Capped at the largest float, so the guard also trips on inf and NaN.
-    blowup = min(1e12 * max(1.0, float(np.abs(T).max())), sys.float_info.max)
-    visited = set()
-    for made in range(1, guard + 1):
+    budget, check = _guarded(T)
+    for made in range(1, budget + 1):
         # The first column whose reduced cost is below -PIVOT_TOL; a
         # tableau without columns has none.
         entering = T[-1, :stop_cols] < -PIVOT_TOL
@@ -429,6 +535,63 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
                 raise _DegeneratePivot  # only unstable pivots available
             return True
         _pivot(T, basis, leave, enter, pivots)
+        check(basis, made)
+    raise _DegeneratePivot
+
+
+def _dual_pivot_until_feasible(T, basis, stop_cols, pivots):
+    """Dual simplex pivots on a dual feasible ``T`` until no basic value
+    is below ``-PIVOT_TOL``.
+
+    Leaving: the row of the most negative basic value (the lowest row on
+    ties).  Entering: among the columns whose entry in that row is below
+    ``-max(PIVOT_TOL, 1e-7 * largest |negative entry|)``, the minimizer
+    of reduced cost over minus the entry; among (near-)ties, the largest
+    pivot magnitude wins, then the lowest column.  Runs under
+    :func:`_guarded`, and raises ``_DegeneratePivot`` when no column can
+    enter: the program is infeasible or only unstable pivots are left,
+    and either way the cold solve decides.
+    """
+    rows = T.shape[0] - 1
+    budget, check = _guarded(T)
+    for made in range(1, budget + 1):
+        leave = int(T[:rows, -1].argmin())
+        if T[leave, -1] >= -PIVOT_TOL:
+            return
+        row = T[leave, :stop_cols].tolist()
+        cost = T[-1, :stop_cols].tolist()
+        floor = max(PIVOT_TOL, -1e-7 * min([0.0, *row]))
+        best_ratio, enter = None, -1
+        for j, a in enumerate(row):
+            if a < -floor:
+                d = cost[j]
+                ratio = (0.0 if d < 0.0 else d) / -a
+                if (best_ratio is None or ratio < best_ratio - 1e-12
+                        or (abs(ratio - best_ratio) <= 1e-12
+                            and a < row[enter] - 1e-12)):
+                    best_ratio, enter = ratio, j
+        if enter < 0:
+            raise _DegeneratePivot
+        _pivot(T, basis, leave, enter, pivots)
+        check(basis, made)
+    raise _DegeneratePivot
+
+
+def _guarded(T):
+    """``(budget, check)`` for one phase of pivots on ``T``.
+
+    ``check(basis, made)``, called after each pivot, raises
+    ``_DegeneratePivot`` once an entry of ``T`` exceeds ``1e12`` times
+    its largest entry at the start or is not finite, and, from ``rows +
+    columns`` pivots on, at the first basis the phase visits twice.  The
+    phase raises it too once it has made ``budget`` pivots, a backstop.
+    """
+    watch = T.shape[0] - 1 + T.shape[1]
+    # Capped at the largest float, so the guard also trips on inf and NaN.
+    blowup = min(1e12 * max(1.0, float(np.abs(T).max())), sys.float_info.max)
+    visited = set()
+
+    def check(basis, made):
         if not float(np.abs(T).max()) <= blowup:
             raise _DegeneratePivot
         if made >= watch:
@@ -436,7 +599,8 @@ def _pivot_until_optimal(T, basis, stop_cols, pivots):
             if seen in visited:
                 raise _DegeneratePivot  # the pivot rule is cycling
             visited.add(seen)
-    raise _DegeneratePivot
+
+    return 200 * watch, check
 
 
 def _drive_out_artificials(T, basis, cols, pivots):

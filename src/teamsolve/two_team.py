@@ -352,10 +352,12 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     counted in ``trace.extend_calls`` and ``trace.lp_pivots`` and both
     feeding its duality statistics; with ``m = 1`` the oracle's extension
     already completes the profile and is the only one.  Each LP is offered
-    the final basis of the same LP in the previous iteration and keeps it
-    when it is still optimal, at no pivots (:mod:`teamsolve.linprog`);
-    ``trace.lp_warm_kept`` and ``trace.lp_warm_dropped`` count the
-    outcomes.  ``br_action``
+    the final basis of the same LP in the previous iteration.  It keeps
+    that basis when it is still optimal, at no pivots, repairs it by dual
+    simplex or phase 2 pivots when it is dual or primal feasible, and
+    otherwise solves cold (:mod:`teamsolve.linprog`);
+    ``trace.lp_warm_kept``, ``trace.lp_warm_repaired`` and
+    ``trace.lp_warm_dropped`` count the outcomes.  ``br_action``
     records the oracle's pure best response, and ``trace.phase_s`` the
     wall seconds spent in the oracle, the ascent (``step``), the
     re-extension (``extend``) and the certificate (``certify``).
@@ -387,10 +389,11 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     LP, offered the re-extension's basis, whose own final basis is
     discarded) and certified, and the loop returns it if its gap is at
     most ``epsilon``; either way the sum starts again.  Every LP but the
-    first two is offered a basis, so ``lp_warm_kept + lp_warm_dropped +
-    2 == extend_calls`` still holds.  The candidate is not recorded: the
-    last ``IterationRecord`` is the iterate's even when the average is
-    returned, and ``trace.certified`` says which of the two converged.
+    first two is offered a basis, so ``lp_warm_kept + lp_warm_repaired +
+    lp_warm_dropped + 2 == extend_calls`` still holds.  The candidate is
+    not recorded: the last ``IterationRecord`` is the iterate's even when
+    the average is returned, and ``trace.certified`` says which of the two
+    converged.
     Returns ``(profile, certificate, trace)`` with the budget-exhausted
     best-seen fallback, both through
     :class:`~teamsolve.dynamics.RunTrace`; the loop validates nothing but

@@ -203,8 +203,8 @@ def test_gdmm_reports_kept_and_dropped_warm_starts(tmp_path):
     summary = json.loads(out.read_text())["summary"]
     # Every LP but the first oracle LP and the first re-extension is
     # offered the previous iteration's basis.
-    assert (summary["lp_warm_kept"] + summary["lp_warm_dropped"] + 2
-            == summary["extend_calls"] == 10)
+    assert (summary["lp_warm_kept"] + summary["lp_warm_repaired"]
+            + summary["lp_warm_dropped"] + 2 == summary["extend_calls"] == 10)
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -308,8 +308,8 @@ class TestGdMmAveragedReplies:
         assert summary["certified"] == "average"
         assert summary["final_ne_gap"] == cert.gap <= 0.1
         # The candidate's LP is offered the re-extension's basis.
-        assert (trace.lp_warm_kept + trace.lp_warm_dropped + 2
-                == trace.extend_calls
+        assert (trace.lp_warm_kept + trace.lp_warm_repaired
+                + trace.lp_warm_dropped + 2 == trace.extend_calls
                 == 2 * len(trace.iterations)
                 + len(trace.iterations) // CANDIDATE_EVERY)
 

@@ -34,7 +34,7 @@ from .generators import (
     random_spec_to_game,
 )
 from .linprog import LpFault
-from .moreau import _checked_center, proximal_point
+from .moreau import _checked_center, _proximal_point
 from .two_team import (
     TwoTeamGame,
     _grid_q,
@@ -223,8 +223,8 @@ def cmd_prox(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.center}: profile needs a 'team' field "
                          f"with one vector per player") from exc
-    _argument(_checked_center, game, team, args.ell, args.tol)
-    result = proximal_point(game, team, args.ell, args.tol)
+    center = _argument(_checked_center, game, team, args.ell, args.tol)
+    result = _proximal_point(game, center, args.ell, args.tol, None)
     payload = {
         "center": [list(map(float, x)) for x in result.center],
         "prox_point": [list(map(float, x)) for x in result.prox_point],

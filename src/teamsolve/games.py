@@ -172,12 +172,13 @@ class TeamGame:
     :func:`game_from_dict`; ``TeamGame(...)`` stores its parts unchecked,
     for a game derived from a validated one.  A polytensor game keeps its
     blocks stacked in groups of one adversary flag and table shape, so
-    every kernel contracts a whole group at once; its :class:`LocalBlock`
-    list is a view of those stacks.  ``v_max`` bounds ``|U(a, b)|`` over
-    all pure profiles.  The default (``max |T|``, or the sum of block
-    maxima) is a proven bound; a declared one is audited at construction
-    (exhaustively for dense games, on sampled profiles for polytensor
-    games).
+    every kernel contracts a whole group at once and sums in its own
+    order, which agrees with the block-by-block sums to rounding; its
+    :class:`LocalBlock` list is a view of those stacks.  ``v_max``
+    bounds ``|U(a, b)|`` over all pure profiles.  The default (``max
+    |T|``, or the sum of block maxima) is a proven bound; a declared one
+    is audited at construction (exhaustively for dense games, on sampled
+    profiles for polytensor games).
     """
 
     __slots__ = ("action_sets", "adversary_actions", "v_max", "_tensor",
@@ -285,9 +286,10 @@ class TeamGame:
         """Materialize the full dense tensor (intended for small games).
 
         A polytensor game's tables are broadcast onto the grid and summed
-        in block order from zero, as :func:`contract_game` sums them with
-        every axis kept, so the two agree bitwise; one block at a time
-        keeps the memory to the grid's own size.
+        in block order from zero, one block at a time, which keeps the
+        memory to the grid's own size.  :func:`contract_game` with every
+        axis kept sums the same tables group by group, so the two agree
+        up to the order of float additions.
         """
         if self._tensor is not None:
             return self._tensor
@@ -440,22 +442,19 @@ def contract(table, vectors, keep, batched=False):
     it the one this function's full-grid scores pick, and defers to those
     scores otherwise.
 
-    The subscripts depend only on the table's shape, the kept axes and
+    The subscripts depend only on the table's rank, the kept axes and
     each operand's rank, so they are built once per such layout
     (:func:`_plan`) and handed straight to numpy's C ``einsum``, the call
-    ``np.einsum`` itself makes without ``optimize``.  Results are bitwise
-    equal to ``np.einsum`` on the numbered sublists, without its Python
-    wrapper and dispatch.  Batched, table ``j`` of the result is bitwise
-    the unbatched contraction of ``table[j]`` with its strategies
-    (:func:`_row_sums` covers the one layout where ``einsum`` would differ).
+    ``np.einsum`` itself makes without ``optimize``.  Unbatched results
+    are bitwise equal to ``np.einsum`` on the numbered sublists, without
+    its Python wrapper and dispatch.  Batched, table ``j`` of the result
+    is the unbatched contraction of ``table[j]`` with its strategies up to
+    the order of float additions.
     """
     ranks = tuple([None if axis in keep else vec.ndim
                    for axis, vec in enumerate(vectors)])
-    spec, axes, by_rows = _plan(table.shape, keep, ranks, batched)
-    operands = [vectors[axis] for axis in axes]
-    if by_rows:
-        return _row_sums(table, operands, axes, keep)
-    return _c_einsum(spec, table, *operands)
+    spec, axes = _plan(table.ndim, keep, ranks, batched)
+    return _c_einsum(spec, table, *[vectors[axis] for axis in axes])
 
 
 # numpy spells a numbered sublist label ``k`` as the ``k``-th of these.
@@ -463,20 +462,19 @@ _LABELS = string.ascii_uppercase + string.ascii_lowercase
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(shape, keep, ranks, batched):
+def _plan(ndim, keep, ranks, batched):
     """The ``einsum`` subscripts of :func:`contract` for one layout.
 
     ``ranks`` holds each vector's ``ndim``, ``None`` on kept axes.
-    Returns the subscript string, the axes whose vectors are its operands
-    after the table, and whether a batched call must be summed by
-    :func:`_row_sums` instead.  Table axis ``a`` is labelled ``a``.
+    Returns the subscript string and the axes whose vectors are its
+    operands after the table.  Table axis ``a`` is labelled ``a``.
     Unbatched, a stacking axis is labelled ``ndim + a``, spelled as numpy
     spells numbered sublists, so the string is the one ``np.einsum``
     builds from them.  Batched, the batch axis has label 0 and leads the
     output, vector axis ``a`` is table axis ``a + 1``, and a 2-D vector
     carries the batch label.
     """
-    ndim, lead = len(shape), int(batched)
+    lead = int(batched)
     axes = tuple(axis for axis, rank in enumerate(ranks) if rank is not None)
     terms = [range(ndim)]
     stacked = []
@@ -492,45 +490,7 @@ def _plan(shape, keep, ranks, batched):
     if max([ndim - 1, *stacked]) >= len(_LABELS):
         raise ValueError("subscript is not within the valid range [0, 52)")
     spec = ",".join("".join(_LABELS[k] for k in term) for term in terms)
-    by_rows = batched and _summed_by_rows(shape[1:], keep)
-    return spec + "->" + "".join(_LABELS[k] for k in out), axes, by_rows
-
-
-def _summed_by_rows(shape, keep):
-    """Whether numpy's C ``einsum`` sums one table of ``shape``, contracted
-    on every axis but ``keep``, row by row.
-
-    When the only axes longer than one are two, neither kept, and the
-    first has length 2, ``einsum`` sums each row's products from zero and
-    then adds the two row sums.  Over a stack of such tables it sums each
-    table's products in one run instead, which can round differently.
-    This is numpy 2.4's behaviour; ``tests/test_block_groups.py`` checks
-    every batched layout against single-table contractions bitwise.
-    """
-    long = [axis for axis, size in enumerate(shape) if size > 1]
-    return (len(long) == 2 and shape[long[0]] == 2
-            and not any(axis in keep for axis in long))
-
-
-def _row_sums(table, vectors, axes, keep):
-    """A batched :func:`contract` in the layout of :func:`_summed_by_rows`,
-    summed as ``einsum`` sums each table alone.
-
-    Each product is formed in operand order, as ``einsum`` forms it; each
-    row's products are summed in order, and the row sums are added to
-    zero in turn.
-    """
-    products = table
-    for axis, vec in zip(axes, vectors):
-        shape = [1] * table.ndim
-        shape[axis + 1] = vec.shape[-1]
-        if vec.ndim == 2:
-            shape[0] = len(vec)
-        products = products * vec.reshape(shape)
-    rows = np.add.accumulate(products.reshape(len(table), 2, -1), axis=2)
-    total = 0.0 + rows[:, 0, -1] + rows[:, 1, -1]
-    return total.reshape((len(table),)
-                         + tuple(table.shape[axis + 1] for axis in keep))
+    return spec + "->" + "".join(_LABELS[k] for k in out), axes
 
 
 def _find_c_einsum():
@@ -556,33 +516,43 @@ def contract_game(game, team, adversary, keep):
     mixed vector, a pure action index (which fixes the adversary axis), or
     ``None`` when axis ``n`` is kept.  Nothing is validated: the public
     entry points check their inputs once, and internal callers pass
-    strategies they built themselves.  A polytensor game is contracted
-    one block group at a time (:func:`_sum_blocks`) and every output
-    entry is summed over the blocks in block order, starting from zero;
-    :func:`contract_players` keeps that order, so its per-player vectors
-    equal this function's bitwise.  A game from :func:`fix_adversary` is
-    evaluated here too, at its one adversary action ``0``.
+    strategies they built themselves.  On a polytensor game, a ``keep``
+    with at most one team axis reads the per-player pass
+    (:func:`_sum_blocks_per_player`): its total for no team axis, entry
+    ``i`` for axis ``i``.  So this function, :func:`contract_players` and
+    :func:`extension_coefficients` agree bitwise by construction.  A
+    ``keep`` with two or more team axes is summed by :func:`_sum_blocks`.
+    Either way the result differs from summing the blocks one at a time
+    only in the order of float additions (the tests hold it within
+    1e-12).  A game from :func:`fix_adversary` is evaluated here too, at
+    its one adversary action ``0``.
     """
     if game._tensor is not None:
         if isinstance(adversary, (int, np.integer)):
             return contract(game._tensor[..., adversary], team, keep)
         return contract(game._tensor, (*team, adversary), keep)
-    return _sum_blocks(game, team, adversary, keep)
+    keep_adversary = keep[-1:] == (game.n,)
+    team_axes = keep[:-1] if keep_adversary else keep
+    if len(team_axes) > 1:
+        return _sum_blocks(game, team, adversary, keep)
+    entries, total = _sum_blocks_per_player(game, team, adversary, team_axes,
+                                            keep_adversary)
+    return entries[0] if team_axes else total
 
 
 def contract_players(game, team, adversary, keep_adversary=False,
                      players=None):
     """Each listed team player's vector at one profile, in one pass.
 
-    Entry ``k`` is bitwise equal to ``contract_game(game, team, adversary,
-    (i,) + ((game.n,) if keep_adversary else ()))`` for ``i = players[k]``;
+    Entry ``k`` is ``contract_game(game, team, adversary, (i,) +
+    ((game.n,) if keep_adversary else ()))`` for ``i = players[k]``;
     ``players`` defaults to every team player.  ``keep_adversary``
     requires ``adversary`` to be ``None``.  A dense game makes those
-    per-player calls.  A polytensor game makes at most ``1 + arity``
-    batched contractions per block group, however many blocks and players
-    there are (see :func:`_sum_blocks_per_player`), and keeps the
-    block-order summation of :func:`contract_game`, so every float
-    addition is the one it makes.  Nothing is validated.
+    per-player calls.  A polytensor game makes the one pass that
+    :func:`contract_game` reads (:func:`_sum_blocks_per_player`), so the
+    two agree bitwise by construction, with at most ``1 + arity`` batched
+    contractions per block group, however many blocks and players there
+    are.  Nothing is validated.
     """
     players = range(game.n) if players is None else players
     if game._tensor is not None:
@@ -590,7 +560,7 @@ def contract_players(game, team, adversary, keep_adversary=False,
         return [contract_game(game, team, adversary, (i,) + extra)
                 for i in players]
     return _sum_blocks_per_player(game, team, adversary, players,
-                                  keep_adversary, False)
+                                  keep_adversary)[0]
 
 
 def _block_count(game):
@@ -616,8 +586,7 @@ def _group_terms(group, strategies, adversary, positions, rows):
     ``positions``, which are kept in increasing order.  Its adversary
     axis, if it has one, is taken as :func:`contract_game` takes
     ``adversary``: kept when ``None``, fixed when pure, weighted when
-    mixed.  Each term is bitwise the contraction of that block's table
-    alone.
+    mixed.
     """
     table = group.table[rows]
     vectors = [None if k in positions else strategies[k][rows]
@@ -634,38 +603,34 @@ def _group_terms(group, strategies, adversary, positions, rows):
 
 
 def _sum_blocks(game, team, adversary, keep):
-    """:func:`contract_game` on a polytensor game, one group at a time.
+    """:func:`contract_game` on a polytensor game for a ``keep`` with two
+    or more team axes, one group at a time.
 
-    The output's entries are laid out flat, one column per entry.  In
-    each group, the blocks whose kept axes sit at the same positions are
-    contracted together (:func:`_group_terms`), and each block's row of
-    columns reads its term at the entry's coordinates on those axes; a
-    block is constant along the axes it does not touch.  The rows are
-    summed in block order, after a row of zeros.
+    In each group, the blocks whose kept axes sit at the same positions
+    are contracted together (:func:`_group_terms`).  The blocks that keep
+    the same axes of the game add the sum of their terms straight into
+    the output, broadcast along the axes they do not touch.
     """
     n = game.n
     sizes = game.action_sets + (game.adversary_actions,)
-    shape = [sizes[axis] for axis in keep]
-    size = math.prod(shape)
-    coords = np.zeros((n + 1, size), dtype=np.intp)
-    coords[list(keep)] = np.indices(shape).reshape(len(keep), size)
+    out = np.zeros([sizes[axis] for axis in keep])
     team_kept = np.zeros(n, dtype=bool)
     team_kept[[axis for axis in keep if axis < n]] = True
     flat = _flat_team(team, game.action_sets)
-    terms = np.zeros((_block_count(game) + 1, size))
     for group in game._groups:
         strategies = [flat[index] for index in group.gather]
+        extra = (n,) if group.includes_adversary and adversary is None else ()
         for positions, rows in _kept_positions(team_kept[group.players]):
             values = _group_terms(group, strategies, adversary, positions,
                                   rows)
-            index = [coords[group.players[rows, k]] for k in positions]
-            if group.includes_adversary and adversary is None:
-                index.append(coords[n])
-            at = np.ravel_multi_index(index, values.shape[1:]) if index else 0
-            terms[1 + group.order[rows]] = values.reshape(len(values), -1)[
-                np.arange(len(values))[:, None], at]
-    # Copied out, so the result does not hold every partial sum.
-    return np.add.accumulate(terms, axis=0)[-1].reshape(shape).copy()
+            by_axes = {}
+            hits = group.players[rows][:, list(positions)].tolist()
+            for j, hit in enumerate(hits):
+                by_axes.setdefault(tuple(hit) + extra, []).append(j)
+            for axes, at in by_axes.items():
+                out += values[at].sum(axis=0).reshape(
+                    [sizes[axis] if axis in axes else 1 for axis in keep])
+    return out
 
 
 def _kept_positions(hit):
@@ -683,58 +648,40 @@ def _kept_positions(hit):
             for code in np.unique(codes).tolist()]
 
 
-def _sum_blocks_per_player(game, team, adversary, players, keep_adversary,
-                           with_total):
-    """:func:`_sum_blocks` with ``keep = (i,)`` (and the adversary axis
-    when ``keep_adversary``) for every ``i`` in ``players``, in one pass.
+def _sum_blocks_per_player(game, team, adversary, players, keep_adversary):
+    """:func:`contract_game` with ``keep = (i,)`` for every ``i`` in
+    ``players`` and with ``keep = ()``, each with the adversary axis too
+    when ``keep_adversary``, in one pass; returns ``(entries, total)``.
 
-    The players' vectors are rows of one array, each summed over the
-    blocks in block order, after a row of zeros.  A block adds the same
-    value to every entry of a player it misses: its term with no team
-    axis kept, one batched contraction per group.  A block touching
-    player ``i`` at position ``k`` adds its term with ``k`` kept, one
-    batched contraction per group and position.  Each entry therefore
-    sees the float additions :func:`_sum_blocks` makes, in its order.  The
-    entries returned are consecutive views of the summed array.  With
-    ``with_total`` one more row takes every block's no-team-axis term and
-    ``(entries, total)`` is returned; ``total`` is bitwise
-    :func:`_sum_blocks` with no team axis kept.
+    ``total`` sums every block's term with no team axis kept, one batched
+    contraction per group.  A block differs from that term only on the
+    entries of the players it touches: on player ``i`` at its position
+    ``k`` it adds its term with ``k`` kept minus its term with none.
+    Those corrections are scattered through the group's ``gather`` with
+    ``np.add.at``, since one player can sit at the same position of
+    several blocks.  The kept terms are made for every row of the group
+    whichever players are listed, so a player's vector does not depend
+    on which others were asked for; with none listed they are skipped.
     """
-    flat = np.concatenate(team)
-    starts = list(itertools.accumulate(
-        (game.action_sets[i] for i in players), initial=0))
-    # Listing every player in order lays the rows out as ``flat`` is laid
-    # out, so each group's ``gather`` indexes its rows; otherwise ``first``
-    # holds each listed player's first row, -1 for the others.
-    every = list(players) == list(range(game.n))
-    if not every:
-        first = np.full(game.n, -1)
-        first[list(players)] = starts[:-1]
-    width = game.adversary_actions if keep_adversary else 1
-    terms = np.zeros((_block_count(game) + 1, starts[-1] + with_total, width))
+    flat = _flat_team(team, game.action_sets)
+    width = (game.adversary_actions,) if keep_adversary else ()
+    out = np.zeros((len(flat), math.prod(width)))
+    total = np.zeros(out.shape[1])
     for group in game._groups:
         strategies = [flat[index] for index in group.gather]
-        at = 1 + group.order
-        reduced = _group_terms(group, strategies, adversary, (), slice(None))
-        terms[at] = reduced.reshape(len(reduced), 1, -1)
-        for k, index in enumerate(group.gather):
-            if every:
-                hit, rows = slice(None), index
-            else:
-                row = first[group.players[:, k]]
-                hit = np.flatnonzero(row >= 0)
-                rows = row[hit, None] + np.arange(index.shape[1])
-                if not hit.size:
-                    continue
-            values = _group_terms(group, strategies, adversary, (k,), hit)
-            terms[at[hit, None], rows] = values.reshape(
-                len(values), index.shape[1], -1)
-    # Copied out, so the vectors returned do not hold every partial sum.
-    summed = np.add.accumulate(terms, axis=0)[-1].copy()
-    if not keep_adversary:
-        summed = summed[:, 0]
-    entries = [summed[start:stop] for start, stop in zip(starts, starts[1:])]
-    return (entries, summed[-1]) if with_total else entries
+        terms = _group_terms(group, strategies, adversary, (), slice(None))
+        terms = terms.reshape(len(terms), -1)
+        total += terms.sum(axis=0)
+        for k, index in enumerate(group.gather if players else ()):
+            kept = _group_terms(group, strategies, adversary, (k,),
+                                slice(None))
+            np.add.at(out, index,
+                      kept.reshape(index.shape + (-1,)) - terms[:, None])
+    out += total
+    out = out.reshape((-1,) + width)
+    starts = list(itertools.accumulate(game.action_sets, initial=0))
+    return ([out[starts[i]:starts[i + 1]] for i in players],
+            total.reshape(width))
 
 
 def extension_coefficients(game, team):
@@ -743,17 +690,15 @@ def extension_coefficients(game, team):
 
     Bitwise equal to ``contract_players(game, team, None, True)`` and
     ``contract_game(game, team, None, (game.n,))``.  A dense game makes
-    those calls.  A polytensor game reads the vector off the per-player
-    pass as one more summed row, every block's term with no team axis
-    kept, so the pass makes no contraction beyond
+    those calls.  A polytensor game reads both off the one per-player
+    pass they read, so it makes no contraction beyond
     :func:`contract_players`'s ``1 + arity`` per group.  Nothing is
     validated.
     """
     if game._tensor is not None:
         return (contract_players(game, team, None, keep_adversary=True),
                 contract_game(game, team, None, (game.n,)))
-    return _sum_blocks_per_player(game, team, None, range(game.n), True,
-                                  True)
+    return _sum_blocks_per_player(game, team, None, range(game.n), True)
 
 
 def fix_adversary(game, adversary):

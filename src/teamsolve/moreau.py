@@ -456,7 +456,9 @@ def _inner_solve(game, center, ell, y, z0, inner_tol):
                                   for c, g in zip(cen[i], g_i)])
             z[i] = np.array(zl[i])
         # The last player's sweep gradient saw every other block at its
-        # final value, so it is already the gradient at the new ``z``.
+        # final value, so it is already the gradient at the new ``z`` (on
+        # a polytensor game up to rounding: its total has the old
+        # ``z[-1]`` added and subtracted back).
         grads = [g.tolist() for g in
                  contract_players(fixed, z, 0, players=range(n - 1))]
         grads.append(g_i)

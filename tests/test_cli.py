@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import teamsolve.games as games
 from teamsolve import (
     CongestionSpec,
     GdConfig,
@@ -89,6 +91,25 @@ def test_prox_center_exit_codes(tmp_path, capsys, row, expected):
         assert err.startswith("error: ") and not out
     else:
         assert json.loads(out)["reached"]
+
+
+def test_prox_validates_the_center_once(tmp_path, capsys, monkeypatch):
+    # Wrap _validate_mixed_team wherever a teamsolve module binds it.
+    calls = []
+    real = games._validate_mixed_team
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("teamsolve")
+                and getattr(module, "_validate_mixed_team", None) is real):
+            monkeypatch.setattr(
+                module, "_validate_mixed_team",
+                lambda *a, **k: calls.append(1) or real(*a, **k))
+    code = cli.main(["prox", "--game", _write(tmp_path, "game.json",
+                                              GAMES["team"]),
+                     "--center", _write(tmp_path, "center.json",
+                                        {"team": [[0.5, 0.5]]}),
+                     "--ell", "4", "--tol", "1e-6"])
+    assert code == cli.EXIT_OK and json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
 
 
 def _write(tmp_path, name, doc):

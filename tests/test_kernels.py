@@ -106,9 +106,9 @@ class TestContractMatchesEinsum:
                     _assert_bitwise(view, team, keep)
 
     def test_polytensor_blocks(self, monkeypatch):
-        # Every batched group contraction _sum_blocks issues, with the
+        # Every batched group contraction contract_game issues, with the
         # adversary kept, mixed and pure: table j of each is the einsum of
-        # that block's table alone.
+        # that block's table alone, up to the order of float additions.
         rng = np.random.default_rng(14)
         issued = []
         real = games.contract
@@ -128,8 +128,9 @@ class TestContractMatchesEinsum:
             for j in range(len(table)):
                 own = [v if v is None or v.ndim == 1 else v[j]
                        for v in vectors]
-                assert np.array_equal(got[j],
-                                      einsum_contract(table[j], own, keep))
+                np.testing.assert_allclose(
+                    got[j], einsum_contract(table[j], own, keep), rtol=0,
+                    atol=1e-12)
 
     def test_too_many_labels_is_a_value_error(self):
         table = np.zeros((1,) * 30)

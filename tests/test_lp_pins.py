@@ -99,9 +99,9 @@ PINS = {
     "feasible_5": (3, "a9e39efe01f9c0ac", "878253196008a58f"),
     "feasible_6": (4, "a2aa1487f5ed31f9", "a819b58dbca55613"),
     "feasible_7": (4, "233ec31f4c72f1c3", "6157a7955f2c2709"),
-    "ring_12_0": (30, "30aeb3ebac7cb5ef", "f81385478ff931e2"),
-    "ring_12_1": (36, "b8ab6a9d7d993991", "e7dfe029807286b1"),
-    "ring_12_2": (41, "5f9c872b1a87b988", "567bd14f8b97d942"),
+    "ring_12_0": (30, "30aeb3ebac7cb5ef", "5759799d2c58d03c"),
+    "ring_12_1": (36, "b8ab6a9d7d993991", "9fa2d06a6b37d731"),
+    "ring_12_2": (41, "5f9c872b1a87b988", "f2164ef6494caf3a"),
     "two_team_2v2_0": (4, "9ebe28867933ae87", "7b67fa911d8afa31"),
     "two_team_2v2_1": (5, "b08827df60887234", "2727ea33882f8d5a"),
 }

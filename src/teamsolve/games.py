@@ -88,10 +88,11 @@ def _parse_rational(value, path):
 class LocalBlock:
     """One local interaction of a polytensor game.
 
-    ``players`` lists the 0-based team players the block touches (in
-    increasing order); ``includes_adversary`` says whether the block's last
-    axis ranges over adversary actions.  ``table`` has one axis per listed
-    player followed by the adversary axis when present.
+    ``players`` lists the 0-based team players the block touches in
+    strictly increasing order (:meth:`TeamGame.polytensor` rejects any
+    other); ``includes_adversary`` says whether the block's last axis
+    ranges over adversary actions.  ``table`` has one axis per listed
+    player, in that order, followed by the adversary axis when present.
     """
 
     players: tuple[int, ...]
@@ -118,8 +119,8 @@ class _BlockGroup:
     Row ``j`` belongs to block ``order[j]`` of the game: ``table[j]`` is
     its table and ``players[j]`` the team players it touches.
     ``gather[k][j]`` indexes the actions of player ``players[j, k]`` in
-    the team's strategies laid end to end (:func:`_flat_team`).  Every
-    array is frozen.
+    the team's strategies laid end to end (``np.concatenate(team)``).
+    Every array is frozen.
     """
 
     __slots__ = ("order", "players", "includes_adversary", "table", "gather",
@@ -172,13 +173,14 @@ class TeamGame:
     :func:`game_from_dict`; ``TeamGame(...)`` stores its parts unchecked,
     for a game derived from a validated one.  A polytensor game keeps its
     blocks stacked in groups of one adversary flag and table shape, so
-    every kernel contracts a whole group at once and sums in its own
-    order, which agrees with the block-by-block sums to rounding; its
-    :class:`LocalBlock` list is a view of those stacks.  ``v_max``
-    bounds ``|U(a, b)|`` over all pure profiles.  The default (``max
-    |T|``, or the sum of block maxima) is a proven bound; a declared one
-    is audited at construction (exhaustively for dense games, on sampled
-    profiles for polytensor games).
+    every expected-payoff kernel contracts a whole group at once and sums
+    in its own order, which agrees with the block-by-block sums to
+    rounding; its :class:`LocalBlock` list is a view of those stacks, and
+    a materialized payoff tensor is summed from it block by block.
+    ``v_max`` bounds ``|U(a, b)|`` over all pure profiles.  The default
+    (``max |T|``, or the sum of block maxima) is a proven bound; a
+    declared one is audited at construction (exhaustively for dense
+    games, on sampled profiles for polytensor games).
     """
 
     __slots__ = ("action_sets", "adversary_actions", "v_max", "_tensor",
@@ -240,9 +242,10 @@ class TeamGame:
         action_sets = tuple(int(k) for k in action_sets)
         frozen = []
         for pos, blk in enumerate(blocks):
-            players = tuple(sorted(int(p) for p in blk.players))
-            if len(set(players)) != len(players):
-                raise GameError(f"block {pos}: repeated player")
+            players = tuple(int(p) for p in blk.players)
+            if any(a >= b for a, b in zip(players, players[1:])):
+                raise GameError(
+                    f"block {pos}: players must be strictly increasing")
             if players and not (0 <= players[0] and players[-1] < len(action_sets)):
                 raise GameError(f"block {pos}: player index out of range")
             expect = tuple(action_sets[p] for p in players)
@@ -286,20 +289,12 @@ class TeamGame:
         """Materialize the full dense tensor (intended for small games).
 
         A polytensor game's tables are broadcast onto the grid and summed
-        in block order from zero, one block at a time, which keeps the
-        memory to the grid's own size.  :func:`contract_game` with every
-        axis kept sums the same tables group by group, so the two agree
-        up to the order of float additions.
+        in block order from zero (:func:`_materialize`), which keeps the
+        memory to the grid's own size.
         """
         if self._tensor is not None:
             return self._tensor
-        sizes = self.action_sets + (self.adversary_actions,)
-        out = np.zeros(sizes)
-        for blk in self._blocks:
-            axes = blk.players + ((self.n,) if blk.includes_adversary else ())
-            out += blk.table.reshape([size if axis in axes else 1
-                                      for axis, size in enumerate(sizes)])
-        return out
+        return _materialize(self, (None,) * (self.n + 1))
 
     def _default_v_max(self):
         # The ndarray method skips np.max's Python wrapper.
@@ -436,11 +431,12 @@ def contract(table, vectors, keep, batched=False):
     Every payoff evaluation reaches it: a dense game's once per call of
     :func:`contract_game` (once per player in :func:`contract_players`),
     a polytensor game's once per block group and kept position
-    (:func:`_group_terms`).  The grid minmax oracle's ``tensordot``
-    screen (``two_team._grid_argmin``) is the one other payoff
-    contraction; it picks a grid point only where its error bound proves
-    it the one this function's full-grid scores pick, and defers to those
-    scores otherwise.
+    (:func:`_group_terms`), or once per block when a payoff tensor is
+    materialized (:func:`_materialize`).  The grid minmax oracle's
+    ``tensordot`` screen (``two_team._grid_argmin``) is the one other
+    payoff contraction; it picks a grid point only where its error bound
+    proves it the one this function's full-grid scores pick, and defers
+    to those scores otherwise.
 
     The subscripts depend only on the table's rank, the kept axes and
     each operand's rank, so they are built once per such layout
@@ -516,16 +512,17 @@ def contract_game(game, team, adversary, keep):
     mixed vector, a pure action index (which fixes the adversary axis), or
     ``None`` when axis ``n`` is kept.  Nothing is validated: the public
     entry points check their inputs once, and internal callers pass
-    strategies they built themselves.  On a polytensor game, a ``keep``
-    with at most one team axis reads the per-player pass
-    (:func:`_sum_blocks_per_player`): its total for no team axis, entry
-    ``i`` for axis ``i``.  So this function, :func:`contract_players` and
-    :func:`extension_coefficients` agree bitwise by construction.  A
-    ``keep`` with two or more team axes is summed by :func:`_sum_blocks`.
-    Either way the result differs from summing the blocks one at a time
-    only in the order of float additions (the tests hold it within
-    1e-12).  A game from :func:`fix_adversary` is evaluated here too, at
-    its one adversary action ``0``.
+    strategies they built themselves.  On a polytensor game, ``keep``
+    holds at most one team axis, and the result is read off the
+    per-player pass (:func:`_sum_blocks_per_player`): its total for no
+    team axis, entry ``i`` for axis ``i``.  So this function,
+    :func:`contract_players` and :func:`extension_coefficients` agree
+    bitwise by construction, and differ from summing the blocks one at a
+    time only in the order of float additions (the tests hold it within
+    1e-12).  A polytensor ``keep`` with two or more team axes raises
+    ``ValueError``; :func:`_materialize` keeps any number of axes.  A
+    game from :func:`fix_adversary` is evaluated here too, at its one
+    adversary action ``0``.
     """
     if game._tensor is not None:
         if isinstance(adversary, (int, np.integer)):
@@ -534,10 +531,36 @@ def contract_game(game, team, adversary, keep):
     keep_adversary = keep[-1:] == (game.n,)
     team_axes = keep[:-1] if keep_adversary else keep
     if len(team_axes) > 1:
-        return _sum_blocks(game, team, adversary, keep)
+        raise ValueError(f"a polytensor game keeps at most one team axis, "
+                         f"not {team_axes}")
     entries, total = _sum_blocks_per_player(game, team, adversary, team_axes,
                                             keep_adversary)
     return entries[0] if team_axes else total
+
+
+def _materialize(game, strategies):
+    """The payoff tensor with every axis that has a strategy averaged out
+    and every ``None`` axis kept, in order.
+
+    ``strategies`` holds one mixed strategy or ``None`` per axis: the
+    team's, then the adversary's.  A dense game makes one
+    :func:`contract` call.  A polytensor game contracts each block's
+    weighted axes on its own table, then adds the result, broadcast along
+    the kept axes the block does not touch, to a zero tensor in block
+    order; so the memory is the result's, never the full grid's.
+    """
+    keep = tuple(axis for axis, x in enumerate(strategies) if x is None)
+    if game._tensor is not None:
+        return contract(game._tensor, strategies, keep)
+    sizes = game.action_sets + (game.adversary_actions,)
+    out = np.zeros([sizes[axis] for axis in keep])
+    for blk in game._blocks:
+        axes = blk.players + ((game.n,) if blk.includes_adversary else ())
+        vectors = [strategies[axis] for axis in axes]
+        local = tuple(k for k, x in enumerate(vectors) if x is None)
+        out += contract(blk.table, vectors, local).reshape(
+            [sizes[axis] if axis in axes else 1 for axis in keep])
+    return out
 
 
 def contract_players(game, team, adversary, keep_adversary=False,
@@ -567,18 +590,8 @@ def _block_count(game):
     return sum(len(group.order) for group in game._groups)
 
 
-def _flat_team(team, action_sets):
-    """The team's strategies laid end to end, as the groups' ``gather``
-    index them.  A kept axis may come without a strategy (``None``); its
-    entries read as zeros, which no contraction weights with."""
-    if any(x is None for x in team):
-        team = [np.zeros(k) if x is None else x
-                for x, k in zip(team, action_sets)]
-    return np.concatenate(team)
-
-
-def _group_terms(group, strategies, adversary, positions, rows):
-    """The terms of the blocks at ``rows`` of ``group``, in one batched
+def _group_terms(group, strategies, adversary, positions):
+    """The terms of every block of ``group``, in one batched
     :func:`contract`.
 
     ``strategies[k]`` holds, row by row, the strategy of each block's
@@ -588,8 +601,8 @@ def _group_terms(group, strategies, adversary, positions, rows):
     ``adversary``: kept when ``None``, fixed when pure, weighted when
     mixed.
     """
-    table = group.table[rows]
-    vectors = [None if k in positions else strategies[k][rows]
+    table = group.table
+    vectors = [None if k in positions else strategies[k]
                for k in range(len(strategies))]
     if group.includes_adversary:
         if adversary is None:
@@ -600,52 +613,6 @@ def _group_terms(group, strategies, adversary, positions, rows):
         else:
             vectors.append(adversary)
     return contract(table, vectors, positions, True)
-
-
-def _sum_blocks(game, team, adversary, keep):
-    """:func:`contract_game` on a polytensor game for a ``keep`` with two
-    or more team axes, one group at a time.
-
-    In each group, the blocks whose kept axes sit at the same positions
-    are contracted together (:func:`_group_terms`).  The blocks that keep
-    the same axes of the game add the sum of their terms straight into
-    the output, broadcast along the axes they do not touch.
-    """
-    n = game.n
-    sizes = game.action_sets + (game.adversary_actions,)
-    out = np.zeros([sizes[axis] for axis in keep])
-    team_kept = np.zeros(n, dtype=bool)
-    team_kept[[axis for axis in keep if axis < n]] = True
-    flat = _flat_team(team, game.action_sets)
-    for group in game._groups:
-        strategies = [flat[index] for index in group.gather]
-        extra = (n,) if group.includes_adversary and adversary is None else ()
-        for positions, rows in _kept_positions(team_kept[group.players]):
-            values = _group_terms(group, strategies, adversary, positions,
-                                  rows)
-            by_axes = {}
-            hits = group.players[rows][:, list(positions)].tolist()
-            for j, hit in enumerate(hits):
-                by_axes.setdefault(tuple(hit) + extra, []).append(j)
-            for axes, at in by_axes.items():
-                out += values[at].sum(axis=0).reshape(
-                    [sizes[axis] if axis in axes else 1 for axis in keep])
-    return out
-
-
-def _kept_positions(hit):
-    """``(positions, rows)`` for each set of kept positions in a group.
-
-    ``hit[j, k]`` says whether block ``j`` keeps the axis at its position
-    ``k``; ``rows`` picks the blocks that keep exactly ``positions``, all
-    of them (a slice) when no block keeps any.
-    """
-    if not hit.any():
-        return [((), slice(None))]
-    codes = hit @ (1 << np.arange(hit.shape[1]))
-    return [(tuple(k for k in range(hit.shape[1]) if code >> k & 1),
-             np.flatnonzero(codes == code))
-            for code in np.unique(codes).tolist()]
 
 
 def _sum_blocks_per_player(game, team, adversary, players, keep_adversary):
@@ -663,18 +630,17 @@ def _sum_blocks_per_player(game, team, adversary, players, keep_adversary):
     whichever players are listed, so a player's vector does not depend
     on which others were asked for; with none listed they are skipped.
     """
-    flat = _flat_team(team, game.action_sets)
+    flat = np.concatenate(team)
     width = (game.adversary_actions,) if keep_adversary else ()
     out = np.zeros((len(flat), math.prod(width)))
     total = np.zeros(out.shape[1])
     for group in game._groups:
         strategies = [flat[index] for index in group.gather]
-        terms = _group_terms(group, strategies, adversary, (), slice(None))
+        terms = _group_terms(group, strategies, adversary, ())
         terms = terms.reshape(len(terms), -1)
         total += terms.sum(axis=0)
         for k, index in enumerate(group.gather if players else ()):
-            kept = _group_terms(group, strategies, adversary, (k,),
-                                slice(None))
+            kept = _group_terms(group, strategies, adversary, (k,))
             np.add.at(out, index,
                       kept.reshape(index.shape + (-1,)) - terms[:, None])
     out += total
@@ -784,8 +750,10 @@ def game_from_dict(doc):
     Raises :class:`SchemaError` naming the field when a count, index,
     ``players`` entry, numerator, denominator or ``v_max`` is not a JSON
     integer (``true``/``false`` included), when a rational is too large
-    for a float ("rational out of float range"), and when an entry
-    repeats the index of an earlier entry in the same list.
+    for a float ("rational out of float range"), when an entry
+    repeats the index of an earlier entry in the same list, when a block's
+    ``players`` are not strictly increasing (its table's axes follow that
+    list) and when ``includes_adversary`` is present but not a boolean.
     """
     if not isinstance(doc, dict):
         raise SchemaError("game document must be an object")
@@ -899,8 +867,14 @@ def _parse_locals(locals_, actions, b_count):
                            for p in players)):
             raise SchemaError("players must list valid team indices",
                               f"{path}.players")
-        players = tuple(sorted(players))
-        with_adv = bool(loc.get("includes_adversary", False))
+        if any(a >= b for a, b in zip(players, players[1:])):
+            raise SchemaError("players must be strictly increasing",
+                              f"{path}.players")
+        players = tuple(players)
+        with_adv = loc.get("includes_adversary", False)
+        if type(with_adv) is not bool:
+            raise SchemaError("must be a boolean",
+                              f"{path}.includes_adversary")
         shape = tuple(actions[p] for p in players)
         if with_adv:
             shape = shape + (b_count,)

@@ -59,6 +59,7 @@ from .games import (
     _checked_strategies,
     _freeze,
     _is_int,
+    _materialize,
     analytic_bounds,
     contract,
     contract_game,
@@ -160,7 +161,9 @@ def ne_gap_two_team(game, profile, epsilon_claimed=math.nan):
 def _induced(game, y_minus_m):
     """The team game seen by the minimizers and the last maximizer.
 
-    Co-maximizer strategies ``y_minus_m`` are averaged out; only their
+    Co-maximizer strategies ``y_minus_m`` are averaged out into a dense
+    tensor (:func:`~teamsolve.games._materialize`, block by block on a
+    polytensor joint game, whose dense tensor is never built); only their
     number is checked.  With ``m = 1`` this is the joint game itself, so
     downstream results agree bitwise with the single-adversary code path.
     """
@@ -169,10 +172,10 @@ def _induced(game, y_minus_m):
                                      f"strategies, got {len(y_minus_m)}")
     if game.m == 1:
         return game.joint
-    keep = tuple(range(game.n)) + (game.joint.n,)
-    y_minus_m = tuple(np.asarray(y, dtype=float) for y in y_minus_m)
-    tensor = _freeze(contract_game(game.joint, (None,) * game.n + y_minus_m,
-                                   None, keep))
+    strategies = ((None,) * game.n
+                  + tuple(np.asarray(y, dtype=float) for y in y_minus_m)
+                  + (None,))
+    tensor = _freeze(_materialize(game.joint, strategies))
     # The joint game's v_max bounds every average of its payoffs.
     return TeamGame(tensor.shape[:-1], tensor.shape[-1], game.v_max,
                     tensor=tensor)
@@ -362,7 +365,9 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
     wall seconds spent in the oracle, the ascent (``step``), the
     re-extension (``extend``) and the certificate (``certify``).
     Stops at the first certified ``epsilon``-equilibrium (checked after
-    the update, so the first check sees a fully formed profile).
+    the update, so the first check sees a fully formed profile).  With
+    ``m = 1`` nothing moves between iterations, so the loop stops after
+    its first, certified or not.
 
     The ascent step starts at ``eta0``, ``config.eta`` or the default
     :func:`~teamsolve.dynamics.default_eta` with the ``m - 1``
@@ -462,7 +467,11 @@ def gd_mm(game, config, oracle_method="grid", grid_step=0.02):
         point = np.concatenate([np.concatenate(x), np.concatenate(y)])
         if trace.record(profile, cert, point, oracle.best_response):
             return trace.finish(profile, cert)
-        if ascended and (t + 1) % CANDIDATE_EVERY == 0:
+        if not ascended:
+            # With no co-maximizer nothing moves: every later iteration
+            # would repeat this one.
+            break
+        if (t + 1) % CANDIDATE_EVERY == 0:
             mean = tuple(total / CANDIDATE_EVERY for total in replies)
             # The next re-extension keeps its own LP's basis.
             found = _certified_extension(trace, game.joint,

@@ -82,20 +82,21 @@ POLY_2V2_BLOCKS = (((0, 2), False), ((1,), True), ((0, 1), False),
                    ((2,), True), ((0, 1, 2), True))
 
 
-def poly_two_team_doc(rng):
-    """A 2v2 two-team document with a polytensor payoff, two actions each.
+def poly_two_team_doc(rng, blocks=POLY_2V2_BLOCKS, maximizers=2):
+    """A two-team document with two minimizers, ``maximizers`` maximizers
+    and a polytensor payoff over ``blocks``, two actions each.
 
     Entries are multiples of 1e-6, drawn like the benchmark's rational
     payoffs.
     """
     locals_ = []
-    for players, with_adversary in POLY_2V2_BLOCKS:
+    for players, with_adversary in blocks:
         shape = (2,) * (len(players) + with_adversary)
         entries = [[list(idx), int(rng.integers(-10**6, 10**6 + 1)), 10**6]
                    for idx in np.ndindex(*shape)]
         locals_.append({"players": list(players),
                         "includes_adversary": with_adversary,
                         "entries": [e for e in entries if e[1]]})
-    return {"teams": {"minimizers": 2, "maximizers": 2}, "actions": [2, 2],
-            "adversary_actions": [2, 2],
+    return {"teams": {"minimizers": 2, "maximizers": maximizers},
+            "actions": [2, 2], "adversary_actions": [2] * maximizers,
             "payoff": {"kind": "polytensor", "locals": locals_}}

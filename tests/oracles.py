@@ -106,7 +106,10 @@ def _block_term(operands, sizes, keep):
 
 
 def reference_sum_blocks(game, team, adversary, keep):
-    """``contract_game`` on a polytensor game, block by block."""
+    """``contract_game`` on a polytensor game, block by block, for any
+    ``keep``: the twin of ``games._materialize`` (the payoff tensor and
+    the two-team induced game), which must match it bitwise, and within
+    1e-12 of ``contract_game``, which keeps at most one team axis."""
     pure = isinstance(adversary, (int, np.integer))
     sizes = game.action_sets + (game.adversary_actions,)
     out = np.zeros([sizes[axis] for axis in keep])

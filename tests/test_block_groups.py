@@ -44,16 +44,12 @@ def _close(got, want):
 
 
 def _keeps(game):
-    """Every ``keep`` pattern the package passes to ``contract_game``: the
-    value, one team axis with and without the adversary axis, the
-    adversary axis alone, the first team axes with the adversary (the
-    two-team induced game) and every axis (``payoff_tensor``)."""
+    """Every ``keep`` pattern ``contract_game`` takes on a polytensor
+    game: the value, one team axis with and without the adversary axis,
+    and the adversary axis alone."""
     n = game.n
     keeps = [(), (n,)]
     keeps += [(i,) for i in range(n)] + [(i, n) for i in range(n)]
-    if n <= 8:
-        keeps += [tuple(range(k)) + (n,) for k in range(2, n + 1)]
-        keeps.append(tuple(range(n)))
     return keeps
 
 
@@ -73,9 +69,11 @@ def _assert_game_matches(game, team, y):
             _close(contract_game(game, team, adversary, keep),
                    reference_sum_blocks(game, team, adversary, keep))
     if n <= 8:
-        _close(game.payoff_tensor(),
-               reference_sum_blocks(game, (None,) * n, None,
-                                    tuple(range(n + 1))))
+        # Materialized block by block, in block order, as the reference.
+        got = game.payoff_tensor()
+        want = reference_sum_blocks(game, (None,) * n, None,
+                                    tuple(range(n + 1)))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _assert_players_match(game, team, y, players):

@@ -182,7 +182,8 @@ def test_gdmm_exits_budget_and_writes_the_best_profile(tmp_path):
     assert code == cli.EXIT_BUDGET
     result = json.loads(out.read_text())
     assert result["summary"]["outcome"] == "budget_exhausted"
-    assert result["summary"]["iterations"] == 3
+    # With one maximizer nothing moves, so gd_mm stops after one iteration.
+    assert result["summary"]["iterations"] == 1
     assert len(result["profile"]["maximizers"]) == 1
 
 

@@ -277,6 +277,24 @@ class TestPolytensor:
             assert utility(game, team, y) == pytest.approx(
                 exhaustive_expected_utility(tensor, team, y), abs=1e-12)
 
+    @pytest.mark.parametrize("players", [(1, 0), (0, 0)])
+    def test_players_out_of_order_are_rejected(self, players):
+        # Read in its own axis order, (1, 0) would put T[0, 1] at profile
+        # (0, 1), where the payoff is T[1, 0].
+        table = np.arange(4.0).reshape(2, 2)
+        with pytest.raises(GameError, match="block 1: players must be "
+                                            "strictly increasing"):
+            TeamGame.polytensor([2, 2], 2, [
+                LocalBlock((0,), True, np.eye(2)),
+                LocalBlock(players, False, table)])
+
+    def test_keeps_at_most_one_team_axis(self):
+        game = self.blocks_game()
+        team, y = random_profile(np.random.default_rng(53), game)
+        for adversary, keep in ((y, (0, 1)), (None, (0, 1, 2))):
+            with pytest.raises(ValueError, match="at most one team axis"):
+                contract_game(game, team, adversary, keep)
+
 
 def _scalar_v_max_samples(game):
     """The polytensor v_max audit as a per-sample loop over payoff()."""

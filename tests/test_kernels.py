@@ -118,7 +118,7 @@ class TestContractMatchesEinsum:
             team, adversary = random_profile(rng, game)
             n = game.n
             for adv, keeps in ((None, ((n,), (0, n), (2, n))),
-                               (adversary, ((), (0,), (1,), (0, 2))),
+                               (adversary, ((), (0,), (1,))),
                                (1, ((), (0,), (2,)))):
                 for keep in keeps:
                     contract_game(game, team, adv, keep)

@@ -269,6 +269,28 @@ class TestBooleansAreNotIntegers:
         assert "axis 1 must be an integer, got bool" in str(err)
 
 
+class TestBlockFields:
+    @pytest.mark.parametrize("players", [[1, 0], [1, 1]])
+    def test_players_must_be_strictly_increasing(self, players):
+        doc = _poly_doc()
+        doc["payoff"]["locals"][0]["players"] = players
+        err = _reject(game_from_dict, doc, "payoff.locals[0].players")
+        assert "strictly increasing" in str(err)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_includes_adversary_must_be_a_boolean(self, value):
+        doc = _poly_doc()
+        doc["payoff"]["locals"][1]["includes_adversary"] = value
+        err = _reject(game_from_dict, doc,
+                      "payoff.locals[1].includes_adversary")
+        assert "must be a boolean" in str(err)
+
+    def test_includes_adversary_defaults_to_false(self):
+        doc = _poly_doc()
+        del doc["payoff"]["locals"][0]["includes_adversary"]
+        assert not game_from_dict(doc)._blocks[0].includes_adversary
+
+
 class TestOutOfFloatRange:
     @pytest.mark.parametrize("keys, value, path", [
         (("payoff", "entries", 0), [[0, 0], 10**400, 1], "payoff.entries[0]"),

@@ -29,10 +29,21 @@ from teamsolve import (
 from teamsolve.games import DimensionMismatchError
 
 from conftest import poly_two_team_doc
-from oracles import two_team_deviation_gaps
+from oracles import (
+    einsum_contract,
+    reference_sum_blocks,
+    tensordot_contract,
+    two_team_deviation_gaps,
+)
 
 # A draw of poly_two_team_doc on which gd_mm converges at epsilon 0.1.
 CONVERGING_SEED = 3
+
+# Blocks of a 2v3 joint game (minimizers 0 and 1, co-maximizers 2 and 3,
+# the last maximizer as adversary): one block holds only co-maximizers and
+# one only the adversary.
+SPLIT_2V3_BLOCKS = (((2, 3), False), ((), True), ((0, 2), True),
+                    ((1, 3), False), ((0, 1, 2), True))
 
 
 def load(seed=CONVERGING_SEED):
@@ -123,10 +134,34 @@ class TestPolytensorTwoTeam:
         induced = two_team._induced(game, y)
         assert induced.v_max == game.joint.v_max
         assert induced.representation == "dense_tensor"
-        expected = games.contract_game(game.joint, (None, None) + y, None,
-                                       (0, 1, 3))
+        # A polytensor joint game is averaged block by block, in block
+        # order; a dense one in one contraction.
+        expected = (einsum_contract(game.joint.payoff_tensor(),
+                                    (None, None) + y + (None,), (0, 1, 3))
+                    if copy else
+                    reference_sum_blocks(game.joint, (None, None) + y, None,
+                                         (0, 1, 3)))
         assert induced.payoff_tensor().tobytes() == expected.tobytes()
         assert induced.payoff_tensor().shape == expected.shape
+
+    def test_induced_game_with_blocks_off_the_minimizers(self):
+        doc = json.loads(json.dumps(poly_two_team_doc(
+            np.random.default_rng(5), SPLIT_2V3_BLOCKS, maximizers=3)))
+        game = two_team_from_dict(doc)
+        dense = dense_copy(game)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            y = tuple(rng.dirichlet(np.ones(2)) for _ in range(2))
+            induced = two_team._induced(game, y).payoff_tensor()
+            assert induced.tobytes() == reference_sum_blocks(
+                game.joint, (None, None) + y, None, (0, 1, 4)).tobytes()
+            np.testing.assert_allclose(
+                induced, tensordot_contract(exact_tensor(doc),
+                                            (None, None) + y + (None,),
+                                            (0, 1, 4)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                induced, two_team._induced(dense, y).payoff_tensor(),
+                rtol=0, atol=1e-12)
 
 
 class TestEntryPointValidation:
